@@ -46,6 +46,10 @@ class CapExceeded(WordlogicError):
         self.required = required
 
 
+class NestingCapExceeded(CapExceeded):
+    """A formula nests deeper than the evaluator handles."""
+
+
 class NotCnf(WordlogicError):
     """Grammar is not in Chomsky normal form."""
 

@@ -5,21 +5,32 @@ language's alphabet, one letter per lexicographically ordered tuple of
 domain elements; second-order monadic/m-ary nodes do the same over all
 instances of their bound relation variables, ordered either by interleaved
 or concatenated bit codes. Membership of the induced word decides the node.
+
+`evaluate` compiles a formula once into closures over a slot array and
+solves existential witnesses that a plus, times or = atom fixes;
+`evaluate_reference` is the direct tree walk that tests and oracles hold it
+against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import LanguageSpec, language_member
 from .errors import (
+    ArityMismatch,
     EmptyDomain,
     InstanceCapExceeded,
     InvariantViolation,
+    NestingCapExceeded,
+    NonConstantSignature,
     RankOutOfRange,
     UnboundVariable,
     UnknownFragment,
+    UnknownLanguage,
     UnknownLetter,
 )
 
@@ -315,8 +326,27 @@ class ConstStructure:
 # ---------------------------------------------------------------------------
 # Instance codes
 
-def _tuple_space(n: int, m: int):
-    return list(itertools.product(range(n), repeat=m))
+@functools.lru_cache(maxsize=16)
+def _code_layout(n: int, k: int, ordering: str, m: int):
+    """(total bits, per variable the (bit shift, m-tuple) of each code bit).
+
+    Built once per shape: every rank of a quantifier node reuses it.
+    """
+    tuples = tuple(itertools.product(range(n), repeat=m))
+    npos = len(tuples)
+    total_bits = npos * k
+    if ordering == INTERLEAVED:
+        def bit(i, j):
+            return j * k + i
+    elif ordering == CONCATENATED:
+        def bit(i, j):
+            return i * npos + j
+    else:
+        raise InvariantViolation(f"unknown ordering {ordering!r}")
+    layout = tuple(tuple((total_bits - 1 - bit(i, j), t)
+                         for j, t in enumerate(tuples))
+                   for i in range(k))
+    return total_bits, layout
 
 
 def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
@@ -325,45 +355,22 @@ def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
     Each relation is coded by the bit string over lexicographically ordered
     m-tuples; codes are read most significant bit first.
     """
-    k = len(sets)
-    tuples = _tuple_space(n, m)
-    npos = len(tuples)
-    total_bits = npos * k
+    _, layout = _code_layout(n, len(sets), ordering, m)
     rank = 0
-    for i, s in enumerate(sets):
-        for j, t in enumerate(tuples):
+    for s, bits in zip(sets, layout):
+        for shift, t in bits:
             if t in s:
-                if ordering == INTERLEAVED:
-                    b = j * k + i
-                elif ordering == CONCATENATED:
-                    b = i * npos + j
-                else:
-                    raise InvariantViolation(f"unknown ordering {ordering!r}")
-                rank |= 1 << (total_bits - 1 - b)
+                rank |= 1 << shift
     return rank
 
 
 def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     """Inverse of instance_rank; returns a k-tuple of frozensets of tuples."""
-    tuples = _tuple_space(n, m)
-    npos = len(tuples)
-    total_bits = npos * k
+    total_bits, layout = _code_layout(n, k, ordering, m)
     if not 0 <= rank < (1 << total_bits):
         raise RankOutOfRange(f"rank {rank} outside [0, 2^{total_bits})")
-    sets = []
-    for i in range(k):
-        members = []
-        for j, t in enumerate(tuples):
-            if ordering == INTERLEAVED:
-                b = j * k + i
-            elif ordering == CONCATENATED:
-                b = i * npos + j
-            else:
-                raise InvariantViolation(f"unknown ordering {ordering!r}")
-            if (rank >> (total_bits - 1 - b)) & 1:
-                members.append(t)
-        sets.append(frozenset(members))
-    return tuple(sets)
+    return tuple(frozenset([t for shift, t in bits if (rank >> shift) & 1])
+                 for bits in layout)
 
 
 def set_code_value(s, n: int) -> int:
@@ -380,16 +387,28 @@ def set_from_code_value(v: int, n: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: pieces shared by the compiled and the reference evaluator
+
+class _NoLetters:
+    """The letters of a constant structure: reading one is a signature error."""
+
+    def __getitem__(self, pos):
+        raise NonConstantSignature("letter atom evaluated on a constant structure")
+
+
+_NO_LETTERS = _NoLetters()
+
 
 class _Ctx:
-    __slots__ = ("struct", "registry", "cap", "n")
+    __slots__ = ("struct", "registry", "cap", "n", "letters")
 
     def __init__(self, struct, registry, cap):
         self.struct = struct
         self.registry = registry or {}
         self.cap = cap
         self.n = struct.size
+        self.letters = (struct.letters if isinstance(struct, StringStructure)
+                        else _NO_LETTERS)
 
 
 def _term_value(ctx, env, t):
@@ -407,17 +426,50 @@ def _term_value(ctx, env, t):
             raise EmptyDomain("max over the empty structure")
         return ctx.n - 1
     if type(t) is ConstSym:
+        if not isinstance(ctx.struct, ConstStructure):
+            raise UnboundVariable(
+                f"constant ${t.name} evaluated on a string structure")
         return ctx.struct.const(t.name)
     raise InvariantViolation(f"not a term: {t!r}")
 
 
 def _resolve(ctx, name: str) -> LanguageSpec:
-    from .errors import UnknownLanguage
     try:
         return ctx.registry[name]
     except KeyError:
         raise UnknownLanguage(f"language {name!r} not registered") from None
 
+
+def _node_spec(ctx, node) -> LanguageSpec:
+    """The language of a quantifier node, after the checks each evaluation
+    of the node makes before it builds a word."""
+    spec = _resolve(ctx, node.lang)
+    if len(node.args) != spec.size - 1:
+        raise ArityMismatch(
+            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
+        )
+    if ctx.n == 0:
+        raise EmptyDomain("generalized quantifier over the empty structure")
+    return spec
+
+
+def _instance_bits(ctx, node: LindSO) -> int:
+    """Bits of an instance code of the node; 2^bits must be within the cap."""
+    bits = (ctx.n ** node.arity) * len(node.vars)
+    if bits > 60 or (1 << bits) > ctx.cap:
+        raise InstanceCapExceeded(
+            f"2^{bits} instances exceed the cap {ctx.cap}", required=bits
+        )
+    return bits
+
+
+def _floor_log2(n: int) -> int:
+    return n.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluation: a direct tree walk over a name -> value environment.
+# Tests and oracles compare the compiled evaluator against it.
 
 def _letter_for(ctx, env, node, values, spec):
     """First-match letter rule: argument formulas tried left to right."""
@@ -430,14 +482,7 @@ def _letter_for(ctx, env, node, values, spec):
 
 
 def _lindfo_word(ctx, env, node):
-    spec = _resolve(ctx, node.lang)
-    if len(node.args) != spec.size - 1:
-        from .errors import ArityMismatch
-        raise ArityMismatch(
-            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
-        )
-    if ctx.n == 0:
-        raise EmptyDomain("generalized quantifier over the empty structure")
+    spec = _node_spec(ctx, node)
     k = len(node.vars)
     letters = []
     for tup in itertools.product(range(ctx.n), repeat=k):
@@ -447,30 +492,15 @@ def _lindfo_word(ctx, env, node):
 
 
 def _lindso_word(ctx, env, node):
-    spec = _resolve(ctx, node.lang)
-    if len(node.args) != spec.size - 1:
-        from .errors import ArityMismatch
-        raise ArityMismatch(
-            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
-        )
-    if ctx.n == 0:
-        raise EmptyDomain("generalized quantifier over the empty structure")
+    spec = _node_spec(ctx, node)
+    bits = _instance_bits(ctx, node)
     k = len(node.vars)
-    bits = (ctx.n ** node.arity) * k
-    if bits > 60 or (1 << bits) > ctx.cap:
-        raise InstanceCapExceeded(
-            f"2^{bits} instances exceed the cap {ctx.cap}", required=bits
-        )
     letters = []
     for rank in range(1 << bits):
         sets = instance_unrank(rank, ctx.n, k, node.ordering, node.arity)
         values = dict(zip(node.vars, sets))
         letters.append(_letter_for(ctx, env, node, values, spec))
     return spec, "".join(letters)
-
-
-def _floor_log2(n: int) -> int:
-    return n.bit_length() - 1
 
 
 def _eval(ctx, env, f) -> bool:
@@ -485,7 +515,7 @@ def _eval(ctx, env, f) -> bool:
         return _term_value(ctx, env, f.left) < _term_value(ctx, env, f.right)
     if ty is Letter:
         pos = _term_value(ctx, env, f.term)
-        return ctx.struct.letters[pos] == f.letter
+        return ctx.letters[pos] == f.letter
     if ty is InRel:
         try:
             s = env[f.rel]
@@ -586,11 +616,459 @@ def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
     raise InvariantViolation(f"unknown shuffle direction {f.direction!r}")
 
 
-def evaluate(struct, formula, assignment=None, *, registry=None,
-             instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
-    """Tarskian truth of `formula` in `struct` under `assignment`."""
+def evaluate_reference(struct, formula, assignment=None, *, registry=None,
+                       instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
+    """Tarskian truth by a direct tree walk; the oracle for `evaluate`."""
     ctx = _Ctx(struct, registry, instance_cap)
     return _eval(ctx, dict(assignment or {}), formula)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+#
+# A formula compiles once into closures fn(ctx, slots) -> bool. Every binder
+# owns one index of the list `slots`, fixed at compile time; a free name gets
+# an index that evaluate fills from the assignment or leaves _UNBOUND. So a
+# binding is one list store instead of an environment copy, and an And/Or
+# spine is one n-ary node. Atoms the slots cannot serve run the reference
+# code on an environment of just the names they read.
+#
+# An existential whose body fixes its variable by a plus, times or = atom
+# over values bound outside it is solved instead of looped over; see
+# _Compiler.witness for when that agrees with the reference's loop.
+
+# Compiled levels (And/Or spines count once). Deeper formulas are refused,
+# so compiling and running stay within Python's default recursion limit.
+MAX_NESTING = 300
+_PLAN_CACHE_SIZE = 8
+_FO, _SO, _FREE = "fo", "so", "free"
+_UNBOUND = object()
+# Atoms read straight from slots when all their names are bound; on bound
+# positions none of them can raise. Other atoms, and these with a free name
+# or a min, max or constant term, run the reference code.
+_SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
+_REFERENCE_ATOMS = (BitAtom, HighBit, SizeBit, LtLog, LtPowLog, SetTimes,
+                    ShuffleBit)
+
+# id(formula) -> (formula, (fn, slot count, ((free name, slot), ...))),
+# oldest first
+_plans: dict = {}
+
+
+def _true(c, s):
+    return True
+
+
+def _false(c, s):
+    return False
+
+
+def _spine(f, ty):
+    """Operands of the maximal ty (And or Or) spine at f, left to right."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is ty:
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _junction(parts, ty):
+    """n-ary And or Or over compiled operands, left to right."""
+    if len(parts) == 2:
+        a, b = parts
+        if ty is And:
+            return lambda c, s: a(c, s) and b(c, s)
+        return lambda c, s: a(c, s) or b(c, s)
+    parts = tuple(parts)
+    decisive = ty is Or  # an operand with this value decides the junction
+
+    def junction(c, s):
+        for p in parts:
+            if bool(p(c, s)) is decisive:
+                return decisive
+        return not decisive
+    return junction
+
+
+def _reader(x):
+    """Reader closure of a compiled term (a bound slot or a reader)."""
+    if type(x) is int:
+        return lambda c, s: s[x]
+    return x
+
+
+def _word(c, s, spec, args, slots, values):
+    """Induced word: per tuple of values bound to slots, the letter of the
+    first argument that holds, else the alphabet's last letter."""
+    rules = tuple(zip(args, spec.alphabet))
+    last = spec.alphabet[-1]
+    out = []
+    for vals in values:
+        for i, v in zip(slots, vals):
+            s[i] = v
+        for arg, letter in rules:
+            if arg(c, s):
+                out.append(letter)
+                break
+        else:
+            out.append(last)
+    return "".join(out)
+
+
+def _slot_atom(f, idx):
+    """Closure of an atom whose relation and terms are the bound variables
+    in slots idx (relation first)."""
+    ty = type(f)
+    if ty is InRel:
+        r, *args = idx
+        if len(args) == 1:
+            (a,) = args
+            return lambda c, s: (s[a],) in s[r]
+        return lambda c, s: tuple([s[i] for i in args]) in s[r]
+    if ty is Letter:
+        (p,) = idx
+        letter = f.letter
+        return lambda c, s: c.letters[s[p]] == letter
+    if ty is Eq:
+        a, b = idx
+        return lambda c, s: s[a] == s[b]
+    if ty is Lt:
+        a, b = idx
+        return lambda c, s: s[a] < s[b]
+    a, b, d = idx
+    if ty is PlusAtom:
+        return lambda c, s: s[a] + s[b] == s[d]
+    return lambda c, s: s[a] * s[b] == s[d]
+
+
+def _solver(op, reads):
+    """Closure computing op over the read values; None when a free read
+    holds no integer."""
+    if all(type(r) is int for r in reads):
+        if op is None:
+            (i,) = reads
+            return lambda c, s: s[i]
+        i, j = reads
+        return lambda c, s: op(s[i], s[j])
+    if op is None:
+        return _reader(reads[0])
+    a, b = map(_reader, reads)
+
+    def solve(c, s):
+        x, y = a(c, s), b(c, s)
+        if x is None or y is None:
+            return None
+        return op(x, y)
+    return solve
+
+
+def _cannot_raise(f, fo, so):
+    """(ok, reads_letters). ok: f evaluates without raising on a nonempty
+    structure with letters, names in fo bound to positions and names in so to
+    relations. reads_letters: f has a Letter atom."""
+    reads_letters = False
+    stack = [(f, fo, so)]
+    while stack:
+        g, fo, so = stack.pop()
+        ty = type(g)
+        if ty is Not:
+            stack.append((g.body, fo, so))
+        elif ty is And or ty is Or:
+            stack.append((g.left, fo, so))
+            stack.append((g.right, fo, so))
+        elif ty is ExistsFO or ty is ForallFO:
+            stack.append((g.body, fo | {g.var}, so - {g.var}))
+        elif ty is ExistsSO:
+            stack.append((g.body, fo - {g.var}, so | {g.var}))
+        elif ty in _SLOT_ATOMS:
+            if ty is InRel and g.rel not in so:
+                return False, False
+            for t in _atom_terms(g):
+                if not (type(t) in (Min, Max) or
+                        (type(t) is Var and t.name in fo)):
+                    return False, False
+            reads_letters = reads_letters or ty is Letter
+        elif ty is not TrueF and ty is not FalseF:
+            return False, False
+    return True, reads_letters
+
+
+class _Compiler:
+    def __init__(self):
+        self.nslots = 0
+        self.free = {}  # free name -> slot
+
+    def new_slot(self) -> int:
+        self.nslots += 1
+        return self.nslots - 1
+
+    def resolve(self, name, scope):
+        """(slot, kind) of a name: its innermost binder, else a free slot."""
+        hit = scope.get(name)
+        if hit is not None:
+            return hit
+        if name not in self.free:
+            self.free[name] = self.new_slot()
+        return self.free[name], _FREE
+
+    def compile(self, f, scope, depth):
+        if depth > MAX_NESTING:
+            raise NestingCapExceeded(
+                f"formula nests deeper than {MAX_NESTING} levels")
+        ty = type(f)
+        if ty is And or ty is Or:
+            parts = []
+            for g in _spine(f, ty):
+                parts.append(self.compile(g, scope, depth + 1))
+            return _junction(parts, ty)
+        if ty is Not:
+            body = self.compile(f.body, scope, depth + 1)
+            return lambda c, s: not body(c, s)
+        if ty is ExistsFO or ty is ForallFO:
+            return self.fo_quantifier(f, scope, depth)
+        if ty is ExistsSO:
+            return self.so_exists(f, scope, depth)
+        if ty is LindFO or ty is LindSO:
+            return self.lindstrom(f, scope, depth)
+        return self.atom(f, scope)
+
+    def fo_quantifier(self, f, scope, depth):
+        i = self.new_slot()
+        body = self.compile(f.body, {**scope, f.var: (i, _FO)}, depth + 1)
+
+        if type(f) is ForallFO:
+            def forall(c, s):
+                n = c.n
+                if n == 0:
+                    raise EmptyDomain("quantifier over the empty structure")
+                for v in range(n):
+                    s[i] = v
+                    if not body(c, s):
+                        return False
+                return True
+            return forall
+
+        def exists(c, s):
+            n = c.n
+            if n == 0:
+                raise EmptyDomain("quantifier over the empty structure")
+            for v in range(n):
+                s[i] = v
+                if body(c, s):
+                    return True
+            return False
+
+        found = self.witness(f, scope)
+        if found is None:
+            return exists
+        solve, reads_letters = found
+
+        def exists_solved(c, s):
+            n = c.n
+            if n == 0:
+                raise EmptyDomain("quantifier over the empty structure")
+            if reads_letters and c.letters is _NO_LETTERS:
+                return exists(c, s)
+            w = solve(c, s)
+            if w is None:
+                return exists(c, s)
+            if 0 <= w < n:
+                s[i] = w
+                return body(c, s)
+            return False
+        return exists_solved
+
+    def witness(self, f, scope):
+        """(solver, reads_letters) for the first conjunct of the body of
+        `exists v B` (f) that fixes v from values bound outside f, or None.
+
+        The walk goes down B through And and nested exists. Each conjunct
+        evaluated before the fixing atom must be unable to raise. Then the
+        body is false, with no error, at every value of v but the solved
+        one, which alone decides the reference's loop; a solved value outside
+        the domain makes the quantifier false. reads_letters marks a Letter
+        among those conjuncts: on a constant structure the loop runs instead.
+        """
+        v = f.var
+        fo = {name for name, (_, kind) in scope.items() if kind == _FO}
+        fo.add(v)
+        so = {name for name, (_, kind) in scope.items() if kind == _SO} - fo
+        reads_letters = False
+        stack = [(f.body, frozenset())]  # (conjunct, names bound below f)
+        while stack:
+            g, inner = stack.pop()
+            ty = type(g)
+            if ty is And:
+                stack.append((g.right, inner))
+                stack.append((g.left, inner))
+            elif ty is ExistsFO and g.var != v:
+                stack.append((g.body, inner | {g.var}))
+            else:
+                solve = self.solver(g, v, scope, inner)
+                if solve is not None:
+                    return solve, reads_letters
+                ok, letters = _cannot_raise(g, fo | inner, so - inner)
+                if not ok:
+                    return None
+                reads_letters = reads_letters or letters
+        return None
+
+    def solver(self, g, v, scope, inner):
+        """Closure computing v from the atom g, if g fixes it, else None."""
+        ty = type(g)
+        if ty is PlusAtom:
+            forms = ((g.c, operator.add, g.a, g.b),
+                     (g.a, operator.sub, g.c, g.b),
+                     (g.b, operator.sub, g.c, g.a))
+        elif ty is TimesAtom:
+            forms = ((g.c, operator.mul, g.a, g.b),)
+        elif ty is Eq:
+            forms = ((g.left, None, g.right, None),
+                     (g.right, None, g.left, None))
+        else:
+            return None
+        target = Var(v)
+        for t, op, p, q in forms:
+            if t != target:
+                continue
+            reads = [self.source(x, v, scope, inner)
+                     for x in ((p,) if op is None else (p, q))]
+            if None in reads:
+                return None
+            return _solver(op, reads)
+        return None
+
+    def source(self, t, v, scope, inner):
+        """Operand of a solved witness: a position bound outside the
+        quantifier on v, as a slot or a reader (None for a free name that
+        holds no integer); None if t is no such operand."""
+        if type(t) is Min:
+            return lambda c, s: 0
+        if type(t) is Max:
+            return lambda c, s: c.n - 1
+        if type(t) is not Var or t.name == v or t.name in inner:
+            return None
+        i, kind = self.resolve(t.name, scope)
+        if kind == _FO:
+            return i
+        if kind == _FREE:
+            return lambda c, s: s[i] if type(s[i]) is int else None
+        return None
+
+    def so_exists(self, f, scope, depth):
+        i = self.new_slot()
+        body = self.compile(f.body, {**scope, f.var: (i, _SO)}, depth + 1)
+
+        def exists_so(c, s):
+            n = c.n
+            if n == 0:
+                raise EmptyDomain("quantifier over the empty structure")
+            for mask in range(1 << n):
+                s[i] = frozenset((j,) for j in range(n) if (mask >> j) & 1)
+                if body(c, s):
+                    return True
+            return False
+        return exists_so
+
+    def lindstrom(self, f, scope, depth):
+        kind = _SO if type(f) is LindSO else _FO
+        inner = dict(scope)
+        slots = []
+        for name in f.vars:
+            slots.append(self.new_slot())
+            inner[name] = (slots[-1], kind)
+        args = []
+        for a in f.args:
+            args.append(self.compile(a, inner, depth + 1))
+        k = len(slots)
+
+        if kind == _FO:
+            def lindfo(c, s):
+                spec = _node_spec(c, f)
+                tuples = itertools.product(range(c.n), repeat=k)
+                return language_member(spec, _word(c, s, spec, args, slots,
+                                                   tuples))
+            return lindfo
+
+        def lindso(c, s):
+            spec = _node_spec(c, f)
+            bits = _instance_bits(c, f)
+            n = c.n
+            instances = (instance_unrank(rank, n, k, f.ordering, f.arity)
+                         for rank in range(1 << bits))
+            return language_member(spec, _word(c, s, spec, args, slots,
+                                               instances))
+        return lindso
+
+    def atom(self, f, scope):
+        ty = type(f)
+        if ty is TrueF:
+            return _true
+        if ty is FalseF:
+            return _false
+        if ty in _SLOT_ATOMS:
+            terms = _atom_terms(f)
+            if all(type(t) is Var for t in terms):
+                names = [f.rel] if ty is InRel else []
+                hits = [scope.get(name)
+                        for name in names + [t.name for t in terms]]
+                if None not in hits:
+                    return _slot_atom(f, [i for i, _ in hits])
+            return self.by_reference(f, scope)
+        if ty in _REFERENCE_ATOMS:
+            return self.by_reference(f, scope)
+
+        def not_a_formula(c, s):
+            raise InvariantViolation(f"not a formula: {f!r}")
+        return not_a_formula
+
+    def by_reference(self, f, scope):
+        fo, so = free_variables(f)
+        reads = tuple((name, self.resolve(name, scope)[0]) for name in fo | so)
+
+        def reference_atom(c, s):
+            env = {}
+            for name, i in reads:
+                v = s[i]
+                if v is not _UNBOUND:
+                    env[name] = v
+            return _eval(c, env, f)
+        return reference_atom
+
+
+def _plan(formula):
+    """(fn, slot count, free names with their slots) of the compiled form
+    of formula, memoised for the last few formulas."""
+    hit = _plans.get(id(formula))
+    if hit is not None and hit[0] is formula:
+        return hit[1]
+    comp = _Compiler()
+    fn = comp.compile(formula, {}, 0)
+    plan = fn, comp.nslots, tuple(comp.free.items())
+    _plans[id(formula)] = (formula, plan)
+    if len(_plans) > _PLAN_CACHE_SIZE:
+        del _plans[next(iter(_plans))]
+    return plan
+
+
+def evaluate(struct, formula, assignment=None, *, registry=None,
+             instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
+    """Tarskian truth of `formula` in `struct` under `assignment`.
+
+    Runs the compiled form of the formula. It gives evaluate_reference's
+    verdict, or raises the same error type, except that formulas nested
+    deeper than MAX_NESTING levels raise NestingCapExceeded.
+    """
+    fn, nslots, free = _plan(formula)
+    slots = [_UNBOUND] * nslots
+    if assignment:
+        for name, i in free:
+            slots[i] = assignment.get(name, _UNBOUND)
+    return fn(_Ctx(struct, registry, instance_cap), slots)
 
 
 def induced_word(struct, assignment, node, *, registry=None,

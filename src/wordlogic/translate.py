@@ -57,6 +57,8 @@ from .logic import (
     TimesAtom,
     TrueF,
     Var,
+    _atom_terms,
+    _subst_term,
     eliminate_min_max,
     evaluate,
     fragment_check,
@@ -66,10 +68,6 @@ from .logic import (
     walk_formulas,
 )
 
-ARITH_LIKE = (PlusAtom, TimesAtom, BitAtom, HighBit, SizeBit, LtLog,
-              LtPowLog, SetTimes, ShuffleBit)
-
-
 # ---------------------------------------------------------------------------
 # Shared helpers
 
@@ -77,7 +75,6 @@ def _all_names(f, acc=None):
     """Every variable-ish name occurring anywhere in the formula."""
     if acc is None:
         acc = set()
-    ty = type(f)
     for sub in walk_formulas(f):
         sty = type(sub)
         if sty in (ExistsFO, ForallFO, ExistsSO):
@@ -90,7 +87,6 @@ def _all_names(f, acc=None):
             acc.update((sub.x, sub.y, sub.z))
         elif sty is ShuffleBit:
             acc.update(sub.set_vars)
-        from .logic import _atom_terms
         for t in _atom_terms(sub):
             if type(t) is Var:
                 acc.add(t.name)
@@ -649,7 +645,6 @@ def const_rewrite(formula, const_names):
     for sub in walk_formulas(formula):
         if isinstance(sub, Letter):
             raise NonConstantSignature("letter atoms in a constant signature")
-        from .logic import _atom_terms
         for t in _atom_terms(sub):
             if type(t) is ConstSym and t.name not in index:
                 raise NonConstantSignature(f"unknown constant {t.name!r}")
@@ -663,8 +658,6 @@ def const_rewrite(formula, const_names):
                 atom = Letter(subset_letter(mask), Var(y))
                 out = atom if out is None else Or(out, atom)
         return out
-
-    from .logic import _atom_terms, _subst_term
 
     def rw(g):
         ty = type(g)

@@ -1,9 +1,16 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from wordlogic.algebra import Magma, WordProblem, LanguageSpec, pad_language
 from wordlogic.builtins import Z2, builtin_registry
+
+# Reproducible property tests: the same examples on every run, no timing
+# flakes on a loaded host, and a bounded run time.
+settings.register_profile("wordlogic", derandomize=True, deadline=None,
+                          max_examples=200, database=None)
+settings.load_profile("wordlogic")
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

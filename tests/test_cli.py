@@ -3,6 +3,7 @@ import os
 import pytest
 
 from wordlogic.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
+from wordlogic.logic import MAX_NESTING
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -135,3 +136,20 @@ def test_translate_with_toolbox_language(capsys, tmp_path):
         "--formula", "(Qstar ones 1 (X) (exists x (in X x)))"])
     # "0" really is neutral for this language, so this validates cleanly
     assert code == EXIT_OK and "verdict: equivalent" in out
+
+
+def test_eval_long_conjunction(capsys):
+    # the parser nests (and ...) 3000 levels deep; evaluation flattens it
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "ab",
+        "--formula", "(and" + " (true)" * 3000 + ")"])
+    assert (code, out, err) == (EXIT_OK, "true\n", "")
+
+
+def test_eval_too_deep_is_usage_error(capsys):
+    depth = MAX_NESTING + 1
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "ab",
+        "--formula", "(not " * depth + "(true)" + ")" * depth])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "nests deeper" in err

@@ -1,22 +1,29 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlogic.errors import (
     ArityMismatch,
     EmptyDomain,
     InstanceCapExceeded,
+    NonConstantSignature,
     RankOutOfRange,
     UnboundVariable,
     UnknownFragment,
     UnknownLetter,
+    WordlogicError,
 )
+from wordlogic.generate import random_fo_formula, random_lindfo, random_lindso
 from wordlogic.logic import (
     CONCATENATED,
     INTERLEAVED,
     MAX,
     MIN,
     And,
+    ConstStructure,
+    ConstSym,
     Eq,
     ExistsFO,
     ExistsSO,
@@ -28,13 +35,16 @@ from wordlogic.logic import (
     Lt,
     Not,
     Or,
+    PlusAtom,
     SetTimes,
     ShuffleBit,
     StringStructure,
+    TimesAtom,
     Var,
     define_language,
     eliminate_min_max,
     evaluate,
+    evaluate_reference,
     fragment_check,
     free_variables,
     iff,
@@ -266,3 +276,148 @@ def test_settimes_atom():
            "Z": frozenset({(1,)})}
     # 2 * 2 = 4
     assert evaluate(st, SetTimes("X", "Y", "Z"), env)
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
+def test_letter_atom_on_constant_structure(evaluator):
+    st = ConstStructure.of(2, {"c1": 0})
+    with pytest.raises(NonConstantSignature):
+        evaluator(st, Letter("a", MIN))
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
+def test_constant_on_string_structure(evaluator):
+    with pytest.raises(UnboundVariable):
+        evaluator(S("ab"), Lt(ConstSym("c1"), ConstSym("c2")))
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against the reference tree walk
+
+LANGS = ("Lexists", "Lforall", "Lmod2", "Maj")
+
+
+def _chain(rng):
+    """exists w0 ... exists wL (and ... atom_i ... probe): atom_i fixes w_i
+    from two of the w's, y, min and max, so solved values fall inside the
+    domain, past it, or below 0, or it fixes nothing when it reads w_i twice
+    or a name bound below w_i (a name may be bound twice). Each atom comes
+    first or after a random conjunct, and probe reads a solved value."""
+    names = tuple(rng.choice(("w0", "w1", "w2", "y"))
+                  for _ in range(rng.randint(1, 3)))
+    pool = [Var(w) for w in names] + [Var("y"), MIN, MAX]
+    conjuncts = []
+    for i, v in enumerate(names):
+        if rng.random() < 0.5:
+            free = ("y",) if rng.random() < 0.5 else ()
+            conjuncts.append(random_fo_formula(rng, names[:i + 1] + free,
+                                               (), AB, depth=1))
+        p, q, V = rng.choice(pool), rng.choice(pool), Var(v)
+        conjuncts.append(rng.choice((PlusAtom(p, q, V), PlusAtom(V, p, q),
+                                     PlusAtom(p, V, q), TimesAtom(p, q, V),
+                                     Eq(V, p), Eq(p, V))))
+    if rng.random() < 0.5:
+        conjuncts.append(random_fo_formula(rng, names + ("y",), ("Y",), AB,
+                                           depth=rng.randint(0, 2)))
+    w = Var(rng.choice(names))
+    conjuncts.append(rng.choice((Letter("a", w), Letter("b", w),
+                                 Eq(w, Var("y")), Lt(Var("y"), w),
+                                 InRel("Y", (w,)))))
+    body = conjuncts.pop()
+    for c in reversed(conjuncts):
+        body = And(c, body)
+    for v in reversed(names):
+        body = ExistsFO(v, body)
+    wrap = rng.choice(("none", "none", "lindfo", "lindso"))
+    if wrap == "lindfo":
+        return LindFO(rng.choice(LANGS), ("y",), (body,))
+    if wrap == "lindso":
+        return LindSO(rng.choice(LANGS), rng.choice((INTERLEAVED, CONCATENATED)),
+                      1, ("Y",), (body,))
+    return body
+
+
+@st.composite
+def _formulas(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("fo", "lindfo", "lindso", "chain", "chain",
+                                 "chain")))
+    if kind == "fo":
+        return random_fo_formula(rng, ("y",), ("Y",), AB, depth=3)
+    if kind == "lindfo":
+        return random_lindfo(rng, draw(st.sampled_from(LANGS)), 1, AB,
+                             k=draw(st.integers(1, 2)))
+    if kind == "lindso":
+        return random_lindso(rng, draw(st.sampled_from(LANGS)), 1,
+                             draw(st.sampled_from((INTERLEAVED, CONCATENATED))),
+                             AB, k=draw(st.integers(1, 2)))
+    return _chain(rng)
+
+
+def _outcome(evaluator, *args, **kwargs):
+    try:
+        return evaluator(*args, **kwargs)
+    except WordlogicError as e:
+        return type(e)
+
+
+def _witness_atoms():
+    """Every plus/times/= atom fixing v from two of x, y, min and max."""
+    V = Var("v")
+    sources = (Var("x"), Var("y"), MIN, MAX)
+    for p, q in itertools.product(sources, repeat=2):
+        yield from (PlusAtom(p, q, V), PlusAtom(V, p, q), PlusAtom(p, V, q),
+                    TimesAtom(p, q, V))
+    for p in sources:
+        yield from (Eq(V, p), Eq(p, V))
+
+
+@pytest.mark.parametrize("shape", ["first", "after-letter", "after-unsafe",
+                                   "shadowed"])
+@pytest.mark.parametrize("x_bound", [False, True])
+def test_witness_atoms_match_reference(shape, x_bound):
+    """Exhaustive small twin of the differential test below: each witness
+    atom, with x free or bound outside v, on n = 0..4 under every x and y."""
+    V = Var("v")
+    for atom, probe in itertools.product(
+            _witness_atoms(), (Letter("a", V), Lt(Var("y"), V))):
+        body = And(atom, probe)
+        if shape == "after-letter":
+            body = And(Letter("b", V), body)
+        elif shape == "after-unsafe":  # raises at v > 0: u is never bound
+            body = And(Or(Eq(V, MIN), Letter("a", Var("u"))), body)
+        elif shape == "shadowed":   # x in the atom is bound below v
+            body = ExistsFO("x", body)
+        f = ExistsFO("v", body)
+        if x_bound:
+            f = ExistsFO("x", And(Eq(Var("x"), Var("z")), f))
+        for n in range(5):
+            struct = S("abba"[:n])
+            envs = [{}] + [{"z" if x_bound else "x": x, "y": y}
+                           for x in range(n) for y in range(n)]
+            for env in envs:
+                assert _outcome(evaluate, struct, f, env) == \
+                    _outcome(evaluate_reference, struct, f, env), (f, env)
+
+
+@given(f=_formulas(), data=st.data())
+def test_evaluate_matches_reference(registry, f, data):
+    """Same verdict or same error type, on n = 0..4, under every value of
+    the free y, and with y or Y left unbound."""
+    free_fo, _ = free_variables(f)
+    for n in range(5):
+        if data.draw(st.integers(0, 3)):
+            struct = S("".join(data.draw(st.lists(st.sampled_from(AB),
+                                                  min_size=n, max_size=n))))
+        else:
+            struct = ConstStructure.of(n, {})  # letter atoms raise here
+        env = {}
+        if data.draw(st.integers(0, 3)):
+            env["Y"] = frozenset((j,) for j in range(n)
+                                 if data.draw(st.booleans()))
+        ys = range(n) if "y" in free_fo else ()
+        for env in [env] + [{**env, "y": y} for y in ys]:
+            fast = _outcome(evaluate, struct, f, env, registry=registry)
+            slow = _outcome(evaluate_reference, struct, f, env,
+                            registry=registry)
+            assert fast == slow, (struct, env)
