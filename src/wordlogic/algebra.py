@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_, or_, rshift
 
 from .errors import (
     EmptyWord,
@@ -67,6 +69,12 @@ class Magma:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
+    @cached_property
+    def _layout(self) -> "_RuleLayout":
+        g = range(len(self.elements))
+        return _RuleLayout([(self.table[x][y], x, y) for x in g for y in g],
+                           [(x, x) for x in g])
+
 
 def check_associative(m: Magma) -> bool:
     """Exhaustive O(g^3) associativity test."""
@@ -110,8 +118,22 @@ def monoid_word_eval(wp: WordProblem, word) -> int:
 def groupoid_reachable(m: Magma, word) -> frozenset[int]:
     """All elements some bracketing of `word` multiplies out to.
 
-    Interval dynamic programming over subword spans; sets kept as bitmasks.
+    Runs the bit-parallel interval DP (`_derive_top`) over the rules
+    `x*y -> x y` of the table.
     """
+    word = tuple(word)
+    if not word:
+        raise EmptyWord("groupoid_reachable needs a nonempty word")
+    if len(word) == 1:
+        return frozenset(word)
+    layout = m._layout
+    top = _derive_top(layout, word)
+    return frozenset(x for x, pairs in layout.slots.items() if top & pairs)
+
+
+def groupoid_reachable_reference(m: Magma, word) -> frozenset[int]:
+    """Oracle for `groupoid_reachable`: interval DP over subword spans with
+    one element bitmask per span."""
     word = tuple(word)
     if not word:
         raise EmptyWord("groupoid_reachable needs a nonempty word")
@@ -257,10 +279,26 @@ class Cfg:
         return cls(nts, tuple(terminals), tuple(binary), tuple(lexical),
                    idx[start], epsilon_in_language)
 
+    @cached_property
+    def _layout(self) -> "_RuleLayout":
+        return _RuleLayout(self.binary, self.lexical)
+
 
 def cyk_member(g: Cfg, word) -> bool:
-    """CNF interval dynamic programming, one bitmask of start positions per
-    nonterminal and span length."""
+    """CNF membership by the bit-parallel interval DP (`_derive_top`)."""
+    word = tuple(word)
+    n = len(word)
+    if n == 0:
+        return g.epsilon_in_language
+    layout = g._layout
+    if n == 1:
+        return bool(layout.lex.get(word[0], _NO_LEX)[2] >> g.start & 1)
+    return bool(_derive_top(layout, word) & layout.slots.get(g.start, 0))
+
+
+def cyk_member_reference(g: Cfg, word) -> bool:
+    """Oracle for `cyk_member`: CNF interval dynamic programming, one bitmask
+    of start positions per nonterminal and span length."""
     word = tuple(word)
     n = len(word)
     if n == 0:
@@ -283,6 +321,105 @@ def cyk_member(g: Cfg, word) -> bool:
                 row[a] |= left[b] & (right[c] >> l1)
         rows.append(row)
     return bool(rows[n][g.start] & 1)
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel interval DP shared by CYK and groupoid membership
+
+
+class _RuleLayout:
+    """Bit layout of binary rules `lhs -> left right` for `_derive_top`.
+
+    Word position i owns the bit group [i*width, (i+1)*width). Each
+    distinct operand pair (left, right) has one slot in every group, and
+    the top slot is a spare that takes carries. `slots[a]` holds the pairs
+    of a's rules; `lex` maps a letter to the left-operand slots,
+    right-operand slots and symbol set it derives.
+    """
+
+    def __init__(self, rules, lexical):
+        pair_slot, left, right, self.slots = {}, {}, {}, {}
+        for a, b, c in rules:
+            s = pair_slot.setdefault((b, c), len(pair_slot))
+            left[b] = left.get(b, 0) | 1 << s
+            right[c] = right.get(c, 0) | 1 << s
+            self.slots[a] = self.slots.get(a, 0) | 1 << s
+        self.width = len(pair_slot) + 1
+        # (pair slots, left slots, right slots) of every lhs that occurs
+        # as an operand
+        self._children = [(pairs, left.get(a, 0), right.get(a, 0))
+                          for a, pairs in self.slots.items()
+                          if a in left or a in right]
+        self.lex = {}
+        for a, t in lexical:
+            lb, rc, syms = self.lex.get(t, _NO_LEX)
+            self.lex[t] = (lb | left.get(a, 0), rc | right.get(a, 0),
+                           syms | 1 << a)
+        self._masks = {}
+
+    def masks(self, n: int):
+        """(one bit per group, all pair slots set in every group, per-child
+        masks), each replicated over n groups."""
+        masks = self._masks.get(n)
+        if masks is None:
+            if len(self._masks) >= 32:
+                self._masks.clear()
+            w = self.width
+            rep = ((1 << n * w) - 1) // ((1 << w) - 1)
+            masks = self._masks[n] = (rep, ((1 << (w - 1)) - 1) * rep, [
+                (pairs * rep, lb * rep, rc * rep)
+                for pairs, lb, rc in self._children])
+        return masks
+
+
+_NO_LEX = (0, 0, 0)
+
+
+def _derive_top(layout: _RuleLayout, word) -> int:
+    """Pair slots that derive all of `word` (len >= 2), in group 0.
+
+    lb[m] / rc[m] set bit i*width + slot(p) when the left / right operand
+    of pair p derives word[i:i+m]. Span l ORs, over every split l1, lb[l1]
+    with rc[l - l1] moved l1 groups down: about n^2/2 big-integer ops in
+    all, whatever the number of rules.
+    """
+    n = len(word)
+    w = layout.width
+    top = w - 1
+    rep, low, children = layout.masks(n)
+    lex = layout.lex
+    lb1 = rc1 = 0
+    for t in reversed(word):
+        lbt, rct, _ = lex.get(t, _NO_LEX)
+        lb1 = lb1 << w | lbt
+        rc1 = rc1 << w | rct
+    lb, rc = [0, lb1], [0, rc1]
+    offsets = range(0, n * w, w)
+    last = 1 if lb1 | rc1 else 0  # longest span some operand derives
+    for l in range(2, n + 1):
+        # A derivation longer than 2*last has a node whose span lies in
+        # last+1 .. 2*last (follow the longer child down from the root),
+        # and that node is an operand: once those spans are empty, stop.
+        if l > 2 * last:
+            return 0
+        acc = reduce(or_, map(and_, lb[1:l],
+                              map(rshift, rc[l - 1:0:-1], offsets[1:l])))
+        if l == n:
+            return acc
+        lbl = rcl = 0
+        for pairs, lbm, rcm in children:
+            hit = acc & pairs
+            if hit:
+                # a nonzero group of hit carries into the spare top slot;
+                # spread that bit over the group, then keep operand slots
+                d = (hit + low) >> top & rep
+                d = (d << w) - d
+                lbl |= d & lbm
+                rcl |= d & rcm
+        lb.append(lbl)
+        rc.append(rcl)
+        if lbl | rcl:
+            last = l
 
 
 def cfg_to_groupoid(g: Cfg):

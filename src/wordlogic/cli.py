@@ -17,6 +17,7 @@ from .algebra import (
     check_associative,
     cfg_to_groupoid,
     cyk_member,
+    cyk_member_reference,
     groupoid_reachable,
     language_member,
     monoid_word_eval,
@@ -241,9 +242,9 @@ def _oracle_cfg(args):
     wp, hom = cfg_to_groupoid(cfg)
     for length in range(0, args.max_len + 1):
         for word in itertools.product(alphabet, repeat=length):
-            fast = word_problem_member(wp, [hom[a] for a in word])
-            slow = cyk_member(cfg, word)
-            if fast != slow:
+            slow = cyk_member_reference(cfg, word)
+            via_groupoid = word_problem_member(wp, [hom[a] for a in word])
+            if via_groupoid != slow or cyk_member(cfg, word) != slow:
                 print(f"disagree {''.join(word)}")
                 return EXIT_COUNTEREXAMPLE
     print("agree")

@@ -23,11 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ArityMismatch, FormulaSyntaxError, UnknownLanguage
+from .errors import (
+    ArityMismatch,
+    FormulaSyntaxError,
+    NestingCapExceeded,
+    UnknownLanguage,
+)
 from .logic import (
     CONCATENATED,
     INTERLEAVED,
     MAX,
+    MAX_NESTING,
     MIN,
     And,
     BitAtom,
@@ -121,9 +127,13 @@ class _Reader:
                                      line=t.line, column=t.col)
         return t
 
-    def read(self):
+    def read(self, depth=0):
         t = self.next()
         if t.text == "(":
+            if depth > MAX_NESTING:
+                raise NestingCapExceeded(
+                    f"{t.line}:{t.col}: formula nests deeper than "
+                    f"{MAX_NESTING} levels")
             items = []
             while True:
                 p = self.peek()
@@ -133,7 +143,7 @@ class _Reader:
                 if p.text == ")":
                     self.next()
                     return items
-                items.append(self.read())
+                items.append(self.read(depth + 1))
         if t.text == ")":
             raise FormulaSyntaxError("unexpected ')'", line=t.line, column=t.col)
         return t
@@ -300,7 +310,12 @@ def _build(node, registry):
 
 
 def parse_formula(text: str, registry=None):
-    """Parse one formula; registry (if given) validates language references."""
+    """Parse one formula; registry (if given) validates language references.
+
+    Forms nested more than MAX_NESTING levels below the outermost one raise
+    NestingCapExceeded, which keeps reading and building within Python's
+    default recursion limit.
+    """
     toks = _tokenize(text)
     if not toks:
         raise FormulaSyntaxError("empty input")

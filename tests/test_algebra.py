@@ -1,7 +1,9 @@
 import itertools
+import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wordlogic.algebra import (
     Cfg,
@@ -13,7 +15,9 @@ from wordlogic.algebra import (
     cfg_to_groupoid,
     check_associative,
     cyk_member,
+    cyk_member_reference,
     groupoid_reachable,
+    groupoid_reachable_reference,
     is_neutral_letter_bounded,
     is_symmetric_bounded,
     language_member,
@@ -24,6 +28,7 @@ from wordlogic.algebra import (
 )
 from wordlogic.builtins import Z2, builtin_registry, majority_grammar
 from wordlogic.errors import InvariantViolation, NotCnf
+from wordlogic.formats import parse_cfg
 
 
 def test_magma_identity_law_enforced():
@@ -178,3 +183,173 @@ def test_pad_language_membership():
         want = bool(stripped) and \
             stripped.count("1") > stripped.count("0")
         assert language_member(padded, w) == want, w
+
+
+# ---------------------------------------------------------------------------
+# The bit-parallel interval DP against the reference loops
+
+
+def _load_cfg(data_dir, name):
+    with open(os.path.join(data_dir, name), encoding="utf-8") as fh:
+        return parse_cfg(fh.read(), name)[0]
+
+
+def _parens_ok(w):
+    depth = 0
+    for c in w:
+        depth += 1 if c == "(" else -1
+        if depth < 0:
+            return False
+    return depth == 0 and len(w) > 0
+
+
+@st.composite
+def cnf_grammars(draw, max_nonterminals=5):
+    """Random CNF grammars over terminals a, b, c, with as few as no binary
+    rules, possibly no lexical rule for the start symbol, and either value
+    of the epsilon flag."""
+    nn = draw(st.integers(1, max_nonterminals))
+    nt = st.integers(0, nn - 1)
+    binary = draw(st.lists(st.tuples(nt, nt, nt), max_size=10))
+    lexical = draw(st.lists(st.tuples(nt, st.sampled_from("abc")), max_size=6))
+    return Cfg(tuple(f"N{i}" for i in range(nn)), ("a", "b", "c"),
+               tuple(binary), tuple(lexical), draw(nt), draw(st.booleans()))
+
+
+def _sample_word(g, rng, max_len):
+    """A word of L(g) from a random derivation that prefers binary rules
+    while the word stays within max_len letters, or None."""
+    binary, lexical = {}, {}
+    for a, b, c in g.binary:
+        binary.setdefault(a, []).append((b, c))
+    for a, t in g.lexical:
+        lexical.setdefault(a, []).append(t)
+    out, todo = [], [g.start]
+    while todo:
+        a = todo.pop()
+        if a in binary and len(out) + len(todo) + 2 <= max_len and (
+                a not in lexical or rng.random() < 0.8):
+            b, c = rng.choice(binary[a])
+            todo += [c, b]
+        elif a in lexical:
+            out.append(rng.choice(lexical[a]))
+        else:
+            return None
+    return "".join(out)
+
+
+@given(cnf_grammars(), st.randoms(use_true_random=False),
+       st.lists(st.text("abcd", max_size=24), max_size=3))
+def test_cyk_matches_reference(g, rng, words):
+    # derived words and their one-letter edits sit on both sides of the
+    # language; "d" is no terminal, and short random words are mostly
+    # rejected, often by the early stop of sparse grammars
+    for _ in range(4):
+        w = _sample_word(g, rng, 24)
+        if w is not None:
+            i = rng.randrange(len(w))
+            words += [w, w[:i] + rng.choice("abc") + w[i + 1:], w[:i] + w[i + 1:]]
+    for w in words:
+        assert cyk_member(g, w) == cyk_member_reference(g, w), w
+
+
+def test_cyk_small_grammars():
+    only_lex = Cfg(("S", "A"), ("a", "b"), ((1, 1, 1),), ((0, "a"), (1, "b")), 0)
+    assert [cyk_member(only_lex, w) for w in ("", "a", "b", "aa", "bb")] == \
+        [False, True, False, False, False]
+    empty = Cfg(("S",), ("a",), (), (), 0, epsilon_in_language=True)
+    assert [cyk_member(empty, w) for w in ("", "a", "aa")] == [True, False, False]
+    # one left-hand side: its field fills the group up to the carry slot
+    a_plus = Cfg.from_rules(("S", "T"), ("a", "b"),
+                            [("S", ("S", "S")), ("S", ("T", "S")),
+                             ("S", "a")], "S")
+    for n in range(1, 12):
+        for i in range(n):
+            w = "a" * i + "b" + "a" * (n - i - 1)
+            assert not cyk_member(a_plus, w), w
+        assert cyk_member(a_plus, "a" * n)
+
+
+def _random_magma(rng, g):
+    table = [tuple(range(g))] + [
+        tuple(x if y == 0 else rng.randrange(g) for y in range(g))
+        for x in range(1, g)]
+    return Magma(tuple(f"g{i}" for i in range(g)), tuple(table), 0)
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 5),
+       st.lists(st.integers(0, 4), min_size=1, max_size=16))
+def test_groupoid_matches_reference(rng, g, word):
+    m = _random_magma(rng, g)
+    word = [x % g for x in word]
+    want = groupoid_reachable_reference(m, word)
+    assert groupoid_reachable(m, word) == want
+    if len(word) <= 8:
+        assert brute_force_bracketings(m, word) == want
+
+
+@given(cnf_grammars(max_nonterminals=3),
+       st.lists(st.text("abc", min_size=1, max_size=10), min_size=1, max_size=4))
+def test_groupoid_on_cfg_groupoids(g, words):
+    wp, hom = cfg_to_groupoid(g)
+    for w in words:
+        elems = [hom[a] for a in w]
+        reach = groupoid_reachable(wp.magma, elems)
+        assert reach == groupoid_reachable_reference(wp.magma, elems), w
+        assert bool(reach & wp.accept) == cyk_member_reference(g, w), w
+
+
+def test_cfg_groupoid_of_parens_matches_reference(data_dir):
+    # 17 elements, 289 rules: one bit group spans many machine words
+    cfg = _load_cfg(data_dir, "parens.cfg")
+    wp, hom = cfg_to_groupoid(cfg)
+    rng = random.Random(8)
+    for _ in range(40):
+        w = _sample_word(cfg, rng, 12) if rng.random() < 0.5 else None
+        w = w or "".join(rng.choice("()") for _ in range(rng.randint(1, 12)))
+        elems = [hom[a] for a in w]
+        reach = groupoid_reachable(wp.magma, elems)
+        assert reach == groupoid_reachable_reference(wp.magma, elems), w
+        assert bool(reach & wp.accept) == _parens_ok(w), w
+
+
+# Long words: positions then span many machine words, so layout faults
+# that short words hide show up here.
+
+def test_majority_long_words():
+    cfg = majority_grammar()
+    rng = random.Random(12)
+    for n in (200, 401, 600):
+        for surplus in (-1, 0, 1, 2):
+            ones = (n + surplus) // 2
+            w = ["1"] * ones + ["0"] * (n - ones)
+            rng.shuffle(w)
+            assert cyk_member(cfg, w) == (w.count("1") > w.count("0")), (n, surplus)
+
+
+def test_anbn_and_parens_long_words(data_dir):
+    anbn = _load_cfg(data_dir, "anbn.cfg")
+    a, b = "a" * 250, "b" * 250
+    for w, want in [(a + b, True), (a + b[1:], False), ("b" + a[1:] + b, False),
+                    (a[1:] + "b" + "a" + b[1:], False)]:
+        assert cyk_member(anbn, w) == want
+    parens = _load_cfg(data_dir, "parens.cfg")
+    rng = random.Random(4)
+    w = ""
+    while len(w) < 500:
+        w += "(" * rng.randint(1, 4)
+        w += ")" * (w.count("(") - w.count(")") if rng.random() < 0.3
+                    else rng.randint(0, w.count("(") - w.count(")")))
+    w += ")" * (w.count("(") - w.count(")"))
+    for v in (w, w[:-1], w[1:], w + w, w[:250] + ")" + w[250:] + "("):
+        assert cyk_member(parens, v) == _parens_ok(v)
+
+
+def test_groupoid_long_words_on_a_group():
+    # in a group every bracketing gives the product, so the reachable set
+    # is the fold: Z5 under addition, 300 letters
+    z5 = Magma(tuple("01234"), tuple(tuple((x + y) % 5 for y in range(5))
+                                      for x in range(5)), 0)
+    rng = random.Random(6)
+    word = [rng.randrange(5) for _ in range(300)]
+    assert groupoid_reachable(z5, word) == frozenset({sum(word) % 5})

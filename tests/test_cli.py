@@ -153,3 +153,13 @@ def test_eval_too_deep_is_usage_error(capsys):
         "--formula", "(not " * depth + "(true)" + ")" * depth])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "nests deeper" in err
+
+
+def test_eval_deep_formula_is_refused_by_the_parser(capsys):
+    # deep enough that a recursive reader would exhaust the Python stack
+    depth = 1500
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "ab",
+        "--formula", "(not " * depth + "(true)" + ")" * depth])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "nests deeper" in err
