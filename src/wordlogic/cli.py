@@ -38,6 +38,7 @@ from .leafauto import leaffa_member, leaf_count, leaf_string
 from .logic import (
     DEFAULT_INSTANCE_CAP,
     StringStructure,
+    check_nesting,
     define_language,
     evaluate,
     free_variables,
@@ -126,6 +127,7 @@ _TRANSLATE_OPS = ("qstar-to-q1", "q1-to-qstar", "arity-collapse", "pad",
 def cmd_translate(args):
     box = load_toolbox(args.toolbox)
     f = _read_formula(args, box)
+    check_nesting(f)
     reg = box.languages
     alphabet = _alphabet(args.alphabet) if args.alphabet else ("a", "b")
     consts = tuple(args.constants.split(",")) if args.constants else ()

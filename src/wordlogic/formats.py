@@ -17,7 +17,8 @@ from .leafauto import LeafAutomaton
 
 
 def _parse_lines(text: str, path):
-    """Yield (lineno, key, rest) for nonempty, non-comment lines."""
+    """Yield (lineno, line) for nonempty lines, comments and surrounding
+    whitespace stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -4,13 +4,21 @@ A leaf automaton reads a word; each transition fans a state out to an
 ordered nonempty sequence of successors, so the computation is a tree.
 The leaf string lists the value map over the leaves left to right, and
 membership holds when that string lies in the chosen leaf language.
+
+A regular or monoid leaf language only needs the leaf string's value in
+a monoid, and the leaf string under a state is the concatenation of the
+leaf strings under its successors. So membership for those languages
+folds per-state values from the end of the word, in time linear in the
+word, however many leaves the tree has. Grammar and non-associative
+leaf languages test the materialized leaf string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Dfa, LanguageSpec, language_member
+from . import algebra
+from .algebra import Dfa, LanguageSpec, WordProblem, language_member
 from .errors import CapExceeded, InvariantViolation
 
 
@@ -56,15 +64,25 @@ class LeafAutomaton:
                 f"letter {a!r} outside the input alphabet") from None
 
 
-def leaf_count(M: LeafAutomaton, w: str) -> int:
-    """Leaves of the computation tree, by per-state counts folded from the
-    end of the word; exact big integers."""
-    counts = [1] * len(M.states)
+def _fold(M: LeafAutomaton, w: str, leaf_value, product):
+    """Value of the leaf string under the start state.
+
+    vals[s] is the value of the leaf string of the subtree that state s
+    grows on the suffix read so far; a state's value is the product of
+    its successors' values in order.
+    """
+    vals = [leaf_value[x] for x in M.beta]
+    states = range(len(M.states))
     for a in reversed(w):
         ai = M.letter_index(a)
-        counts = [sum(counts[q] for q in M.delta[s][ai])
-                  for s in range(len(M.states))]
-    return counts[M.start]
+        vals = [product([vals[q] for q in M.delta[s][ai]]) for s in states]
+    return vals[M.start]
+
+
+def leaf_count(M: LeafAutomaton, w: str) -> int:
+    """Leaves of the computation tree: the fold with every leaf worth 1;
+    exact big integers."""
+    return _fold(M, w, dict.fromkeys(M.leaf_alphabet, 1), sum)
 
 
 def _leaf_letters(M: LeafAutomaton, w: str):
@@ -87,32 +105,63 @@ def _leaf_letters(M: LeafAutomaton, w: str):
         stack.append([succ[child], depth + 1, 0])
 
 
-def leaf_string(M: LeafAutomaton, w: str, cap: int = 1 << 16) -> str:
-    """The concatenated beta values over the computation tree's leaves."""
+def _check_cap(M: LeafAutomaton, w: str, cap: int) -> None:
     total = leaf_count(M, w)
     if total > cap:
         raise CapExceeded(
             f"leaf string for {w!r} has length {total}, cap is {cap}",
             required=total)
+
+
+def leaf_string(M: LeafAutomaton, w: str, cap: int = 1 << 16) -> str:
+    """The concatenated beta values over the computation tree's leaves."""
+    _check_cap(M, w, cap)
     return "".join(_leaf_letters(M, w))
+
+
+def _check_leaf_alphabet(M: LeafAutomaton, leaf_spec: LanguageSpec) -> None:
+    for x in set(M.beta):
+        if x not in leaf_spec.alphabet:
+            raise InvariantViolation(
+                f"beta value {x!r} outside the leaf language alphabet")
+
+
+def _compose(maps):
+    """State map of reading the maps' words in order: (u;v)[x] = v[u[x]]."""
+    m = maps[0]
+    for v in maps[1:]:
+        m = tuple([v[x] for x in m])
+    return m
 
 
 def leaffa_member(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
                   cap: int = 1 << 16) -> bool:
     """w is accepted when the leaf string lies in leaf_spec.
 
-    Regular leaf specs consume the leaf string as a stream (the cap bounds
-    nothing there); other specs materialize it under the cap.
+    DFA leaf languages fold each leaf letter's state map, and associative
+    word problems fold monoid elements, without building the leaf string;
+    the cap bounds nothing for DFAs, and word problems still refuse a leaf
+    string longer than the cap with CapExceeded. Grammar and
+    non-associative leaf languages materialize the leaf string under the
+    cap.
     """
-    for x in set(M.beta):
-        if x not in leaf_spec.alphabet:
-            raise InvariantViolation(
-                f"beta value {x!r} outside the leaf language alphabet")
+    _check_leaf_alphabet(M, leaf_spec)
     body = leaf_spec.body
     if isinstance(body, Dfa):
-        state = body.start
-        idx = {a: i for i, a in enumerate(body.alphabet)}
-        for x in _leaf_letters(M, w):
-            state = body.trans[state][idx[x]]
-        return state in body.finals
+        maps = {x: tuple([row[i] for row in body.trans])
+                for i, x in enumerate(body.alphabet)}
+        return _fold(M, w, maps, _compose)[body.start] in body.finals
+    if isinstance(body, WordProblem) and body.associative:
+        _check_cap(M, w, cap)
+        value = _fold(M, w, leaf_spec.letter_map,
+                      lambda vals: algebra.monoid_word_eval(body, vals))
+        return value in body.accept
+    return language_member(leaf_spec, leaf_string(M, w, cap))
+
+
+def leaffa_member_reference(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
+                            cap: int = 1 << 16) -> bool:
+    """Membership by materializing the leaf string under the cap for every
+    leaf language; the oracle tests hold leaffa_member against."""
+    _check_leaf_alphabet(M, leaf_spec)
     return language_member(leaf_spec, leaf_string(M, w, cap))

@@ -1322,6 +1322,33 @@ def walk_formulas(node):
             yield from walk_formulas(a)
 
 
+_ONE_BODY = (Not, ExistsFO, ForallFO, ExistsSO)
+
+
+def check_nesting(f) -> None:
+    """Raise NestingCapExceeded when a node of the formula tree lies more
+    than MAX_NESTING levels below the root (every And/Or counts, unlike in
+    compiled levels). Walks level by level without recursion, so it
+    measures any depth; a formula it passes keeps the recursive walkers
+    within Python's default recursion limit."""
+    level = [f]
+    for _ in range(MAX_NESTING + 1):
+        below = []
+        for node in level:
+            ty = type(node)
+            if ty is And or ty is Or:
+                below.append(node.left)
+                below.append(node.right)
+            elif ty in _ONE_BODY:
+                below.append(node.body)
+            elif ty is LindFO or ty is LindSO:
+                below.extend(node.args)
+        if not below:
+            return
+        level = below
+    raise NestingCapExceeded(f"formula nests deeper than {MAX_NESTING} levels")
+
+
 # ---------------------------------------------------------------------------
 # Fragments
 

@@ -62,6 +62,7 @@ from .logic import (
     TimesAtom,
     TrueF,
     Var,
+    check_nesting,
 )
 
 
@@ -343,17 +344,26 @@ def _fmt_term(t):
 
 
 def format_formula(f) -> str:
-    """Render a formula as a parseable s-expression."""
+    """Render a formula as a parseable s-expression.
+
+    Formulas nested more than MAX_NESTING levels deep raise
+    NestingCapExceeded instead of exhausting Python's recursion limit.
+    """
+    check_nesting(f)
+    return _format(f)
+
+
+def _format(f) -> str:
     ty = type(f)
     if ty is TrueF:
         return "(true)"
     if ty is FalseF:
         return "(false)"
     if ty is Not:
-        return f"(not {format_formula(f.body)})"
+        return f"(not {_format(f.body)})"
     if ty in (And, Or):
         op = "and" if ty is And else "or"
-        return f"({op} {format_formula(f.left)} {format_formula(f.right)})"
+        return f"({op} {_format(f.left)} {_format(f.right)})"
     if ty is Eq:
         return f"(= {_fmt_term(f.left)} {_fmt_term(f.right)})"
     if ty is Lt:
@@ -384,18 +394,18 @@ def format_formula(f) -> str:
         return (f"(shuffle-bit {f.direction} {f.index} {f.width} "
                 f"{_fmt_term(f.point)} ({names}))")
     if ty is ExistsFO:
-        return f"(exists {f.var} {format_formula(f.body)})"
+        return f"(exists {f.var} {_format(f.body)})"
     if ty is ForallFO:
-        return f"(forall {f.var} {format_formula(f.body)})"
+        return f"(forall {f.var} {_format(f.body)})"
     if ty is ExistsSO:
-        return f"(existsSO {f.var} {format_formula(f.body)})"
+        return f"(existsSO {f.var} {_format(f.body)})"
     if ty is LindFO:
         vs = " ".join(f.vars)
-        args = " ".join(format_formula(a) for a in f.args)
+        args = " ".join(_format(a) for a in f.args)
         return f"(Q {f.lang} ({vs}) {args})"
     if ty is LindSO:
         op = "Q1" if f.ordering == INTERLEAVED else "Qstar"
         vs = " ".join(f.vars)
-        args = " ".join(format_formula(a) for a in f.args)
+        args = " ".join(_format(a) for a in f.args)
         return f"({op} {f.lang} {f.arity} ({vs}) {args})"
     raise TypeError(f"not a formula: {f!r}")

@@ -146,6 +146,15 @@ def test_eval_long_conjunction(capsys):
     assert (code, out, err) == (EXIT_OK, "true\n", "")
 
 
+def test_translate_long_conjunction_is_usage_error(capsys):
+    # translation and printing recurse once per binary And level
+    code, out, err = run(capsys, [
+        "translate", "--op", "qstar-to-q1", "--alphabet", "a,b",
+        "--max-n", "1", "--formula", "(and" + " (true)" * 3000 + ")"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "nests deeper" in err
+
+
 def test_eval_too_deep_is_usage_error(capsys):
     depth = MAX_NESTING + 1
     code, out, err = run(capsys, [
@@ -163,3 +172,15 @@ def test_eval_deep_formula_is_refused_by_the_parser(capsys):
         "--formula", "(not " * depth + "(true)" + ")" * depth])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "nests deeper" in err
+
+
+def test_leaffa_long_word_folds(capsys, tmp_path):
+    # the doubler has 2^1000 leaves on a^1000: a DFA leaf language folds
+    # them, a word problem still refuses more leaves than --leaf-cap
+    path = tmp_path / "doubler.leaf"
+    path.write_text("states: s\ninput: a\nleaf: 1\nstart: s\nbeta: s 1\n"
+                    "delta: s a -> s s\n")
+    argv = ["leaffa", "--automaton", str(path), "--structure", "a" * 1000]
+    assert run(capsys, argv + ["--language", "Lexists"]) == (EXIT_OK, "true\n", "")
+    code, out, err = run(capsys, argv + ["--language", "Lmod2"])
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")

@@ -3,7 +3,12 @@ import os
 import pytest
 
 from wordlogic.builtins import builtin_registry
-from wordlogic.errors import ArityMismatch, FormulaSyntaxError, UnknownLanguage
+from wordlogic.errors import (
+    ArityMismatch,
+    FormulaSyntaxError,
+    NestingCapExceeded,
+    UnknownLanguage,
+)
 from wordlogic.logic import (
     CONCATENATED,
     INTERLEAVED,
@@ -16,6 +21,7 @@ from wordlogic.logic import (
     Letter,
     LindFO,
     LindSO,
+    MAX_NESTING,
     Or,
     ShuffleBit,
     Var,
@@ -119,3 +125,15 @@ def test_error_positions():
         parse_formula("(and (true)\n  (frob))")
     err = ei.value
     assert err.line == 2 and err.column == 4
+
+
+def test_format_refuses_deep_and_chains():
+    # (and F1 ... Fk) parses as a chain of k-1 binary And nodes
+    def conj(k):
+        return parse_formula("(and" + " (true)" * k + ")")
+    at_limit = conj(MAX_NESTING + 1)
+    assert format_formula(at_limit) == "(and " * MAX_NESTING + "(true)" + \
+        " (true))" * MAX_NESTING
+    for k in (MAX_NESTING + 2, 3000):
+        with pytest.raises(NestingCapExceeded):
+            format_formula(conj(k))
