@@ -54,6 +54,28 @@ def cases(data_dir):
         "oracle_lind": (EXIT_OK, [
             "oracle", "lind-eval", "--count", "5", "--max-n", "2",
             "--seed", "3"]),
+        "translate_pad": (EXIT_OK, [
+            "translate", "--op", "pad", "--max-n", "2",
+            "--formula", "(Qstar Lmod2 2 (X) (exists x (in X x x)))"]),
+        "translate_collapse": (EXIT_OK, [
+            "translate", "--op", "arity-collapse", "--max-n", "2",
+            "--formula",
+            "(Qstar Lmod2 1 (X Y) (exists x (and (in X x) (not (in Y x)))))"]),
+        "translate_tally_fwd": (EXIT_OK, [
+            "translate", "--op", "tally-fwd", "--alphabet", "1,0",
+            "--max-n", "3", "--formula",
+            "(Qstar Lmod2 1 (X) (exists x (and (in X x) (letter 1 x))))"]),
+        "translate_tally_bwd": (EXIT_OK, [
+            "translate", "--op", "tally-bwd", "--max-n", "6",
+            "--formula", "(Q Lmod2 (x) (exists y (< y x)))"]),
+        "translate_const": (EXIT_OK, [
+            "translate", "--op", "const-rewrite", "--constants", "c1,c2",
+            "--max-n", "3",
+            "--formula", "(exists x (and (< $c1 x) (< x $c2)))"]),
+        "translate_exp": (EXIT_OK, [
+            "translate", "--op", "exp", "--max-n", "3", "--formula",
+            "(Qstar Lmod2 1 (X) (exists x (and (in X x) "
+            "(or (letter b x) (< x max)))))"]),
     }
 
 
@@ -62,6 +84,18 @@ def cases(data_dir):
     "algebra_check", "equiv_ok", "equiv_counterexample", "oracle_groupoid",
     "oracle_lind"])
 def test_golden(capsys, data_dir, name):
+    want_code, argv = cases(data_dir)[name]
+    code, out, err = run(capsys, argv)
+    assert code == want_code
+    assert out == golden(name)
+    assert err == ""
+
+
+@pytest.mark.parametrize("name", [
+    "translate_pad", "translate_collapse", "translate_tally_fwd",
+    "translate_tally_bwd", "translate_const", "translate_exp"])
+def test_translation_golden(capsys, data_dir, name):
+    # pins the printed target, including every fresh name, of each rewriter
     want_code, argv = cases(data_dir)[name]
     code, out, err = run(capsys, argv)
     assert code == want_code
