@@ -129,7 +129,9 @@ def cmd_translate(args):
     f = _read_formula(args, box)
     check_nesting(f)
     reg = box.languages
-    alphabet = _alphabet(args.alphabet) if args.alphabet else ("a", "b")
+    # the tally translation reads binary strings only
+    alphabet = _alphabet(args.alphabet or
+                         ("1,0" if args.op == "tally-fwd" else "a,b"))
     consts = tuple(args.constants.split(",")) if args.constants else ()
     mapper = None
     mapper_desc = "identity"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .algebra import LanguageSpec, language_member
 from .errors import (
@@ -618,7 +618,10 @@ def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
 
 def evaluate_reference(struct, formula, assignment=None, *, registry=None,
                        instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
-    """Tarskian truth by a direct tree walk; the oracle for `evaluate`."""
+    """Tarskian truth by a direct tree walk; the oracle for `evaluate`.
+
+    Formulas that check_nesting refuses raise NestingCapExceeded."""
+    check_nesting(formula)
     ctx = _Ctx(struct, registry, instance_cap)
     return _eval(ctx, dict(assignment or {}), formula)
 
@@ -775,25 +778,23 @@ def _cannot_raise(f, fo, so):
     while stack:
         g, fo, so = stack.pop()
         ty = type(g)
-        if ty is Not:
-            stack.append((g.body, fo, so))
-        elif ty is And or ty is Or:
-            stack.append((g.left, fo, so))
-            stack.append((g.right, fo, so))
-        elif ty is ExistsFO or ty is ForallFO:
-            stack.append((g.body, fo | {g.var}, so - {g.var}))
-        elif ty is ExistsSO:
-            stack.append((g.body, fo - {g.var}, so | {g.var}))
-        elif ty in _SLOT_ATOMS:
+        if ty in _SLOT_ATOMS:
             if ty is InRel and g.rel not in so:
                 return False, False
-            for t in _atom_terms(g):
+            for t in terms(g):
                 if not (type(t) in (Min, Max) or
                         (type(t) is Var and t.name in fo)):
                     return False, False
             reads_letters = reads_letters or ty is Letter
-        elif ty is not TrueF and ty is not FalseF:
+            continue
+        if ty is ExistsFO or ty is ForallFO:
+            fo, so = fo | {g.var}, so - {g.var}
+        elif ty is ExistsSO:
+            fo, so = fo - {g.var}, so | {g.var}
+        elif ty not in (Not, And, Or, TrueF, FalseF):
             return False, False
+        for sub in children(g):
+            stack.append((sub, fo, so))
     return True, reads_letters
 
 
@@ -1011,11 +1012,11 @@ class _Compiler:
         if ty is FalseF:
             return _false
         if ty in _SLOT_ATOMS:
-            terms = _atom_terms(f)
-            if all(type(t) is Var for t in terms):
+            ts = terms(f)
+            if all(type(t) is Var for t in ts):
                 names = [f.rel] if ty is InRel else []
                 hits = [scope.get(name)
-                        for name in names + [t.name for t in terms]]
+                        for name in names + [t.name for t in ts]]
                 if None not in hits:
                     return _slot_atom(f, [i for i, _ in hits])
             return self.by_reference(f, scope)
@@ -1060,8 +1061,9 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
     """Tarskian truth of `formula` in `struct` under `assignment`.
 
     Runs the compiled form of the formula. It gives evaluate_reference's
-    verdict, or raises the same error type, except that formulas nested
-    deeper than MAX_NESTING levels raise NestingCapExceeded.
+    verdict, or raises the same error type, except on formulas nested
+    deeper than MAX_NESTING levels, which raise NestingCapExceeded: here an
+    And/Or chain counts as one level, there each And/Or counts.
     """
     fn, nslots, free = _plan(formula)
     slots = [_UNBOUND] * nslots
@@ -1074,6 +1076,7 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
 def induced_word(struct, assignment, node, *, registry=None,
                  instance_cap=DEFAULT_INSTANCE_CAP) -> str:
     """The exact word a generalized quantifier node tests for membership."""
+    check_nesting(node)
     ctx = _Ctx(struct, registry, instance_cap)
     env = dict(assignment or {})
     if isinstance(node, LindFO):
@@ -1099,230 +1102,113 @@ def define_language(sentence, alphabet, max_n: int, *, registry=None,
 
 
 # ---------------------------------------------------------------------------
-# Variable bookkeeping
+# Traversal
+#
+# Two tables name, per node class, the fields that hold subformulas and the
+# fields that hold terms; a field called args holds a tuple of them. Every
+# walker and rewriter reads them, so a node class is described once.
 
-def free_variables(f):
-    """(free first-order names, free second-order names)."""
-    fo: set = set()
-    so: set = set()
-    _free(f, fo, so, set(), set())
-    return fo, so
+SUBFORMULA_FIELDS = {
+    Not: ("body",), And: ("left", "right"), Or: ("left", "right"),
+    ExistsFO: ("body",), ForallFO: ("body",), ExistsSO: ("body",),
+    LindFO: ("args",), LindSO: ("args",),
+}
+TERM_FIELDS = {
+    Eq: ("left", "right"), Lt: ("left", "right"), Letter: ("term",),
+    InRel: ("args",), PlusAtom: ("a", "b", "c"), TimesAtom: ("a", "b", "c"),
+    BitAtom: ("a", "j"), HighBit: ("value", "pos"), SizeBit: ("pos",),
+    LtLog: ("term",), LtPowLog: ("term",), ShuffleBit: ("point",),
+}
+# Formula classes with neither subformulas nor terms
+LEAF_FORMULAS = (TrueF, FalseF, SetTimes)
 
 
-def _term_free(t, fo, bound_fo):
-    if type(t) is Var and t.name not in bound_fo:
-        fo.add(t.name)
+def _accessors(cls, names):
+    """(get, put) for the fields `names` of cls: get(node) is the tuple of
+    their values, put(node, values) a copy of node holding values there."""
+    spread = names == ("args",)
+    if spread:
+        get = operator.attrgetter("args")
+    elif len(names) == 1:
+        one = operator.attrgetter(names[0])
 
-
-def _free(f, fo, so, bound_fo, bound_so):
-    ty = type(f)
-    if ty in (TrueF, FalseF):
-        return
-    if ty in (Eq, Lt):
-        _term_free(f.left, fo, bound_fo)
-        _term_free(f.right, fo, bound_fo)
-    elif ty is Letter:
-        _term_free(f.term, fo, bound_fo)
-    elif ty is InRel:
-        if f.rel not in bound_so:
-            so.add(f.rel)
-        for t in f.args:
-            _term_free(t, fo, bound_fo)
-    elif ty in (PlusAtom, TimesAtom):
-        for t in (f.a, f.b, f.c):
-            _term_free(t, fo, bound_fo)
-    elif ty is BitAtom:
-        _term_free(f.a, fo, bound_fo)
-        _term_free(f.j, fo, bound_fo)
-    elif ty is HighBit:
-        _term_free(f.value, fo, bound_fo)
-        _term_free(f.pos, fo, bound_fo)
-    elif ty in (SizeBit,):
-        _term_free(f.pos, fo, bound_fo)
-    elif ty in (LtLog, LtPowLog):
-        _term_free(f.term, fo, bound_fo)
-    elif ty is SetTimes:
-        for name in (f.x, f.y, f.z):
-            if name not in bound_so:
-                so.add(name)
-    elif ty is ShuffleBit:
-        _term_free(f.point, fo, bound_fo)
-        for name in f.set_vars:
-            if name not in bound_so:
-                so.add(name)
-    elif ty is Not:
-        _free(f.body, fo, so, bound_fo, bound_so)
-    elif ty in (And, Or):
-        _free(f.left, fo, so, bound_fo, bound_so)
-        _free(f.right, fo, so, bound_fo, bound_so)
-    elif ty in (ExistsFO, ForallFO):
-        _free(f.body, fo, so, bound_fo | {f.var}, bound_so)
-    elif ty is ExistsSO:
-        _free(f.body, fo, so, bound_fo, bound_so | {f.var})
-    elif ty is LindFO:
-        inner = bound_fo | set(f.vars)
-        for a in f.args:
-            _free(a, fo, so, inner, bound_so)
-    elif ty is LindSO:
-        inner = bound_so | set(f.vars)
-        for a in f.args:
-            _free(a, fo, so, bound_fo, inner)
+        def get(node):
+            return (one(node),)
     else:
-        raise InvariantViolation(f"not a formula: {f!r}")
+        get = operator.attrgetter(*names)
+    keep = [f.name for f in fields(cls) if f.name not in names]
+
+    def put(node, values):
+        kw = {name: getattr(node, name) for name in keep}
+        if spread:
+            kw["args"] = tuple(values)
+        else:
+            kw.update(zip(names, values))
+        return cls(**kw)
+    return get, put
 
 
-def eliminate_min_max(f, counter=None):
-    """Replace min/max terms by quantified variables pinned by order atoms.
-
-    Used by translations whose target domain moves the endpoints.
-    """
-    if counter is None:
-        counter = itertools.count()
-
-    def fresh(which):
-        return f"_{which}{next(counter)}"
-
-    def has_endpoint(node):
-        found = [False]
-
-        def walk_terms(t):
-            if type(t) in (Min, Max):
-                found[0] = True
-
-        _walk(node, walk_terms)
-        return found[0]
-
-    def rewrite(node):
-        ty = type(node)
-        if ty in (Eq, Lt, Letter, PlusAtom, TimesAtom, BitAtom, HighBit,
-                  SizeBit, LtLog, LtPowLog, InRel, ShuffleBit):
-            terms = _atom_terms(node)
-            if not any(type(t) in (Min, Max) for t in terms):
-                return node
-            out = node
-            wrappers = []
-            for t in terms:
-                if type(t) is Min:
-                    v = fresh("min")
-                    out = _subst_term(out, t, Var(v))
-                    wrappers.append((v, ForallFO, Lt))
-                elif type(t) is Max:
-                    v = fresh("max")
-                    out = _subst_term(out, t, Var(v))
-                    wrappers.append((v, "max"))
-            for w in reversed(wrappers):
-                v = w[0]
-                if w[1] == "max":
-                    pin = Not(ExistsFO(v + "u", Lt(Var(v), Var(v + "u"))))
-                else:
-                    pin = Not(ExistsFO(v + "u", Lt(Var(v + "u"), Var(v))))
-                out = ExistsFO(v, And(pin, out))
-            return out
-        if ty in (TrueF, FalseF, SetTimes):
-            return node
-        if ty is Not:
-            return Not(rewrite(node.body))
-        if ty is And:
-            return And(rewrite(node.left), rewrite(node.right))
-        if ty is Or:
-            return Or(rewrite(node.left), rewrite(node.right))
-        if ty in (ExistsFO, ForallFO):
-            return ty(node.var, rewrite(node.body))
-        if ty is ExistsSO:
-            return ExistsSO(node.var, rewrite(node.body))
-        if ty is LindFO:
-            return LindFO(node.lang, node.vars, tuple(rewrite(a) for a in node.args))
-        if ty is LindSO:
-            return LindSO(node.lang, node.ordering, node.arity, node.vars,
-                          tuple(rewrite(a) for a in node.args))
-        raise InvariantViolation(f"not a formula: {node!r}")
-
-    return rewrite(f)
+_SUBFORMULAS = {cls: _accessors(cls, names)
+                for cls, names in SUBFORMULA_FIELDS.items()}
+_TERMS = {cls: _accessors(cls, names) for cls, names in TERM_FIELDS.items()}
 
 
-def _atom_terms(node):
-    ty = type(node)
-    if ty in (Eq, Lt):
-        return [node.left, node.right]
-    if ty is Letter:
-        return [node.term]
-    if ty in (PlusAtom, TimesAtom):
-        return [node.a, node.b, node.c]
-    if ty is BitAtom:
-        return [node.a, node.j]
-    if ty is HighBit:
-        return [node.value, node.pos]
-    if ty is SizeBit:
-        return [node.pos]
-    if ty in (LtLog, LtPowLog):
-        return [node.term]
-    if ty is InRel:
-        return list(node.args)
-    if ty is ShuffleBit:
-        return [node.point]
-    return []
+def children(f) -> tuple:
+    """The direct subformulas of f, left to right."""
+    acc = _SUBFORMULAS.get(type(f))
+    return acc[0](f) if acc is not None else ()
 
 
-def _subst_term(node, old, new):
-    def sub(t):
-        return new if t == old else t
-
-    ty = type(node)
-    if ty in (Eq, Lt):
-        return ty(sub(node.left), sub(node.right))
-    if ty is Letter:
-        return Letter(node.letter, sub(node.term))
-    if ty in (PlusAtom, TimesAtom):
-        return ty(sub(node.a), sub(node.b), sub(node.c))
-    if ty is BitAtom:
-        return BitAtom(sub(node.a), sub(node.j))
-    if ty is HighBit:
-        return HighBit(sub(node.value), sub(node.pos))
-    if ty is SizeBit:
-        return SizeBit(sub(node.pos))
-    if ty in (LtLog, LtPowLog):
-        return ty(sub(node.term))
-    if ty is InRel:
-        return InRel(node.rel, tuple(sub(t) for t in node.args))
-    if ty is ShuffleBit:
-        return ShuffleBit(node.direction, node.index, node.width,
-                          sub(node.point), node.set_vars)
-    return node
+def rebuild(f, kids):
+    """f with its direct subformulas replaced by kids, in children order."""
+    return _SUBFORMULAS[type(f)][1](f, kids)
 
 
-def _walk(node, on_term):
-    ty = type(node)
-    for t in _atom_terms(node):
-        on_term(t)
-    if ty is Not:
-        _walk(node.body, on_term)
-    elif ty in (And, Or):
-        _walk(node.left, on_term)
-        _walk(node.right, on_term)
-    elif ty in (ExistsFO, ForallFO, ExistsSO):
-        _walk(node.body, on_term)
-    elif ty in (LindFO, LindSO):
-        for a in node.args:
-            _walk(a, on_term)
+def terms(f) -> tuple:
+    """The terms of the atom f, left to right; () for any other node."""
+    acc = _TERMS.get(type(f))
+    return acc[0](f) if acc is not None else ()
+
+
+def with_terms(f, new_terms):
+    """The atom f with its terms replaced by new_terms, in terms order."""
+    return _TERMS[type(f)][1](f, new_terms)
 
 
 def walk_formulas(node):
-    """Yield every subformula, root first."""
-    yield node
-    ty = type(node)
-    if ty is Not:
-        yield from walk_formulas(node.body)
-    elif ty in (And, Or):
-        yield from walk_formulas(node.left)
-        yield from walk_formulas(node.right)
-    elif ty in (ExistsFO, ForallFO, ExistsSO):
-        yield from walk_formulas(node.body)
-    elif ty in (LindFO, LindSO):
-        for a in node.args:
-            yield from walk_formulas(a)
+    """Yield every subformula, root first, left to right."""
+    stack = [node]
+    while stack:
+        g = stack.pop()
+        yield g
+        acc = _SUBFORMULAS.get(type(g))
+        if acc is not None:
+            stack.extend(reversed(acc[0](g)))
 
 
-_ONE_BODY = (Not, ExistsFO, ForallFO, ExistsSO)
+def rewrite(f, fn):
+    """Rewrite f top-down. fn(node, rw) returns node's replacement, calling
+    rw on whichever subformulas it keeps, or None to rebuild node from rw of
+    each child (node itself when rw changed none of them).
+
+    Parents are handled before their children, so names fn draws at a node
+    come before those drawn below it. Raises NestingCapExceeded when f nests
+    deeper than MAX_NESTING levels (see check_nesting).
+    """
+    check_nesting(f)
+
+    def rw(g):
+        out = fn(g, rw)
+        if out is not None:
+            return out
+        acc = _SUBFORMULAS.get(type(g))
+        if acc is None:
+            return g
+        get, put = acc
+        kids = get(g)
+        new = tuple(map(rw, kids))
+        return g if all(map(operator.is_, new, kids)) else put(g, new)
+    return rw(f)
 
 
 def check_nesting(f) -> None:
@@ -1335,18 +1221,93 @@ def check_nesting(f) -> None:
     for _ in range(MAX_NESTING + 1):
         below = []
         for node in level:
-            ty = type(node)
-            if ty is And or ty is Or:
-                below.append(node.left)
-                below.append(node.right)
-            elif ty in _ONE_BODY:
-                below.append(node.body)
-            elif ty is LindFO or ty is LindSO:
-                below.extend(node.args)
+            acc = _SUBFORMULAS.get(type(node))
+            if acc is not None:
+                below.extend(acc[0](node))
         if not below:
             return
         level = below
     raise NestingCapExceeded(f"formula nests deeper than {MAX_NESTING} levels")
+
+
+# ---------------------------------------------------------------------------
+# Variable bookkeeping
+
+def free_variables(f):
+    """(free first-order names, free second-order names)."""
+    fo: set = set()
+    so: set = set()
+    none = frozenset()
+    stack = [(f, none, none)]
+    while stack:
+        g, bound_fo, bound_so = stack.pop()
+        ty = type(g)
+        acc = _SUBFORMULAS.get(ty)
+        if acc is not None:
+            if ty is ExistsFO or ty is ForallFO:
+                bound_fo = bound_fo | {g.var}
+            elif ty is ExistsSO:
+                bound_so = bound_so | {g.var}
+            elif ty is LindFO:
+                bound_fo = bound_fo.union(g.vars)
+            elif ty is LindSO:
+                bound_so = bound_so.union(g.vars)
+            for sub in acc[0](g):
+                stack.append((sub, bound_fo, bound_so))
+            continue
+        acc = _TERMS.get(ty)
+        if acc is not None:
+            for t in acc[0](g):
+                if type(t) is Var and t.name not in bound_fo:
+                    fo.add(t.name)
+        if ty is InRel:
+            rels = (g.rel,)
+        elif ty is SetTimes:
+            rels = (g.x, g.y, g.z)
+        elif ty is ShuffleBit:
+            rels = g.set_vars
+        elif acc is not None or ty is TrueF or ty is FalseF:
+            continue
+        else:
+            raise InvariantViolation(f"not a formula: {g!r}")
+        for name in rels:
+            if name not in bound_so:
+                so.add(name)
+    return fo, so
+
+
+def eliminate_min_max(f, counter=None):
+    """Replace min/max terms by quantified variables pinned by order atoms.
+
+    Used by translations whose target domain moves the endpoints. Every
+    min or max term draws a fresh name, and equal endpoints of one atom all
+    take the first name drawn for them.
+    """
+    if counter is None:
+        counter = itertools.count()
+
+    def fn(node, rw):
+        old = terms(node)
+        new = {}
+        wrappers = []
+        for t in old:
+            if type(t) is Min or type(t) is Max:
+                which = "min" if type(t) is Min else "max"
+                v = f"_{which}{next(counter)}"
+                new.setdefault(t, Var(v))
+                wrappers.append((v, which))
+        if not wrappers:
+            return None
+        out = with_terms(node, [new.get(t, t) for t in old])
+        for v, which in reversed(wrappers):
+            if which == "max":
+                pin = Not(ExistsFO(v + "u", Lt(Var(v), Var(v + "u"))))
+            else:
+                pin = Not(ExistsFO(v + "u", Lt(Var(v + "u"), Var(v))))
+            out = ExistsFO(v, And(pin, out))
+        return out
+
+    return rewrite(f, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ TranslationReport.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import LanguageSpec, is_neutral_letter_bounded, language_member
 from .errors import (
@@ -23,6 +24,7 @@ from .errors import (
     NonMonadicNode,
     ExponentCapExceeded,
     UnknownLanguage,
+    UnknownLetter,
 )
 from .logic import (
     CONCATENATED,
@@ -57,40 +59,33 @@ from .logic import (
     TimesAtom,
     TrueF,
     Var,
-    _atom_terms,
-    _subst_term,
+    children,
     eliminate_min_max,
     evaluate,
     fragment_check,
     free_variables,
     iff,
     implies,
+    rebuild,
+    rewrite,
+    terms,
     walk_formulas,
+    with_terms,
 )
 
 # ---------------------------------------------------------------------------
 # Shared helpers
 
-def _all_names(f, acc=None):
-    """Every variable-ish name occurring anywhere in the formula."""
-    if acc is None:
-        acc = set()
+def _all_names(f):
+    """Every variable-ish name occurring anywhere in the formula: the free
+    names and the names of every binder."""
+    fo, so = free_variables(f)
     for sub in walk_formulas(f):
-        sty = type(sub)
-        if sty in (ExistsFO, ForallFO, ExistsSO):
-            acc.add(sub.var)
-        elif sty in (LindFO, LindSO):
-            acc.update(sub.vars)
-        elif sty is InRel:
-            acc.add(sub.rel)
-        elif sty is SetTimes:
-            acc.update((sub.x, sub.y, sub.z))
-        elif sty is ShuffleBit:
-            acc.update(sub.set_vars)
-        for t in _atom_terms(sub):
-            if type(t) is Var:
-                acc.add(t.name)
-    return acc
+        if type(sub) in (ExistsFO, ForallFO, ExistsSO):
+            fo.add(sub.var)
+        elif type(sub) in (LindFO, LindSO):
+            fo.update(sub.vars)
+    return fo | so
 
 
 class _Gensym:
@@ -107,27 +102,18 @@ class _Gensym:
                 return name
 
 
-def _map_formula(f, fn):
-    """Rebuild bottom-up, applying fn to every formula node."""
-    ty = type(f)
-    if ty is Not:
-        out = Not(_map_formula(f.body, fn))
-    elif ty is And:
-        out = And(_map_formula(f.left, fn), _map_formula(f.right, fn))
-    elif ty is Or:
-        out = Or(_map_formula(f.left, fn), _map_formula(f.right, fn))
-    elif ty in (ExistsFO, ForallFO):
-        out = ty(f.var, _map_formula(f.body, fn))
-    elif ty is ExistsSO:
-        out = ExistsSO(f.var, _map_formula(f.body, fn))
-    elif ty is LindFO:
-        out = LindFO(f.lang, f.vars, tuple(_map_formula(a, fn) for a in f.args))
-    elif ty is LindSO:
-        out = LindSO(f.lang, f.ordering, f.arity, f.vars,
-                     tuple(_map_formula(a, fn) for a in f.args))
-    else:
-        out = f
-    return fn(out)
+def _set_eq(gensym, ma, mb):
+    """The sets whose membership formulas are ma and mb are equal."""
+    z = gensym("z")
+    return ForallFO(z, iff(ma(z), mb(z)))
+
+
+def _set_lt(gensym, ma, mb):
+    """The set ma codes a smaller number than mb (sets read most
+    significant bit first)."""
+    z, u = gensym("z"), gensym("u")
+    return ExistsFO(z, And(Not(ma(z)), And(mb(z), ForallFO(
+        u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
 
 
 def _resolve(registry, name):
@@ -153,115 +139,85 @@ _INVERSE_DIR = {"to_interleaved": "to_concatenated",
                 "to_concatenated": "to_interleaved"}
 
 
-def _swap_refs(g, bound, direction, k, var_tuple):
-    """Replace references to the bound monadic variables by the code
-    permutation atom; an already-permuted reference in the opposite
-    direction collapses back to a plain membership atom."""
-    ty = type(g)
-    if ty is InRel and g.rel in bound:
-        if len(g.args) != 1:
-            raise NonMonadicNode(
-                f"relation {g.rel!r} used with arity {len(g.args)}")
-        return ShuffleBit(direction, var_tuple.index(g.rel), k, g.args[0],
-                          var_tuple)
-    if ty is ShuffleBit and bound & set(g.set_vars):
-        if (g.set_vars == var_tuple and g.width == k
-                and g.direction == _INVERSE_DIR[direction]):
-            return InRel(var_tuple[g.index], (g.point,))
-        raise NestedUnsupported(
-            "bound variables feed an incompatible permutation atom")
-    if ty is SetTimes and bound & {g.x, g.y, g.z}:
-        raise NestedUnsupported(
-            "bound variables feed a set-arithmetic atom")
-    if ty is Not:
-        return Not(_swap_refs(g.body, bound, direction, k, var_tuple))
-    if ty in (And, Or):
-        return ty(_swap_refs(g.left, bound, direction, k, var_tuple),
-                  _swap_refs(g.right, bound, direction, k, var_tuple))
-    if ty in (ExistsFO, ForallFO):
-        return ty(g.var, _swap_refs(g.body, bound, direction, k, var_tuple))
-    if ty is ExistsSO:
-        inner = bound - {g.var}
-        if not inner:
-            return g
-        return ExistsSO(g.var, _swap_refs(g.body, inner, direction, k,
-                                          var_tuple))
-    if ty in (LindFO, LindSO):
-        inner = bound - set(g.vars) if ty is LindSO else bound
-        if not inner:
-            return g
-        cls_args = tuple(_swap_refs(a, inner, direction, k, var_tuple)
-                         for a in g.args)
-        if ty is LindFO:
-            return LindFO(g.lang, g.vars, cls_args)
-        return LindSO(g.lang, g.ordering, g.arity, g.vars, cls_args)
-    return g
+def _subst_rel_refs(g, bound, replace, permuted=None):
+    """Rewrite the atoms that read the relation names in bound, which stop
+    counting under a binder of the same name: InRel atoms become
+    replace(atom), ShuffleBit atoms permuted(atom). A SetTimes atom on
+    them, or a ShuffleBit atom when permuted is None, raises
+    NestedUnsupported."""
+    def fn(node, rw):
+        ty = type(node)
+        if ty is InRel and node.rel in bound:
+            return replace(node)
+        if ty is ShuffleBit and bound & set(node.set_vars):
+            if permuted is None:
+                raise NestedUnsupported(
+                    "bound variables feed a permutation atom")
+            return permuted(node)
+        if ty is SetTimes and bound & {node.x, node.y, node.z}:
+            raise NestedUnsupported(
+                "bound variables feed a set-arithmetic atom")
+        if ty is ExistsSO or ty is LindSO:
+            names = {node.var} if ty is ExistsSO else set(node.vars)
+            if bound & names:
+                return rebuild(node, tuple(
+                    _subst_rel_refs(a, bound - names, replace, permuted)
+                    for a in children(node)))
+        return None
+    return rewrite(g, fn)
 
 
 def _swap_node(node: LindSO, target_ordering):
+    """node with the target ordering: references to its variables go
+    through the code permutation atom, and an already-permuted reference
+    in the opposite direction collapses back to a plain membership atom."""
     if node.arity != 1:
         raise NonMonadicNode(
             "ordering swap is defined for monadic quantifiers only")
     k = len(node.vars)
     direction = ("to_interleaved" if target_ordering == INTERLEAVED
                  else "to_concatenated")
+
+    def replace(g):
+        if len(g.args) != 1:
+            raise NonMonadicNode(
+                f"relation {g.rel!r} used with arity {len(g.args)}")
+        return ShuffleBit(direction, node.vars.index(g.rel), k, g.args[0],
+                          node.vars)
+
+    def permuted(g):
+        if (g.set_vars == node.vars and g.width == k
+                and g.direction == _INVERSE_DIR[direction]):
+            return InRel(node.vars[g.index], (g.point,))
+        raise NestedUnsupported(
+            "bound variables feed an incompatible permutation atom")
+
     bound = set(node.vars)
-    args = tuple(_swap_refs(a, bound, direction, k, node.vars)
+    args = tuple(_subst_rel_refs(a, bound, replace, permuted)
                  for a in node.args)
     return LindSO(node.lang, target_ordering, node.arity, node.vars, args)
 
 
+def _swap_orderings(formula, source, target):
+    def fn(g, rw):
+        if type(g) is LindSO and g.ordering == source:
+            return _swap_node(rebuild(g, tuple(map(rw, g.args))), target)
+        return None
+    return rewrite(formula, fn)
+
+
 def q_star_to_q1(formula):
     """Rewrite every concatenated-ordering quantifier node to interleaved."""
-    def fn(g):
-        if isinstance(g, LindSO) and g.ordering == CONCATENATED:
-            return _swap_node(g, INTERLEAVED)
-        return g
-    return _map_formula(formula, fn)
+    return _swap_orderings(formula, CONCATENATED, INTERLEAVED)
 
 
 def q1_to_q_star(formula):
     """Rewrite every interleaved-ordering quantifier node to concatenated."""
-    def fn(g):
-        if isinstance(g, LindSO) and g.ordering == INTERLEAVED:
-            return _swap_node(g, CONCATENATED)
-        return g
-    return _map_formula(formula, fn)
+    return _swap_orderings(formula, INTERLEAVED, CONCATENATED)
 
 
 # ---------------------------------------------------------------------------
 # Arity collapse
-
-def _subst_rel_refs(g, bound, replace):
-    """Replace InRel atoms on bound names via replace(name, args)."""
-    ty = type(g)
-    if ty is InRel and g.rel in bound:
-        return replace(g.rel, g.args)
-    if ty is ShuffleBit and bound & set(g.set_vars):
-        raise NestedUnsupported("bound variables feed a permutation atom")
-    if ty is SetTimes and bound & {g.x, g.y, g.z}:
-        raise NestedUnsupported("bound variables feed a set-arithmetic atom")
-    if ty is Not:
-        return Not(_subst_rel_refs(g.body, bound, replace))
-    if ty in (And, Or):
-        return ty(_subst_rel_refs(g.left, bound, replace),
-                  _subst_rel_refs(g.right, bound, replace))
-    if ty in (ExistsFO, ForallFO):
-        return ty(g.var, _subst_rel_refs(g.body, bound, replace))
-    if ty is ExistsSO:
-        inner = bound - {g.var}
-        return ExistsSO(g.var, _subst_rel_refs(g.body, inner, replace)) \
-            if inner else g
-    if ty in (LindFO, LindSO):
-        inner = bound - set(g.vars) if ty is LindSO else bound
-        if not inner:
-            return g
-        args = tuple(_subst_rel_refs(a, inner, replace) for a in g.args)
-        if ty is LindFO:
-            return LindFO(g.lang, g.vars, args)
-        return LindSO(g.lang, g.ordering, g.arity, g.vars, args)
-    return g
-
 
 def arity_collapse(formula, registry, *, neutral_check_len=8):
     """Collapse a single outer concatenated quantifier binding k m-ary
@@ -299,22 +255,20 @@ def arity_collapse(formula, registry, *, neutral_check_len=8):
                  Not(ExistsFO(u, And(Lt(Var(z0), Var(u)),
                                      Lt(Var(u), Var(z1))))))
     wvars = tuple(gensym("w") for _ in range(tag_bits + m))
-    tag_match = None
-    for i in range(k):
-        clause = None
-        for b, t in enumerate(tag_terms(i)):
-            eq = Eq(Var(wvars[b]), t)
-            clause = eq if clause is None else And(clause, eq)
-        tag_match = clause if tag_match is None else Or(tag_match, clause)
+    tag_match = functools.reduce(Or, (
+        functools.reduce(And, (Eq(Var(w), t)
+                               for w, t in zip(wvars, tag_terms(i))))
+        for i in range(k)))
     well_formed = implies(InRel(rel, tuple(Var(w) for w in wvars)), tag_match)
     for w in reversed(wvars):
         well_formed = ForallFO(w, well_formed)
 
-    def replace(name, args):
-        if len(args) != m:
+    def replace(g):
+        if len(g.args) != m:
             raise InvariantViolation(
-                f"relation {name!r} used with arity {len(args)}, expected {m}")
-        return InRel(rel, tag_terms(formula.vars.index(name)) + tuple(args))
+                f"relation {g.rel!r} used with arity {len(g.args)}, "
+                f"expected {m}")
+        return InRel(rel, tag_terms(formula.vars.index(g.rel)) + tuple(g.args))
 
     new_args = []
     for a in formula.args:
@@ -350,7 +304,6 @@ def pad_string(w: str, k: int, pad: str) -> str:
 def _size_chain(gensym, mp, k, tail):
     """Exists-chain pinning c_j = (mp+1)^j - 1 for j = 1..k; tail sees c_k."""
     c = mp
-    out = tail
     holes = []
     for _ in range(k - 1):
         t, r, cn = gensym("t"), gensym("r"), gensym("c")
@@ -392,11 +345,11 @@ def pad_translate(formula, alphabet, pad_letter="#"):
 
     bound_vars = set(src.vars)
 
-    def rw(g):
+    def fn(g, rw):
         ty = type(g)
         if ty is InRel and g.rel in bound_vars:
             if k == 1:
-                return InRel(g.rel, g.args)
+                return g
             acc = g.args[0]
             binders = []
             for t in g.args[1:]:
@@ -410,18 +363,17 @@ def pad_translate(formula, alphabet, pad_letter="#"):
             for q, r, s, step in reversed(binders):
                 out = ExistsFO(q, ExistsFO(r, ExistsFO(s, And(step, out))))
             return out
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
         if ty is ExistsFO:
             return ExistsFO(g.var, And(le_mp(g.var), rw(g.body)))
         if ty is ForallFO:
             return ForallFO(g.var, implies(le_mp(g.var), rw(g.body)))
-        return g
+        if ty is LindFO:
+            raise FragmentViolation(
+                "padding does not translate a nested generalized quantifier")
+        return None
 
     new_node = LindSO(src.lang, CONCATENATED, 1, src.vars,
-                      tuple(rw(a) for a in src.args))
+                      tuple(rewrite(a, fn) for a in src.args))
     phi_star = ExistsFO(mp, And(last_nonpad(mp), new_node))
 
     # chi: pads form a suffix and the length is (last nonpad + 1)^k
@@ -481,17 +433,13 @@ def tally_translate_fwd(formula, registry):
                 f"letter {sub.letter!r} outside the binary alphabet")
     src = eliminate_min_max(formula)
 
-    def rw(g):
+    def fn(g, rw):
         ty = type(g)
         if ty is Letter:
             atom = SizeBit(g.term)
             return atom if g.letter == "1" else Not(atom)
         if ty is InRel:
             return HighBit(Var(g.rel), g.args[0])
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
         if ty is ExistsFO:
             return ExistsFO(g.var, And(LtLog(Var(g.var)), rw(g.body)))
         if ty is ForallFO:
@@ -499,19 +447,20 @@ def tally_translate_fwd(formula, registry):
         if ty is ExistsSO:
             return ExistsFO(g.var, And(LtPowLog(Var(g.var)), rw(g.body)))
         if ty is LindSO:
-            chi = None
-            for v in g.vars:
-                guard = LtPowLog(Var(v))
-                chi = guard if chi is None else And(chi, guard)
+            chi = functools.reduce(And, (LtPowLog(Var(v)) for v in g.vars))
             return LindFO(g.lang, g.vars,
                           tuple(And(chi, rw(a)) for a in g.args))
-        return g
+        return None
 
     def mapper(st: StringStructure) -> StringStructure:
+        for a in st.letters:
+            if a not in ("1", "0"):
+                raise UnknownLetter(
+                    f"letter {a!r} outside the binary alphabet (1, 0)")
         n = int("1" + st.word, 2)
         return StringStructure(("1",), ("1",) * n)
 
-    return rw(src), mapper
+    return rewrite(src, fn), mapper
 
 
 def tally_translate_bwd(formula, registry):
@@ -544,19 +493,10 @@ def tally_translate_bwd(formula, registry):
     def ones():
         return lambda z: Letter("1", Var(z))
 
-    def set_eq(ma, mb):
-        z = gensym("z")
-        return ForallFO(z, iff(ma(z), mb(z)))
-
-    def set_lt(ma, mb):
-        z, u = gensym("z"), gensym("u")
-        return ExistsFO(z, And(Not(ma(z)), And(mb(z), ForallFO(
-            u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
-
     def delta(name):
         # the code of a bound set must stay below the structure's size,
         # whose code is exactly the set of 1-positions
-        return set_lt(mem(name), ones())
+        return _set_lt(gensym, mem(name), ones())
 
     def xor(a, b):
         return Not(iff(a, b))
@@ -577,39 +517,32 @@ def tally_translate_bwd(formula, registry):
         no_overflow = Not(carry_into(lambda t: TrueF()))
         return And(bit_ok, no_overflow)
 
-    def rw(g):
+    def fn(g, rw):
         ty = type(g)
         if ty is Eq:
-            return set_eq(mem(vname(g.left)), mem(vname(g.right)))
+            return _set_eq(gensym, mem(vname(g.left)), mem(vname(g.right)))
         if ty is Lt:
-            return set_lt(mem(vname(g.left)), mem(vname(g.right)))
+            return _set_lt(gensym, mem(vname(g.left)), mem(vname(g.right)))
         if ty is Letter:
             return TrueF()
         if ty is PlusAtom:
             return set_plus(vname(g.a), vname(g.b), vname(g.c))
         if ty is TimesAtom:
             return SetTimes(vname(g.a), vname(g.b), vname(g.c))
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
         if ty is ExistsFO:
             return ExistsSO(g.var, And(delta(g.var), rw(g.body)))
         if ty is ForallFO:
             return Not(ExistsSO(g.var, And(delta(g.var), Not(rw(g.body)))))
         if ty is LindFO:
-            chi = None
-            for v in g.vars:
-                guard = delta(v)
-                chi = guard if chi is None else And(chi, guard)
+            chi = functools.reduce(And, map(delta, g.vars))
             return LindSO(g.lang, CONCATENATED, 1, g.vars,
                           tuple(And(chi, rw(a)) for a in g.args))
-        return g
+        return None
 
     def mapper(st: StringStructure) -> StringStructure:
         return StringStructure(("1", "0"), tuple(format(st.size, "b")))
 
-    return rw(src), mapper
+    return rewrite(src, fn), mapper
 
 
 # ---------------------------------------------------------------------------
@@ -645,83 +578,48 @@ def const_rewrite(formula, const_names):
     for sub in walk_formulas(formula):
         if isinstance(sub, Letter):
             raise NonConstantSignature("letter atoms in a constant signature")
-        for t in _atom_terms(sub):
+        for t in terms(sub):
             if type(t) is ConstSym and t.name not in index:
                 raise NonConstantSignature(f"unknown constant {t.name!r}")
     gensym = _Gensym(_all_names(formula))
 
     def holds_at(cname, y):
         i = index[cname]
-        out = None
-        for mask in range(1 << len(names)):
-            if (mask >> i) & 1:
-                atom = Letter(subset_letter(mask), Var(y))
-                out = atom if out is None else Or(out, atom)
+        return functools.reduce(Or, (Letter(subset_letter(mask), Var(y))
+                                     for mask in range(1 << len(names))
+                                     if (mask >> i) & 1))
+
+    def fn(g, rw):
+        old = terms(g)
+        fresh = {t: gensym("y") for t in dict.fromkeys(old)
+                 if type(t) is ConstSym}
+        if not fresh:
+            return None
+        out = with_terms(g, [Var(fresh[t]) if t in fresh else t for t in old])
+        for t, y in reversed(fresh.items()):
+            out = ExistsFO(y, And(holds_at(t.name, y), out))
         return out
 
-    def rw(g):
-        ty = type(g)
-        if ty in (Not,):
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
-        if ty in (ExistsFO, ForallFO):
-            return ty(g.var, rw(g.body))
-        if ty is ExistsSO:
-            return ExistsSO(g.var, rw(g.body))
-        if ty is LindFO:
-            return LindFO(g.lang, g.vars, tuple(rw(a) for a in g.args))
-        if ty is LindSO:
-            return LindSO(g.lang, g.ordering, g.arity, g.vars,
-                          tuple(rw(a) for a in g.args))
-        out = g
-        wrappers = []
-        for t in dict.fromkeys(_atom_terms(g)):
-            if type(t) is ConstSym:
-                y = gensym("y")
-                out = _subst_term(out, t, Var(y))
-                wrappers.append((y, t.name))
-        for y, cname in reversed(wrappers):
-            out = ExistsFO(y, And(holds_at(cname, y), out))
-        return out
-
-    return rw(formula), lambda st: const_string(st, names)
+    return rewrite(formula, fn), lambda st: const_string(st, names)
 
 
 def const_unrewrite(formula, const_names):
     """Inverse direction: subset-letter atoms back to constant equalities."""
     names = tuple(const_names)
 
-    def rw(g):
-        ty = type(g)
-        if ty is Letter:
+    def fn(g, rw):
+        if type(g) is Letter:
             if not (g.letter.startswith("s") and g.letter[1:].isdigit()):
                 raise NonConstantSignature(
                     f"letter {g.letter!r} is not a subset letter")
             mask = int(g.letter[1:])
-            out = None
-            for i, c in enumerate(names):
-                atom = Eq(ConstSym(c), g.term)
-                if not (mask >> i) & 1:
-                    atom = Not(atom)
-                out = atom if out is None else And(out, atom)
-            return out if out is not None else TrueF()
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
-        if ty in (ExistsFO, ForallFO):
-            return ty(g.var, rw(g.body))
-        if ty is ExistsSO:
-            return ExistsSO(g.var, rw(g.body))
-        if ty is LindFO:
-            return LindFO(g.lang, g.vars, tuple(rw(a) for a in g.args))
-        if ty is LindSO:
-            return LindSO(g.lang, g.ordering, g.arity, g.vars,
-                          tuple(rw(a) for a in g.args))
-        return g
+            atoms = [Eq(ConstSym(c), g.term) if (mask >> i) & 1
+                     else Not(Eq(ConstSym(c), g.term))
+                     for i, c in enumerate(names)]
+            return functools.reduce(And, atoms) if atoms else TrueF()
+        return None
 
-    return rw(formula)
+    return rewrite(formula, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -758,16 +656,12 @@ def exp_translate(formula, alphabet, *, cap: int = 5):
                 f"letter {sub.letter!r} outside the alphabet {alphabet}")
     src = eliminate_min_max(formula)
 
-    def rw(g):
+    def fn(g, rw):
         ty = type(g)
         if ty is Letter:
             return HighBit(ConstSym(const_name_for(g.letter)), g.term)
         if ty is InRel:
             return HighBit(Var(g.rel), g.args[0])
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
         if ty is ExistsFO:
             return ExistsFO(g.var, And(LtLog(Var(g.var)), rw(g.body)))
         if ty is ForallFO:
@@ -775,10 +669,10 @@ def exp_translate(formula, alphabet, *, cap: int = 5):
         if ty is ExistsSO:
             return ExistsFO(g.var, rw(g.body))
         if ty is LindSO:
-            return LindFO(g.lang, g.vars, tuple(rw(a) for a in g.args))
-        return g
+            return LindFO(g.lang, g.vars, tuple(map(rw, g.args)))
+        return None
 
-    return rw(src), lambda st: exp_structure(st, cap)
+    return rewrite(src, fn), lambda st: exp_structure(st, cap)
 
 
 def exp_translate_rev(formula, alphabet):
@@ -806,33 +700,20 @@ def exp_translate_rev(formula, alphabet):
             return lambda z: Letter(letter_of[t.name], Var(z))
         return lambda z: InRel(t.name, (Var(z),))
 
-    def set_eq(ma, mb):
-        z = gensym("z")
-        return ForallFO(z, iff(ma(z), mb(z)))
-
-    def set_lt(ma, mb):
-        z, u = gensym("z"), gensym("u")
-        return ExistsFO(z, And(Not(ma(z)), And(mb(z), ForallFO(
-            u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
-
-    def rw(g):
+    def fn(g, rw):
         ty = type(g)
         if ty is Eq:
-            return set_eq(mem(g.left), mem(g.right))
+            return _set_eq(gensym, mem(g.left), mem(g.right))
         if ty is Lt:
-            return set_lt(mem(g.left), mem(g.right))
-        if ty is Not:
-            return Not(rw(g.body))
-        if ty in (And, Or):
-            return ty(rw(g.left), rw(g.right))
+            return _set_lt(gensym, mem(g.left), mem(g.right))
         if ty is LindFO:
             return LindSO(g.lang, CONCATENATED, 1, g.vars,
-                          tuple(rw(a) for a in g.args))
-        if ty in (TrueF, FalseF):
-            return g
+                          tuple(map(rw, g.args)))
+        if ty in (Not, And, Or, TrueF, FalseF):
+            return None
         raise FragmentViolation(f"unsupported construct {type(g).__name__}")
 
-    return rw(formula)
+    return rewrite(formula, fn)
 
 
 # ---------------------------------------------------------------------------

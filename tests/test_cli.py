@@ -218,3 +218,31 @@ def test_leaffa_long_word_folds(capsys, tmp_path):
     assert run(capsys, argv + ["--language", "Lexists"]) == (EXIT_OK, "true\n", "")
     code, out, err = run(capsys, argv + ["--language", "Lmod2"])
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+
+
+def test_equiv_long_conjunction(capsys):
+    # free_variables walks the 3000-level chain without recursion
+    code, out, err = run(capsys, [
+        "equiv", "--alphabet", "a,b", "--max-n", "1", "--formula", "(true)",
+        "--formula2", "(and" + " (true)" * 3000 + ")"])
+    assert (code, out, err) == (EXIT_OK, "verdict: equivalent\n", "")
+
+
+def test_translate_tally_fwd_reads_binary_strings(capsys):
+    argv = ["translate", "--op", "tally-fwd", "--max-n", "2", "--formula",
+            "(Qstar Lmod2 1 (X) (exists x (and (in X x) (letter 1 x))))"]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_OK and err == ""
+    assert out.endswith("verdict: equivalent\n")
+    code, out, err = run(capsys, argv + ["--alphabet", "a,b"])
+    assert code == EXIT_USAGE and err.startswith("error:")
+    assert "binary alphabet" in err
+
+
+def test_translate_pad_nested_quantifier_is_usage_error(capsys):
+    code, out, err = run(capsys, [
+        "translate", "--op", "pad", "--max-n", "2", "--formula",
+        "(Qstar Lexists 2 (X) (Q Lexists (y) (in X y y)))"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "nested" in err
+

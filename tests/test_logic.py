@@ -1,13 +1,16 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wordlogic import logic
 from wordlogic.errors import (
     ArityMismatch,
     EmptyDomain,
     InstanceCapExceeded,
+    NestingCapExceeded,
     NonConstantSignature,
     RankOutOfRange,
     UnboundVariable,
@@ -421,3 +424,107 @@ def test_evaluate_matches_reference(registry, f, data):
             slow = _outcome(evaluate_reference, struct, f, env,
                             registry=registry)
             assert fast == slow, (struct, env)
+
+
+# ---------------------------------------------------------------------------
+# Node tables and the traversals built on them
+
+def _formula_classes():
+    """Every dataclass logic defines, less terms and structures."""
+    skip = set(logic.Term.__args__) | {StringStructure, ConstStructure}
+    return {c for c in vars(logic).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c)
+            and c.__module__ == logic.__name__ and c not in skip}
+
+
+def _one_of_each():
+    x, y = Var("x"), Var("y")
+    atom = Lt(x, MAX)
+    return [
+        logic.TrueF(), logic.FalseF(), Eq(x, MIN), atom, Letter("a", x),
+        InRel("X", (x, y)), PlusAtom(x, y, MAX), TimesAtom(MIN, x, y),
+        logic.BitAtom(x, y), logic.HighBit(ConstSym("c"), x),
+        logic.SizeBit(x), logic.LtLog(x), logic.LtPowLog(y),
+        SetTimes("X", "Y", "Z"),
+        ShuffleBit("to_interleaved", 1, 2, x, ("A", "B")),
+        Not(atom), And(atom, Eq(x, y)), Or(Eq(x, y), atom),
+        ExistsFO("x", atom), ForallFO("y", atom), ExistsSO("X", atom),
+        LindFO("Lmod2", ("x", "y"), (atom, Not(atom))),
+        LindSO("Maj", INTERLEAVED, 2, ("X",), (atom,)),
+    ]
+
+
+def test_node_tables_cover_every_formula_class():
+    samples = _one_of_each()
+    classes = _formula_classes()
+    assert {type(f) for f in samples} == classes
+    for cls in classes:
+        places = [cls in logic.SUBFORMULA_FIELDS, cls in logic.TERM_FIELDS,
+                  cls in logic.LEAF_FORMULAS]
+        assert places.count(True) == 1, cls
+    for f in samples:
+        if type(f) in logic.SUBFORMULA_FIELDS:
+            assert logic.rebuild(f, logic.children(f)) == f
+        else:
+            assert logic.children(f) == ()
+        if type(f) in logic.TERM_FIELDS:
+            assert logic.with_terms(f, logic.terms(f)) == f
+        else:
+            assert logic.terms(f) == ()
+
+
+def test_rewrite_is_top_down_and_rebuilds_what_fn_leaves():
+    f = And(Not(Lt(Var("x"), MAX)), ExistsFO("y", Eq(Var("y"), MIN)))
+    seen = []
+
+    def fn(node, rw):
+        seen.append(type(node).__name__)
+        if type(node) is Lt:
+            return Eq(node.left, node.right)
+        return None
+    assert logic.rewrite(f, fn) == \
+        And(Not(Eq(Var("x"), MAX)), ExistsFO("y", Eq(Var("y"), MIN)))
+    assert seen == ["And", "Not", "Lt", "ExistsFO", "Eq"]
+    assert [type(g).__name__ for g in logic.walk_formulas(f)] == seen
+
+
+def test_eliminate_min_max_names_equal_endpoints_once():
+    g = eliminate_min_max(Lt(MIN, MIN))
+    # two names are drawn, the atom reads only the first
+    assert g.var == "_min0" and g.body.right.var == "_min1"
+    assert g.body.right.body.right == Lt(Var("_min0"), Var("_min0"))
+
+
+DEEP = 10 ** 4
+
+
+def _deep_not():
+    f = logic.TrueF()
+    for _ in range(DEEP):
+        f = Not(f)
+    return f
+
+
+def _long_and():
+    f = Eq(Var("x"), Var("x"))
+    for _ in range(DEEP - 1):
+        f = And(f, Lt(MIN, Var("y")))
+    return f
+
+
+@pytest.mark.parametrize("make", [_deep_not, _long_and])
+def test_deep_formulas_walk_or_refuse(make):
+    f = make()
+    assert sum(1 for _ in logic.walk_formulas(f)) >= DEEP
+    fo, so = free_variables(f)
+    assert so == set() and fo == ({"x", "y"} if type(f) is And else set())
+    ok, _ = fragment_check(f, "FO")
+    assert ok
+    for refuse in (logic.check_nesting, eliminate_min_max,
+                   lambda g: logic.rewrite(g, lambda node, rw: None),
+                   lambda g: evaluate_reference(S("a"), g, {"x": 0, "y": 0}),
+                   lambda g: induced_word(S("a"), {},
+                                          LindFO("Lexists", ("z",), (g,)))):
+        with pytest.raises(NestingCapExceeded):
+            refuse(f)
+

@@ -5,14 +5,17 @@ from wordlogic.errors import (
     FragmentViolation,
     InvariantViolation,
     NestedUnsupported,
+    NestingCapExceeded,
     NoNeutralLetter,
     NonConstantSignature,
     NonMonadicNode,
+    UnknownLetter,
 )
 from wordlogic.logic import (
     CONCATENATED,
     INTERLEAVED,
     MAX,
+    MIN,
     And,
     BitAtom,
     ConstSym,
@@ -32,6 +35,7 @@ from wordlogic.logic import (
     evaluate,
     instance_rank,
     instance_unrank,
+    structure_from_string,
 )
 from wordlogic.translate import (
     arity_collapse,
@@ -368,3 +372,61 @@ def test_check_equivalence_rejects_open_with_mapper(registry):
     with pytest.raises(InvariantViolation):
         check_equivalence(f, f, string_structures(AB, 2),
                           registry=registry, mapper=lambda s: s)
+
+
+# ---------------------------------------------------------------------------
+# Depth and input guards
+
+def test_pad_refuses_nested_generalized_quantifier():
+    # the nested node would be left over the unpadded universe
+    inner = LindFO("Lexists", ("y",), (InRel("X", (Var("y"), Var("y"))),))
+    f = LindSO("Lexists", CONCATENATED, 2, ("X",), (inner,))
+    with pytest.raises(FragmentViolation):
+        pad_translate(f, AB)
+
+
+def test_tally_fwd_mapper_refuses_foreign_letters(registry):
+    f = LindSO("Lmod2", CONCATENATED, 1, ("X",), (x_in("X"),))
+    _, mapper = tally_translate_fwd(f, registry)
+    assert mapper(structure_from_string(("1", "0"), "10")).size == 6
+    with pytest.raises(UnknownLetter):
+        mapper(structure_from_string(AB, "ab"))
+
+
+def _deep(kind):
+    if kind == "not":
+        f = Eq(Var("x"), MIN)
+        for _ in range(10 ** 4):
+            f = Not(f)
+        return f
+    f = TrueF()
+    for _ in range(10 ** 4 - 1):
+        f = And(f, Lt(MIN, Var("x")))
+    return f
+
+
+def _qstar(body):
+    return LindSO("Lmod2", CONCATENATED, 1, ("X",), (And(x_in("X"), body),))
+
+
+REWRITERS = {
+    "qstar-to-q1": lambda f, reg: q_star_to_q1(_qstar(f)),
+    "q1-to-qstar": lambda f, reg: q1_to_q_star(f),
+    "arity-collapse": lambda f, reg: arity_collapse(_qstar(f), reg),
+    "pad": lambda f, reg: pad_translate(_qstar(f), AB),
+    "tally-fwd": lambda f, reg: tally_translate_fwd(_qstar(f), reg),
+    "tally-bwd": lambda f, reg: tally_translate_bwd(f, reg),
+    "const-rewrite": lambda f, reg: const_rewrite(f, ("c1",)),
+    "const-unrewrite": lambda f, reg: const_unrewrite(f, ("c1",)),
+    "exp": lambda f, reg: exp_translate(_qstar(f), AB),
+    "exp-rev": lambda f, reg: exp_translate_rev(f, AB),
+}
+
+
+@pytest.mark.parametrize("kind", ["not", "and"])
+@pytest.mark.parametrize("op", sorted(REWRITERS))
+def test_rewriters_refuse_deep_formulas(registry, op, kind):
+    # 10^4 levels pass every guard but depth; none may exhaust the stack
+    with pytest.raises(NestingCapExceeded):
+        REWRITERS[op](_deep(kind), registry)
+
