@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from wordlogic.errors import (
     FormulaSyntaxError,
     NestingCapExceeded,
     UnknownLanguage,
+    WordlogicError,
 )
 from wordlogic.logic import (
     CONCATENATED,
@@ -137,3 +139,102 @@ def test_format_refuses_deep_and_chains():
     for k in (MAX_NESTING + 2, 3000):
         with pytest.raises(NestingCapExceeded):
             format_formula(conj(k))
+
+
+_NEST = "(not " * (MAX_NESTING + 2) + "(true)" + ")" * (MAX_NESTING + 2)
+
+# Malformed inputs with the exception type and line:col each raises (None:
+# no position), at least one per head and per error path of the reader.
+ERROR_TABLE = [
+    ("", FormulaSyntaxError, None),
+    ("; only a comment\n", FormulaSyntaxError, None),
+    ("(exists x (letter a x)", FormulaSyntaxError, "1:1"),
+    ("(and (true)\n (not (false)", FormulaSyntaxError, "2:2"),
+    (")", FormulaSyntaxError, "1:1"),
+    ("(true))", FormulaSyntaxError, "1:7"),
+    ("(true) (false)", FormulaSyntaxError, "1:8"),
+    ("x y", FormulaSyntaxError, "1:3"),
+    (_NEST, NestingCapExceeded, "1:1506"),
+    ("x", FormulaSyntaxError, "1:1"),
+    ("(frob x)", FormulaSyntaxError, "1:2"),
+    ("(EXISTS x (true))", FormulaSyntaxError, "1:2"),
+    ("()", FormulaSyntaxError, None),
+    ("((true))", FormulaSyntaxError, None),
+    ("(not x)", FormulaSyntaxError, "1:6"),
+    ("(true x)", FormulaSyntaxError, "1:2"),
+    ("(false (true))", FormulaSyntaxError, "1:2"),
+    ("(not)", FormulaSyntaxError, "1:2"),
+    ("(and (true))", FormulaSyntaxError, "1:2"),
+    ("(or)", FormulaSyntaxError, "1:2"),
+    ("(= min)", FormulaSyntaxError, "1:2"),
+    ("(< x (y))", FormulaSyntaxError, "1:7"),
+    ("(letter (a) x)", FormulaSyntaxError, "1:10"),
+    ("(letter a $)", FormulaSyntaxError, "1:11"),
+    ("(in X)", FormulaSyntaxError, "1:2"),
+    ("(in (X) x)", FormulaSyntaxError, "1:6"),
+    ("(in X (y))", FormulaSyntaxError, "1:8"),
+    ("(plus x y)", FormulaSyntaxError, "1:2"),
+    ("(times x y z w)", FormulaSyntaxError, "1:2"),
+    ("(bit x)", FormulaSyntaxError, "1:2"),
+    ("(msb-bit x)", FormulaSyntaxError, "1:2"),
+    ("(size-bit)", FormulaSyntaxError, "1:2"),
+    ("(lt-log x y)", FormulaSyntaxError, "1:2"),
+    ("(lt-pow2 ())", FormulaSyntaxError, None),
+    ("(set-times X Y (Z))", FormulaSyntaxError, "1:17"),
+    ("(set-times X Y)", FormulaSyntaxError, "1:2"),
+    ("(shuffle-bit to_interleaved 0 2 x)", FormulaSyntaxError, "1:2"),
+    ("(shuffle-bit to_interleaved zero 2 x (A B))", FormulaSyntaxError, "1:2"),
+    ("(shuffle-bit to_interleaved 0 two x (A B))", FormulaSyntaxError, "1:2"),
+    ("(shuffle-bit (dir) 0 2 x (A B))", FormulaSyntaxError, "1:15"),
+    ("(shuffle-bit to_interleaved (0) 2 x (A B))", FormulaSyntaxError, "1:30"),
+    ("(shuffle-bit to_interleaved 0 2 (x) (A B))", FormulaSyntaxError, "1:34"),
+    ("(shuffle-bit to_interleaved 0 2 x A)", FormulaSyntaxError, "1:35"),
+    ("(shuffle-bit to_interleaved 0 2 x ())", FormulaSyntaxError, "0:0"),
+    ("(shuffle-bit to_interleaved 0 2 x (A (B)))", FormulaSyntaxError, "1:39"),
+    ("(exists (x) (true))", FormulaSyntaxError, "1:10"),
+    ("(exists () (true))", FormulaSyntaxError, None),
+    ("(exists ((x)) (true))", FormulaSyntaxError, None),
+    ("(forall x)", FormulaSyntaxError, "1:2"),
+    ("(existsSO X (true) (true))", FormulaSyntaxError, "1:2"),
+    ("(exists x y)", FormulaSyntaxError, "1:11"),
+    ("(Q Lexists (x))", FormulaSyntaxError, "1:2"),
+    ("(Q (Lexists) (x) (true))", FormulaSyntaxError, "1:5"),
+    ("(Q Lexists x (true))", FormulaSyntaxError, "1:12"),
+    ("(Q Lexists () (true))", FormulaSyntaxError, "0:0"),
+    ("(Q NoSuch (x) (true))", UnknownLanguage, "1:2"),
+    ("(Q Lexists (x) (true) (false))", ArityMismatch, "1:2"),
+    ("(Q NoSuch (x) (frob))", FormulaSyntaxError, "1:16"),
+    ("(Q Lexists (x) y)", FormulaSyntaxError, "1:16"),
+    ("(Q1 Lexists 1 (X))", FormulaSyntaxError, "1:2"),
+    ("(Q1 Lexists one (X) (true))", FormulaSyntaxError, "1:2"),
+    ("(Q1 NoSuch 1 (X) (true))", UnknownLanguage, "1:2"),
+    ("(Qstar Lexists 1 X (true))", FormulaSyntaxError, "1:18"),
+    ("(Qstar Lexists (1) (X) (true))", FormulaSyntaxError, "1:17"),
+    ("(Qstar Lmod2 1 (X))", FormulaSyntaxError, "1:2"),
+    ("(Qstar Maj 1 (X) (true) (true))", ArityMismatch, "1:2"),
+    ("(= $ x)", FormulaSyntaxError, "1:4"),
+    ("(and (true)\n  (frob))", FormulaSyntaxError, "2:4"),
+    ("(and\t(true)\t(frob))", FormulaSyntaxError, "1:14"),
+    ("(and (true)\r\n (frob))", FormulaSyntaxError, "2:3"),
+    ("; c\n(not x) ; tail", FormulaSyntaxError, "2:6"),
+    ("(or (true) (= x)\n)", FormulaSyntaxError, "1:13"),
+    ("(exists x (and (true) (or (false) (letter a))))",
+     FormulaSyntaxError, "1:36"),
+]
+
+
+def _where(err):
+    m = re.match(r"(\d+):(\d+): ", str(err))
+    return f"{m[1]}:{m[2]}" if m else None
+
+
+@pytest.mark.parametrize("text,exc,where", ERROR_TABLE,
+                         ids=[t[:48] for t, _, _ in ERROR_TABLE])
+def test_error_table(text, exc, where):
+    with pytest.raises(WordlogicError) as ei:
+        parse_formula(text, builtin_registry())
+    err = ei.value
+    assert type(err) is exc
+    assert _where(err) == where
+    if exc is FormulaSyntaxError and where is not None:
+        assert f"{err.line}:{err.column}" == where
