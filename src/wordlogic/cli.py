@@ -172,15 +172,18 @@ def cmd_translate(args):
         structures = []
     else:
         raise WordlogicError(f"unknown translation {args.op!r}")
-    print(format_formula(out))
+    target = format_formula(out)
     if structures is None:
         structures = string_structures(alphabet, args.max_n, min_n)
     if args.op in ("exp-rev", "const-unrewrite"):
         # reverse directions are validated by their forward twins
+        print(target)
         return EXIT_OK
+    # check before printing, so a failed check leaves no half report
     report = check_equivalence(f, out, structures, registry=reg,
                                mapper=mapper, mapper_desc=mapper_desc,
                                instance_cap=args.instance_cap, notes=notes)
+    print(target)
     print(report.render())
     return EXIT_OK if report.verdict == "equivalent-on-range" \
         else EXIT_COUNTEREXAMPLE

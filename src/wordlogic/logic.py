@@ -184,6 +184,20 @@ class ShuffleBit:
     point: Term
     set_vars: tuple
 
+    def __post_init__(self):
+        if self.direction not in ("to_interleaved", "to_concatenated"):
+            raise InvariantViolation(
+                f"unknown shuffle direction {self.direction!r}")
+        if self.width < 1:
+            raise InvariantViolation("shuffle width must be positive")
+        if not 0 <= self.index < self.width:
+            raise InvariantViolation(
+                f"shuffle index {self.index} outside [0, {self.width})")
+        if len(self.set_vars) != self.width:
+            raise InvariantViolation(
+                f"shuffle width {self.width} but {len(self.set_vars)} "
+                "set variables")
+
 
 @dataclass(frozen=True)
 class Not:
@@ -610,10 +624,9 @@ def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
         # reading of flat bit position index*n + x
         p = f.index * n + x
         return (p // k,) in sets[p % k]
-    if f.direction == "to_concatenated":
-        p = x * k + f.index
-        return (p % n,) in sets[p // n]
-    raise InvariantViolation(f"unknown shuffle direction {f.direction!r}")
+    # to_concatenated: the inverse permutation
+    p = x * k + f.index
+    return (p % n,) in sets[p // n]
 
 
 def evaluate_reference(struct, formula, assignment=None, *, registry=None,

@@ -3,7 +3,7 @@
 Grammar (heads are case-sensitive):
 
     (exists x F)  (forall x F)  (existsSO X F)
-    (and F F)  (or F F)  (not F)  (true)  (false)
+    (and F F ...)  (or F F ...)  (not F)  (true)  (false)
     (= t t)  (< t t)  (letter a t)  (in X t ...)
     (plus t t t)  (times t t t)  (bit t t)
     (Q lang (x ...) F ...)
@@ -17,180 +17,176 @@ plus the arithmetic-view atoms used by translation outputs:
     (shuffle-bit dir i k t (X ...))
 
 Terms are `min`, `max`, `$name` for a constant symbol, or a variable name.
+One table, `_SYNTAX`, gives each of these 24 heads its node class and
+operand kinds; the reader and the printer both read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import fields
+from operator import attrgetter
 
-from .errors import (
-    ArityMismatch,
-    FormulaSyntaxError,
-    NestingCapExceeded,
-    UnknownLanguage,
-)
-from .logic import (
-    CONCATENATED,
-    INTERLEAVED,
-    MAX,
-    MAX_NESTING,
-    MIN,
-    And,
-    BitAtom,
-    ConstSym,
-    Eq,
-    ExistsFO,
-    ExistsSO,
-    FalseF,
-    ForallFO,
-    HighBit,
-    InRel,
-    Letter,
-    LindFO,
-    LindSO,
-    Lt,
-    LtLog,
-    LtPowLog,
-    Max,
-    Min,
-    Not,
-    Or,
-    PlusAtom,
-    SetTimes,
-    ShuffleBit,
-    SizeBit,
-    TimesAtom,
-    TrueF,
-    Var,
-    check_nesting,
-)
+from .errors import (ArityMismatch, FormulaSyntaxError, InvariantViolation,
+                     NestingCapExceeded, UnknownLanguage)
+from .logic import (CONCATENATED, INTERLEAVED, MAX, MAX_NESTING, MIN, And,
+                    BitAtom, ConstSym, Eq, ExistsFO, ExistsSO, FalseF,
+                    ForallFO, HighBit, InRel, Letter, LindFO, LindSO, Lt,
+                    LtLog, LtPowLog, Max, Min, Not, Or, PlusAtom, SetTimes,
+                    ShuffleBit, SizeBit, TimesAtom, TrueF, Var, check_nesting)
 
+# ---------------------------------------------------------------------------
+# Syntax table
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+# Operand kinds. TERMS and FORMULAS take all remaining operands.
+_NAME, _INT, _TERM, _TERMS = "name", "integer", "term", "terms"
+_NAMES, _FORMULA, _FORMULAS = "name list", "formula", "formulas"
 
+# Operands are (kind, noun); the noun names the operand in error messages.
+_F, _FS, _T = (_FORMULA, "formula"), (_FORMULAS, "formula"), (_TERM, "term")
+_VAR, _REL = (_NAME, "variable"), (_NAME, "relation variable")
+_SO = ((_NAME, "language name"), (_INT, "arity"),
+       (_NAMES, "relation variable"), _FS)
 
-_PUNCT = "()"
+# head -> (node class, its operands in field order)
+_SYNTAX = {
+    "true": (TrueF, ()),
+    "false": (FalseF, ()),
+    "not": (Not, (_F,)),
+    "and": (And, (_F, _F)),
+    "or": (Or, (_F, _F)),
+    "=": (Eq, (_T, _T)),
+    "<": (Lt, (_T, _T)),
+    "letter": (Letter, ((_NAME, "letter"), _T)),
+    "in": (InRel, (_REL, (_TERMS, "term"))),
+    "plus": (PlusAtom, (_T, _T, _T)),
+    "times": (TimesAtom, (_T, _T, _T)),
+    "bit": (BitAtom, (_T, _T)),
+    "msb-bit": (HighBit, (_T, _T)),
+    "size-bit": (SizeBit, (_T,)),
+    "lt-log": (LtLog, (_T,)),
+    "lt-pow2": (LtPowLog, (_T,)),
+    "set-times": (SetTimes, (_REL, _REL, _REL)),
+    "shuffle-bit": (ShuffleBit, ((_NAME, "direction"), (_INT, "index"),
+                                 (_INT, "width"), _T,
+                                 (_NAMES, "relation variable"))),
+    "exists": (ExistsFO, (_VAR, _F)),
+    "forall": (ForallFO, (_VAR, _F)),
+    "existsSO": (ExistsSO, (_VAR, _F)),
+    "Q": (LindFO, ((_NAME, "language name"), (_NAMES, "variable"), _FS)),
+    "Q1": (LindSO, _SO),
+    "Qstar": (LindSO, _SO),
+}
 
+# The rules the table leaves out:
+# - and/or take two or more operands and read left-nested, (and A B C) as
+#   And(And(A, B), C); they print binary.
+_JUNCTIONS = ("and", "or")
+# - Q1 and Qstar both build LindSO; the head supplies its ordering field.
+_ORDERING = {"Q1": INTERLEAVED, "Qstar": CONCATENATED}
+_SO_HEAD = {ordering: head for head, ordering in _ORDERING.items()}
+# - min, max and $name are terms; any other atom is a variable (_term).
 
-def _tokenize(text: str):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _PUNCT:
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in " \t\r\n();":
-                j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-    return toks
+# What the other variadic heads take, for their too-few-operands error
+_USAGE = {
+    "in": "a relation variable and at least one term",
+    "Q": "a language, a variable list, and argument formulas",
+    "Q1": "a language, an arity, a variable list, and argument formulas",
+}
+_USAGE["Qstar"] = _USAGE["Q1"]
+
+# ---------------------------------------------------------------------------
+# Reader
+
+# An atom, a paren, a newline (columns restart after it) or a comment
+_TOKEN = re.compile(r"[^ \t\r\n();]+|[()\n]|;[^\n]*")
 
 
-class _Reader:
-    def __init__(self, toks):
-        self.toks = toks
-        self.pos = 0
+def _read(text):
+    """The one form in text: a (text, line, col) atom or a list of forms.
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise FormulaSyntaxError("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def expect(self, text):
-        t = self.next()
-        if t.text != text:
-            raise FormulaSyntaxError(f"expected {text!r}, got {t.text!r}",
-                                     line=t.line, column=t.col)
-        return t
-
-    def read(self, depth=0):
-        t = self.next()
-        if t.text == "(":
-            if depth > MAX_NESTING:
+    One pass over the tokens, with the open forms on a stack. A '(' more
+    than MAX_NESTING levels below the outermost one raises
+    NestingCapExceeded, which bounds the recursion of _build.
+    """
+    forms, opens = [], []  # items and '(' positions of the open forms
+    tree = None
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line, line_start = line + 1, m.end()
+            continue
+        if tok[0] == ";":
+            continue
+        col = m.start() - line_start + 1
+        if tree is not None:
+            raise FormulaSyntaxError("trailing input after the formula",
+                                     line, col)
+        if tok == "(":
+            if len(forms) > MAX_NESTING:
                 raise NestingCapExceeded(
-                    f"{t.line}:{t.col}: formula nests deeper than "
+                    f"{line}:{col}: formula nests deeper than "
                     f"{MAX_NESTING} levels")
-            items = []
-            while True:
-                p = self.peek()
-                if p is None:
-                    raise FormulaSyntaxError("unclosed '('", line=t.line,
-                                             column=t.col)
-                if p.text == ")":
-                    self.next()
-                    return items
-                items.append(self.read(depth + 1))
-        if t.text == ")":
-            raise FormulaSyntaxError("unexpected ')'", line=t.line, column=t.col)
-        return t
+            forms.append([])
+            opens.append((line, col))
+            continue
+        if tok == ")":
+            if not forms:
+                raise FormulaSyntaxError("unexpected ')'", line, col)
+            opens.pop()
+            item = forms.pop()
+        else:
+            item = (tok, line, col)
+        if forms:
+            forms[-1].append(item)
+        else:
+            tree = item
+    if forms:
+        raise FormulaSyntaxError("unclosed '('", *opens[-1])
+    if tree is None:
+        raise FormulaSyntaxError("empty input")
+    return tree
 
 
-def _fail(tok_or_node, msg):
-    if isinstance(tok_or_node, _Tok):
-        raise FormulaSyntaxError(msg, line=tok_or_node.line, column=tok_or_node.col)
-    raise FormulaSyntaxError(msg)
+def _fail(atom, msg):
+    raise FormulaSyntaxError(msg, atom[1], atom[2])
 
 
-def _head(node):
-    if not isinstance(node, list) or not node or not isinstance(node[0], _Tok):
-        _fail(node[0] if isinstance(node, list) and node else node,
-              "expected a parenthesized form")
-    return node[0]
+def _head(form):
+    if not form or type(form[0]) is not tuple:
+        raise FormulaSyntaxError("expected a parenthesized form")
+    return form[0]
 
 
-def _atom(node, what="name"):
-    if not isinstance(node, _Tok):
-        _fail(_head(node), f"expected a {what}, got a list")
-    return node
+def _atom(item, noun):
+    """The text of an atom operand."""
+    if type(item) is list:
+        _fail(_head(item), f"expected a {noun}, got a list")
+    return item[0]
 
 
-def _term(node):
-    t = _atom(node, "term")
-    if t.text == "min":
+def _term(item):
+    text = _atom(item, "term")
+    if text == "min":
         return MIN
-    if t.text == "max":
+    if text == "max":
         return MAX
-    if t.text.startswith("$"):
-        if len(t.text) == 1:
-            _fail(t, "empty constant name after '$'")
-        return ConstSym(t.text[1:])
-    return Var(t.text)
+    if text[0] == "$":
+        if len(text) == 1:
+            _fail(item, "empty constant name after '$'")
+        return ConstSym(text[1:])
+    return Var(text)
 
 
-def _name_list(node, what):
-    if not isinstance(node, list):
-        _fail(node, f"expected a parenthesized {what} list")
-    names = []
-    for item in node:
-        names.append(_atom(item, what).text)
+def _names(item, noun):
+    if type(item) is not list:
+        _fail(item, f"expected a parenthesized {noun} list")
+    names = tuple([_atom(x, noun) for x in item])
     if not names:
-        _fail(_Tok("()", 0, 0), f"empty {what} list")
-    return tuple(names)
+        # an empty list has no atom to point at; 0:0 stands for that
+        raise FormulaSyntaxError(f"empty {noun} list", 0, 0)
+    return names
 
 
 def _check_lang(registry, head, name, nargs):
@@ -198,116 +194,65 @@ def _check_lang(registry, head, name, nargs):
         return
     if name not in registry:
         raise UnknownLanguage(
-            f"{head.line}:{head.col}: language {name!r} not registered")
+            f"{head[1]}:{head[2]}: language {name!r} not registered")
     spec = registry[name]
     if nargs != spec.size - 1:
         raise ArityMismatch(
-            f"{head.line}:{head.col}: {name} takes {spec.size - 1} "
+            f"{head[1]}:{head[2]}: {name} takes {spec.size - 1} "
             f"argument formulas, got {nargs}")
 
 
-def _build(node, registry):
-    if isinstance(node, _Tok):
-        _fail(node, "expected a formula, got an atom")
-    h = _head(node)
-    op, rest = h.text, node[1:]
-
-    def need(k):
-        if len(rest) != k:
-            _fail(h, f"{op} takes {k} operands, got {len(rest)}")
-
-    if op == "true":
-        need(0)
-        return TrueF()
-    if op == "false":
-        need(0)
-        return FalseF()
-    if op == "not":
-        need(1)
-        return Not(_build(rest[0], registry))
-    if op in ("and", "or"):
+def _build(form, registry):
+    """The formula node of a form that _read returned."""
+    if type(form) is tuple:
+        _fail(form, "expected a formula, got an atom")
+    head = _head(form)
+    op, rest = head[0], form[1:]
+    entry = _SYNTAX.get(op)
+    if entry is None:
+        _fail(head, f"unknown operator {op!r}")
+    cls, operands = entry
+    if op in _JUNCTIONS:
         if len(rest) < 2:
-            _fail(h, f"{op} takes at least 2 operands, got {len(rest)}")
-        cls = And if op == "and" else Or
+            _fail(head, f"{op} takes at least 2 operands, got {len(rest)}")
         out = _build(rest[0], registry)
-        for r in rest[1:]:
-            out = cls(out, _build(r, registry))
+        for item in rest[1:]:
+            out = cls(out, _build(item, registry))
         return out
-    if op == "=":
-        need(2)
-        return Eq(_term(rest[0]), _term(rest[1]))
-    if op == "<":
-        need(2)
-        return Lt(_term(rest[0]), _term(rest[1]))
-    if op == "letter":
-        need(2)
-        return Letter(_atom(rest[0], "letter").text, _term(rest[1]))
-    if op == "in":
-        if len(rest) < 2:
-            _fail(h, "in takes a relation variable and at least one term")
-        return InRel(_atom(rest[0], "relation variable").text,
-                     tuple(_term(t) for t in rest[1:]))
-    if op in ("plus", "times"):
-        need(3)
-        cls = PlusAtom if op == "plus" else TimesAtom
-        return cls(_term(rest[0]), _term(rest[1]), _term(rest[2]))
-    if op == "bit":
-        need(2)
-        return BitAtom(_term(rest[0]), _term(rest[1]))
-    if op == "msb-bit":
-        need(2)
-        return HighBit(_term(rest[0]), _term(rest[1]))
-    if op == "size-bit":
-        need(1)
-        return SizeBit(_term(rest[0]))
-    if op == "lt-log":
-        need(1)
-        return LtLog(_term(rest[0]))
-    if op == "lt-pow2":
-        need(1)
-        return LtPowLog(_term(rest[0]))
-    if op == "set-times":
-        need(3)
-        return SetTimes(*(_atom(r, "relation variable").text for r in rest))
-    if op == "shuffle-bit":
-        need(5)
-        direction = _atom(rest[0], "direction").text
-        try:
-            idx = int(_atom(rest[1], "index").text)
-            width = int(_atom(rest[2], "width").text)
-        except ValueError:
-            _fail(h, "shuffle-bit index and width must be integers")
-        return ShuffleBit(direction, idx, width, _term(rest[3]),
-                          _name_list(rest[4], "relation variable"))
-    if op in ("exists", "forall", "existsSO"):
-        need(2)
-        var = _atom(rest[0], "variable").text
-        body = _build(rest[1], registry)
-        cls = {"exists": ExistsFO, "forall": ForallFO, "existsSO": ExistsSO}[op]
-        return cls(var, body)
-    if op == "Q":
-        if len(rest) < 3:
-            _fail(h, "Q takes a language, a variable list, and argument formulas")
-        lang = _atom(rest[0], "language name").text
-        vars_ = _name_list(rest[1], "variable")
-        args = tuple(_build(r, registry) for r in rest[2:])
-        _check_lang(registry, h, lang, len(args))
-        return LindFO(lang, vars_, args)
-    if op in ("Q1", "Qstar"):
-        if len(rest) < 4:
-            _fail(h, f"{op} takes a language, an arity, a variable list, "
-                     "and argument formulas")
-        lang = _atom(rest[0], "language name").text
-        try:
-            arity = int(_atom(rest[1], "arity").text)
-        except ValueError:
-            _fail(h, f"{op} arity must be an integer")
-        vars_ = _name_list(rest[2], "relation variable")
-        args = tuple(_build(r, registry) for r in rest[3:])
-        _check_lang(registry, h, lang, len(args))
-        ordering = INTERLEAVED if op == "Q1" else CONCATENATED
-        return LindSO(lang, ordering, arity, vars_, args)
-    _fail(h, f"unknown operator {op!r}")
+    k = len(operands)
+    if op in _USAGE:
+        if len(rest) < k:
+            _fail(head, f"{op} takes {_USAGE[op]}")
+        rest = rest[:k - 1] + [rest[k - 1:]]
+    elif len(rest) != k:
+        _fail(head, f"{op} takes {k} operands, got {len(rest)}")
+    values = []
+    for (kind, noun), item in zip(operands, rest):
+        if kind is _FORMULA:
+            values.append(_build(item, registry))
+        elif kind is _TERM:
+            values.append(_term(item))
+        elif kind is _NAME:
+            values.append(_atom(item, noun))
+        elif kind is _NAMES:
+            values.append(_names(item, noun))
+        elif kind is _FORMULAS:
+            values.append(tuple([_build(x, registry) for x in item]))
+        elif kind is _TERMS:
+            values.append(tuple([_term(x) for x in item]))
+        else:
+            try:
+                values.append(int(_atom(item, noun)))
+            except ValueError:
+                _fail(head, f"{op} {noun} must be an integer")
+    if cls is LindFO or cls is LindSO:
+        _check_lang(registry, head, values[0], len(values[-1]))
+    if op in _ORDERING:
+        values.insert(1, _ORDERING[op])
+    try:
+        return cls(*values)
+    except InvariantViolation as e:
+        raise type(e)(f"{head[1]}:{head[2]}: {e}") from None
 
 
 def parse_formula(text: str, registry=None):
@@ -315,18 +260,10 @@ def parse_formula(text: str, registry=None):
 
     Forms nested more than MAX_NESTING levels below the outermost one raise
     NestingCapExceeded, which keeps reading and building within Python's
-    default recursion limit.
+    default recursion limit. A node that refuses its operands raises its
+    InvariantViolation with the position of its head.
     """
-    toks = _tokenize(text)
-    if not toks:
-        raise FormulaSyntaxError("empty input")
-    reader = _Reader(toks)
-    tree = reader.read()
-    leftover = reader.peek()
-    if leftover is not None:
-        raise FormulaSyntaxError("trailing input after the formula",
-                                 line=leftover.line, column=leftover.col)
-    return _build(tree, registry)
+    return _build(_read(text), registry)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +280,21 @@ def _fmt_term(t):
     return t.name
 
 
+def _printers():
+    """class -> (head, ((show, field getter) per operand)), from _SYNTAX."""
+    show = {_NAME: str, _INT: str, _TERM: _fmt_term,
+            _TERMS: lambda ts: " ".join(map(_fmt_term, ts)),
+            _NAMES: lambda names: "(" + " ".join(names) + ")",
+            _FORMULA: _format,
+            _FORMULAS: lambda fs: " ".join(map(_format, fs))}
+    out = {}
+    for head, (cls, operands) in _SYNTAX.items():
+        names = [f.name for f in fields(cls) if f.name != "ordering"]
+        out[cls] = (head, tuple((show[kind], attrgetter(name))
+                                for (kind, _), name in zip(operands, names)))
+    return out
+
+
 def format_formula(f) -> str:
     """Render a formula as a parseable s-expression.
 
@@ -355,57 +307,16 @@ def format_formula(f) -> str:
 
 def _format(f) -> str:
     ty = type(f)
-    if ty is TrueF:
-        return "(true)"
-    if ty is FalseF:
-        return "(false)"
-    if ty is Not:
-        return f"(not {_format(f.body)})"
-    if ty in (And, Or):
-        op = "and" if ty is And else "or"
-        return f"({op} {_format(f.left)} {_format(f.right)})"
-    if ty is Eq:
-        return f"(= {_fmt_term(f.left)} {_fmt_term(f.right)})"
-    if ty is Lt:
-        return f"(< {_fmt_term(f.left)} {_fmt_term(f.right)})"
-    if ty is Letter:
-        return f"(letter {f.letter} {_fmt_term(f.term)})"
-    if ty is InRel:
-        args = " ".join(_fmt_term(t) for t in f.args)
-        return f"(in {f.rel} {args})"
-    if ty is PlusAtom:
-        return f"(plus {_fmt_term(f.a)} {_fmt_term(f.b)} {_fmt_term(f.c)})"
-    if ty is TimesAtom:
-        return f"(times {_fmt_term(f.a)} {_fmt_term(f.b)} {_fmt_term(f.c)})"
-    if ty is BitAtom:
-        return f"(bit {_fmt_term(f.a)} {_fmt_term(f.j)})"
-    if ty is HighBit:
-        return f"(msb-bit {_fmt_term(f.value)} {_fmt_term(f.pos)})"
-    if ty is SizeBit:
-        return f"(size-bit {_fmt_term(f.pos)})"
-    if ty is LtLog:
-        return f"(lt-log {_fmt_term(f.term)})"
-    if ty is LtPowLog:
-        return f"(lt-pow2 {_fmt_term(f.term)})"
-    if ty is SetTimes:
-        return f"(set-times {f.x} {f.y} {f.z})"
-    if ty is ShuffleBit:
-        names = " ".join(f.set_vars)
-        return (f"(shuffle-bit {f.direction} {f.index} {f.width} "
-                f"{_fmt_term(f.point)} ({names}))")
-    if ty is ExistsFO:
-        return f"(exists {f.var} {_format(f.body)})"
-    if ty is ForallFO:
-        return f"(forall {f.var} {_format(f.body)})"
-    if ty is ExistsSO:
-        return f"(existsSO {f.var} {_format(f.body)})"
-    if ty is LindFO:
-        vs = " ".join(f.vars)
-        args = " ".join(_format(a) for a in f.args)
-        return f"(Q {f.lang} ({vs}) {args})"
+    try:
+        head, parts = _PRINTERS[ty]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
     if ty is LindSO:
-        op = "Q1" if f.ordering == INTERLEAVED else "Qstar"
-        vs = " ".join(f.vars)
-        args = " ".join(_format(a) for a in f.args)
-        return f"({op} {f.lang} {f.arity} ({vs}) {args})"
-    raise TypeError(f"not a formula: {f!r}")
+        head = _SO_HEAD[f.ordering]
+    out = [head]
+    for show, get in parts:
+        out.append(show(get(f)))
+    return "(" + " ".join(out) + ")"
+
+
+_PRINTERS = _printers()

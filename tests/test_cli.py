@@ -246,3 +246,24 @@ def test_translate_pad_nested_quantifier_is_usage_error(capsys):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "nested" in err
 
+
+@pytest.mark.parametrize("formula", [
+    # an index past the width
+    "(existsSO A (existsSO B (exists x "
+    "(shuffle-bit to_interleaved 5 2 x (A B)))))",
+    # a width the set list disagrees with
+    "(existsSO A (shuffle-bit to_interleaved 0 3 min (A)))",
+])
+def test_eval_bad_shuffle_bit_is_usage_error(capsys, formula):
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "a", "--formula", formula])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_translate_failed_check_prints_no_target(capsys):
+    code, out, err = run(capsys, [
+        "translate", "--op", "exp", "--max-n", "6",
+        "--formula", "(exists x (letter a x))"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "exponent cap" in err

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -5,11 +6,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wordlogic import logic
+from wordlogic import logic, sexpr
 from wordlogic.errors import (
     ArityMismatch,
     EmptyDomain,
     InstanceCapExceeded,
+    InvariantViolation,
     NestingCapExceeded,
     NonConstantSignature,
     RankOutOfRange,
@@ -59,6 +61,7 @@ from wordlogic.logic import (
     set_from_code_value,
     structure_from_string,
 )
+from wordlogic.sexpr import format_formula, parse_formula
 
 AB = ("a", "b")
 
@@ -215,6 +218,18 @@ def test_shuffle_bit_permutation(registry):
                 env = {"A": inter[0], "B": inter[1], "x": x}
                 f = ShuffleBit("to_interleaved", i, k, Var("x"), ("A", "B"))
                 assert evaluate(st, f, env) == ((x,) in conc[i])
+
+
+@pytest.mark.parametrize("direction,index,width,msg", [
+    ("to_both", 0, 2, "unknown shuffle direction 'to_both'"),
+    ("to_interleaved", 0, 0, "shuffle width must be positive"),
+    ("to_concatenated", 2, 2, r"shuffle index 2 outside \[0, 2\)"),
+    ("to_concatenated", -1, 2, r"shuffle index -1 outside \[0, 2\)"),
+    ("to_interleaved", 0, 3, "shuffle width 3 but 2 set variables"),
+])
+def test_shuffle_bit_validates_itself(direction, index, width, msg):
+    with pytest.raises(InvariantViolation, match=msg):
+        ShuffleBit(direction, index, width, Var("x"), ("A", "B"))
 
 
 def test_define_language(registry):
@@ -451,6 +466,7 @@ def _one_of_each():
         ExistsFO("x", atom), ForallFO("y", atom), ExistsSO("X", atom),
         LindFO("Lmod2", ("x", "y"), (atom, Not(atom))),
         LindSO("Maj", INTERLEAVED, 2, ("X",), (atom,)),
+        LindSO("Lmod2", CONCATENATED, 1, ("X", "Y"), (atom,)),
     ]
 
 
@@ -471,6 +487,21 @@ def test_node_tables_cover_every_formula_class():
             assert logic.with_terms(f, logic.terms(f)) == f
         else:
             assert logic.terms(f) == ()
+
+
+def test_syntax_table_covers_every_formula_class():
+    heads = collections.Counter(cls for cls, _ in sexpr._SYNTAX.values())
+    assert heads == {cls: 2 if cls is LindSO else 1
+                     for cls in _formula_classes()}
+    for f in _one_of_each():
+        assert parse_formula(format_formula(f)) == f
+
+
+@given(f=_formulas())
+def test_format_parse_round_trip(f):
+    text = format_formula(f)
+    assert parse_formula(text) == f
+    assert format_formula(parse_formula(text)) == text
 
 
 def test_rewrite_is_top_down_and_rebuilds_what_fn_leaves():

@@ -7,6 +7,7 @@ from wordlogic.builtins import builtin_registry
 from wordlogic.errors import (
     ArityMismatch,
     FormulaSyntaxError,
+    InvariantViolation,
     NestingCapExceeded,
     UnknownLanguage,
     WordlogicError,
@@ -28,6 +29,7 @@ from wordlogic.logic import (
     ShuffleBit,
     Var,
 )
+from wordlogic import sexpr
 from wordlogic.sexpr import format_formula, parse_formula
 
 
@@ -238,3 +240,52 @@ def test_error_table(text, exc, where):
     assert _where(err) == where
     if exc is FormulaSyntaxError and where is not None:
         assert f"{err.line}:{err.column}" == where
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("(Q Lexists (x x) (true))", "1:2: quantifier variables must be distinct"),
+    ("(Qstar Lexists 0 (X) (true))", "1:2: relation arity must be positive"),
+    ("(and (true)\n (Q1 Lexists 1 (X X) (true)))", "2:3: quantifier variables"),
+    ("(shuffle-bit to_both 0 2 x (A B))", "1:2: unknown shuffle direction"),
+    ("(shuffle-bit to_interleaved 0 0 x (A))", "1:2: shuffle width must be"),
+    ("(shuffle-bit to_interleaved 2 2 x (A B))", "1:2: shuffle index 2"),
+    ("(shuffle-bit to_interleaved 0 3 x (A B))", "1:2: shuffle width 3 but 2"),
+])
+def test_node_errors_carry_the_head_position(text, msg):
+    with pytest.raises(InvariantViolation) as ei:
+        parse_formula(text, builtin_registry())
+    assert type(ei.value) is InvariantViolation
+    assert str(ei.value).startswith(msg)
+
+
+@pytest.mark.parametrize("text,msg", [
+    ("(shuffle-bit to_interleaved zero 2 x (A B))",
+     "1:2: shuffle-bit index must be an integer"),
+    ("(shuffle-bit to_interleaved 0 two x (A B))",
+     "1:2: shuffle-bit width must be an integer"),
+    ("(Qstar Lexists one (X) (true))", "1:2: Qstar arity must be an integer"),
+])
+def test_integer_operands(text, msg):
+    with pytest.raises(FormulaSyntaxError) as ei:
+        parse_formula(text)
+    assert str(ei.value) == msg
+
+
+@pytest.mark.parametrize("opener", ["(not ", "(exists x ", "(Q Lexists (x) ",
+                                    "(Qstar Lexists 1 (X) "])
+def test_deepest_accepted_form_reads_and_prints(opener):
+    text = opener * MAX_NESTING + "(true)" + ")" * MAX_NESTING
+    assert format_formula(parse_formula(text)) == text
+
+
+def _grammar_heads(text):
+    return set(re.findall(r"\(([^\s()]+)", text))
+
+
+def test_grammars_in_the_docs_list_every_head():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        readme = fh.read()
+    block = readme.split("## Formula syntax", 1)[1].split("```")[1]
+    assert set(sexpr._SYNTAX) <= _grammar_heads(block)
+    assert set(sexpr._SYNTAX) <= _grammar_heads(sexpr.__doc__)
