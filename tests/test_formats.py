@@ -173,3 +173,165 @@ def test_load_toolbox_duplicate_names(tmp_path, data_dir):
     (tmp_path / "Maj.dfa").write_text(src)
     with pytest.raises(InvariantViolation):
         load_toolbox([str(tmp_path)])
+
+
+# Every loader error, pinned whole: the exception type, the full message with
+# its `path:line:` prefix, and `.line`. One input at least per reachable
+# error site.
+_ALG = "elements: e a\nidentity: e\ntable:\ne a\na e\n"
+_DFA = "states: q r\nalphabet: a b\nstart: q\nfinals: r\n"
+_TRANS = "trans: q a r\ntrans: q b q\ntrans: r a r\ntrans: r b q\n"
+_LEAF = "states: p q\ninput: a\nleaf: 0 1\nstart: p\n"
+_BETA_DELTA = "beta: p 0\nbeta: q 1\ndelta: p a -> p q\ndelta: q a -> q\n"
+_PARSERS = {"alg": parse_algebra, "dfa": parse_dfa, "cfg": parse_cfg,
+            "leaf": parse_leaf_automaton, "sig": parse_signature}
+
+LOADER_ERRORS = [
+    ("alg", "elements e a",
+     "x.alg:1: expected 'key: value', got 'elements e a'", 1),
+    ("alg", "elements: e\ne\nidentity: e\ntable:\ne",
+     "x.alg:2: expected 'key: value', got 'e'", 2),
+    ("alg", "elements: e a\nidentity: e\ntable:\ne a\naccept: e\na e",
+     "x.alg:6: expected 'key: value', got 'a e'", 6),
+    ("alg", "elements: e a\nbogus: 1\ntable:\ne a\na e",
+     "x.alg:2: unknown key 'bogus'", 2),
+    ("alg", "identity: e\ntable:\ne", "x.alg: missing 'elements:' line", None),
+    ("alg", "elements: e e\nidentity: e\ntable:\ne e\ne e",
+     "x.alg: duplicate element names", None),
+    ("alg", "elements: e a\nidentity: e\ntable:\ne a",
+     "x.alg: table has 1 rows, need 2", None),
+    ("alg", "elements: e a\nidentity: e\ntable:\ne a\na",
+     "x.alg:5: table row has 1 entries, need 2", 5),
+    ("alg", "elements: e a\nidentity: e\ntable:\ne a\na x",
+     "x.alg:5: unknown element 'x'", 5),
+    ("alg", "elements: e a\ntable:\ne a\na x",
+     "x.alg:4: unknown element 'x'", 4),
+    ("alg", "elements: e a\ntable:\ne a\na e",
+     "x.alg: missing 'identity:' line", None),
+    ("alg", "elements: e a\nidentity:\ntable:\ne a\na e",
+     "x.alg: missing 'identity:' line", None),
+    ("alg", "elements: e a\nidentity: z\ntable:\ne a\na e",
+     "x.alg: unknown identity element 'z'", None),
+    ("alg", "elements:\nidentity: e\ntable:",
+     "x.alg: unknown identity element 'e'", None),
+    ("alg", _ALG + "accept: e z", "x.alg: unknown accept element 'z'", None),
+    ("dfa", _DFA + "trans q a r",
+     "x.dfa:5: expected 'key: value', got 'trans q a r'", 5),
+    ("dfa", _DFA + "final: r\n" + _TRANS, "x.dfa:5: unknown key 'final'", 5),
+    ("dfa", "alphabet: a b\nstart: q\nfinals: r\n" + _TRANS,
+     "x.dfa: missing 'states:' line", None),
+    ("dfa", "states: q r\nstart: q\nfinals: r\n" + _TRANS,
+     "x.dfa: missing 'alphabet:' line", None),
+    ("dfa", "states: q r\nalphabet: a b\nfinals: r\n" + _TRANS,
+     "x.dfa: missing 'start:' line", None),
+    ("dfa", "states: q r\nalphabet: a b\nstart: q\n" + _TRANS,
+     "x.dfa: missing 'finals:' line", None),
+    ("dfa", _DFA + _TRANS + "trans: q a",
+     "x.dfa:9: expected 'trans: q letter q2'", 9),
+    ("dfa", _DFA + "trans: x a r\n" + _TRANS, "x.dfa:5: unknown state 'x'", 5),
+    ("dfa", _DFA + _TRANS + "trans: q c r", "x.dfa:9: unknown letter 'c'", 9),
+    ("dfa", _DFA + "trans: q a z\n" + _TRANS, "x.dfa:5: unknown state 'z'", 5),
+    ("dfa", _DFA + _TRANS + "trans: r b r",
+     "x.dfa:9: duplicate transition for (r, b)", 9),
+    ("dfa", _DFA + "trans: q a r\ntrans: q b q\ntrans: r a r\n",
+     "x.dfa: missing transition for (r, b)", None),
+    ("dfa", "states: q q\nalphabet: a\nstart: q\nfinals: q\ntrans: q a q",
+     "x.dfa: missing transition for (q, a)", None),
+    ("dfa", "states: q r\nalphabet: a b\nstart: z\nfinals: r\n" + _TRANS,
+     "x.dfa: unknown start state 'z'", None),
+    ("dfa", "states: q r\nalphabet: a b\nstart: q\nfinals: r z\n" + _TRANS,
+     "x.dfa: unknown final state 'z'", None),
+    ("dfa", _DFA + _TRANS + "neutral: c",
+     "x.dfa: neutral letter 'c' not in alphabet", None),
+    ("cfg", "start: S\nS -> A B C",
+     "x.cfg:2: productions must be `A -> B C` or `A -> 'x'`", 2),
+    ("cfg", "start: S\nS -> A",
+     "x.cfg:2: productions must be `A -> B C` or `A -> 'x'`", 2),
+    ("cfg", "start: S\nS -> ''",
+     "x.cfg:2: productions must be `A -> B C` or `A -> 'x'`", 2),
+    ("cfg", "start: S\nepsilon: maybe\nS -> 'a'",
+     "x.cfg:2: epsilon must be true or false", 2),
+    ("cfg", "start: S\nS -> 'a'\nepsilon: yes\nS -> A B C",
+     "x.cfg:3: epsilon must be true or false", 3),
+    ("cfg", "start: S\nterminals: a\nS -> 'a'",
+     "x.cfg:2: unknown key 'terminals'", 2),
+    ("cfg", "start S\nS -> 'a'",
+     "x.cfg:1: expected 'key: value', got 'start S'", 1),
+    ("cfg", "S -> 'a'", "x.cfg: missing 'start:' line", None),
+    ("cfg", "start: S", "x.cfg: start symbol 'S' has no production", None),
+    ("cfg", "start: T\nS -> 'a'",
+     "x.cfg: start symbol 'T' has no production", None),
+    ("cfg", "start: S\nalphabet: b\nS -> 'a'",
+     "x.cfg: terminal 'a' missing from alphabet", None),
+    ("cfg", "start: S\nneutral: z\nS -> 'a'",
+     "x.cfg: neutral letter 'z' not in alphabet", None),
+    ("leaf", _LEAF + "bogus: 1\n" + _BETA_DELTA,
+     "x.leaf:5: unknown key 'bogus'", 5),
+    ("leaf", _LEAF + "beta p 0\n" + _BETA_DELTA,
+     "x.leaf:5: expected 'key: value', got 'beta p 0'", 5),
+    ("leaf", "input: a\nleaf: 0 1\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: missing 'states:' line", None),
+    ("leaf", "states: p q\nleaf: 0 1\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: missing 'input:' line", None),
+    ("leaf", "states: p q\ninput: a\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: missing 'leaf:' line", None),
+    ("leaf", "states: p q\ninput: a\nleaf: 0 1\n" + _BETA_DELTA,
+     "x.leaf: missing 'start:' line", None),
+    ("leaf", _LEAF + "beta: p\n" + _BETA_DELTA,
+     "x.leaf:5: expected 'beta: q x'", 5),
+    ("leaf", _LEAF + "beta: z 0\n" + _BETA_DELTA,
+     "x.leaf:5: unknown state 'z'", 5),
+    ("leaf", _LEAF + "beta: q 2\n" + _BETA_DELTA,
+     "x.leaf:5: leaf symbol '2' not in leaf alphabet", 5),
+    ("leaf", _LEAF + "beta: p 0\ndelta: p a -> p q\ndelta: q a -> q\n",
+     "x.leaf: missing beta for state 'q'", None),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: p a",
+     "x.leaf:9: expected 'delta: q a -> q1 q2 ...'", 9),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: p -> q",
+     "x.leaf:9: expected 'delta: q a -> q1 q2 ...'", 9),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: p a ->",
+     "x.leaf:9: expected 'delta: q a -> q1 q2 ...'", 9),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: z a -> p",
+     "x.leaf:9: unknown state 'z'", 9),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: p b -> p",
+     "x.leaf:9: unknown input letter 'b'", 9),
+    ("leaf", _LEAF + _BETA_DELTA + "delta: p a -> p z",
+     "x.leaf:9: unknown successor 'z'", 9),
+    ("leaf", _LEAF + "beta: p 0\nbeta: q 1\ndelta: p a -> p q\n",
+     "x.leaf: missing delta for (q, a)", None),
+    ("leaf", "states: p q\ninput: a\nleaf: 0 1\nstart: z\n" + _BETA_DELTA,
+     "x.leaf: unknown start state 'z'", None),
+    ("sig", "constants c1",
+     "x.sig:1: expected 'key: value', got 'constants c1'", 1),
+    ("sig", "constants: c1\nconst: c2", "x.sig:2: unknown key 'const'", 2),
+    ("sig", "", "x.sig: missing 'constants:' line", None),
+    ("sig", "# only a comment\n", "x.sig: missing 'constants:' line", None),
+    ("sig", "constants: c c", "x.sig: duplicate constant names", None),
+]
+
+
+@pytest.mark.parametrize("kind,text,message,line", LOADER_ERRORS,
+                         ids=[f"{k}-{m[m.index(' ') + 1:][:40]}"
+                              for k, _, m, _ in LOADER_ERRORS])
+def test_loader_error_table(kind, text, message, line):
+    with pytest.raises(FormatError) as ei:
+        _PARSERS[kind](text, f"x.{kind}")
+    assert type(ei.value) is FormatError
+    assert (str(ei.value), ei.value.line) == (message, line)
+
+
+def test_load_toolbox_file_errors(tmp_path):
+    missing = str(tmp_path / "nope.dfa")
+    with pytest.raises(FormatError) as ei:
+        load_toolbox([missing])
+    assert type(ei.value) is FormatError
+    assert str(ei.value) == (f"{missing}: [Errno 2] No such file or "
+                             f"directory: {missing!r}")
+    assert (ei.value.path, ei.value.line) == (missing, None)
+    other = tmp_path / "notes.txt"
+    other.write_text("constants: c\n")
+    with pytest.raises(FormatError) as ei:
+        load_toolbox([str(other)])
+    assert type(ei.value) is FormatError
+    assert str(ei.value) == f"{other}: unrecognized extension '.txt'"
+    assert (ei.value.path, ei.value.line) == (str(other), None)
