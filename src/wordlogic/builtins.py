@@ -22,23 +22,15 @@ def _lforall() -> LanguageSpec:
     return LanguageSpec("Lforall", ("1", "0"), dfa, declared_neutral="1")
 
 
-def _lmod2() -> LanguageSpec:
-    wp = WordProblem.of(Z2, {0})
-    return LanguageSpec("Lmod2", ("1", "0"), wp, declared_neutral="0",
-                        letter_map={"1": 1, "0": 0})
-
-
 def mod_counting_language(p: int) -> LanguageSpec:
-    """Words over (1,0) whose count of 1s is divisible by p."""
-    zp = Magma(tuple(str(i) for i in range(p)),
-               tuple(tuple((i + j) % p for j in range(p)) for i in range(p)),
-               0, name=f"Z{p}")
-    wp = WordProblem.of(zp, {0})
-    # letters beyond 1/0 do not exist; alphabet maps onto Z_p only for p=2
+    """Words over (1,0) whose count of 1s is divisible by p.
+
+    For p = 2 the body is the word problem of Z2, with 1 and 0 mapped onto
+    its generator and identity; for other p it is a DFA counting mod p.
+    """
     if p == 2:
-        return LanguageSpec(f"Lmod{p}", ("1", "0"), wp, declared_neutral="0",
-                            letter_map={"1": 1, "0": 0})
-    # general p: DFA carrier keeps the binary alphabet
+        return LanguageSpec("Lmod2", ("1", "0"), WordProblem.of(Z2, {0}),
+                            declared_neutral="0", letter_map={"1": 1, "0": 0})
     dfa = Dfa(tuple(f"r{i}" for i in range(p)), ("1", "0"),
               tuple(((i + 1) % p, i) for i in range(p)), 0, frozenset({0}))
     return LanguageSpec(f"Lmod{p}", ("1", "0"), dfa, declared_neutral="0")
@@ -77,5 +69,5 @@ def _maj() -> LanguageSpec:
 
 
 def builtin_registry() -> dict[str, LanguageSpec]:
-    specs = [_lexists(), _lforall(), _lmod2(), _maj()]
+    specs = [_lexists(), _lforall(), mod_counting_language(2), _maj()]
     return {s.name: s for s in specs}

@@ -10,28 +10,119 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem, check_associative
+from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem
 from .builtins import builtin_registry
 from .errors import FormatError, InvariantViolation
 from .leafauto import LeafAutomaton
+from .logic import resolve_language
 
 
-def _parse_lines(text: str, path):
-    """Yield (lineno, line) for nonempty lines, comments and surrounding
-    whitespace stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        yield lineno, line
+def _words(value):
+    return tuple(value.split())
 
 
-def _split_kv(line, lineno, path):
-    if ":" not in line:
-        raise FormatError(f"expected 'key: value', got {line!r}",
-                          path=path, line=lineno)
-    key, _, rest = line.partition(":")
-    return key.strip(), rest.strip()
+def _flag(value):
+    if value not in ("true", "false"):
+        raise ValueError("must be true or false")
+    return value == "true"
+
+
+# Each format's keys and how a value is read: a key of the first dict keeps
+# its last line's value, one of the second every line as (lineno, value).
+_KEYS = {
+    ".alg": ({"elements": _words, "identity": str, "table": str,
+              "accept": _words}, {}),
+    ".dfa": ({"states": _words, "alphabet": _words, "start": str,
+              "finals": _words, "neutral": str}, {"trans": str.split}),
+    ".cfg": ({"start": str, "epsilon": _flag, "alphabet": _words,
+              "neutral": str}, {}),
+    ".leaf": ({"states": _words, "input": _words, "leaf": _words,
+               "start": str}, {"beta": str.split, "delta": str}),
+    ".sig": ({"constants": _words}, {}),
+}
+
+
+class _Fields(dict):
+    """The `key: value` lines of one file in the format `kind`.
+
+    A line whose first non-blank character is `#` is a comment; `#` anywhere
+    else is data. `other(self, line, key)` sees every other line first,
+    with the key of the last `key: value` line, and returns true for a line
+    it takes: a table row or a production. Errors made by `error` carry the
+    path, and the line while one is read or handled under `each`.
+    """
+
+    __slots__ = ("path", "line")
+
+    def __init__(self, text, path, kind, other=None):
+        one, many = _KEYS[kind]
+        for key in many:
+            self[key] = []
+        self.path = path
+        key = None
+        for self.line, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] == "#" or (
+                    other is not None and other(self, line, key)):
+                continue
+            key, colon, value = line.partition(":")
+            if not colon:
+                raise self.error(f"expected 'key: value', got {line!r}")
+            key = key.strip()
+            read = one.get(key)
+            try:
+                if read is not None:
+                    self[key] = read(value.strip())
+                elif key in many:
+                    self[key].append((self.line, many[key](value.strip())))
+                else:
+                    raise self.error(f"unknown key {key!r}")
+            except ValueError as e:
+                raise self.error(f"{key} {e}") from None
+        self.line = None
+
+    def error(self, message):
+        return FormatError(message, path=self.path, line=self.line)
+
+    def __missing__(self, key):
+        raise self.error(f"missing '{key}:' line")
+
+    def each(self, lines):
+        """The values of (lineno, value) pairs, each handled at its line."""
+        for self.line, value in lines:
+            yield value
+        self.line = None
+
+    def total(self, table, rows, cols, what):
+        """`table` as tuples, once no cell of it is None."""
+        for row, cells in zip(rows, table):
+            if None in cells:
+                col = cols[cells.index(None)]
+                raise self.error(f"missing {what} for ({row}, {col})")
+        return tuple(map(tuple, table))
+
+    def neutral(self, alphabet):
+        neutral = self.get("neutral")
+        if neutral is not None and neutral not in alphabet:
+            raise self.error(f"neutral letter {neutral!r} not in alphabet")
+        return neutral
+
+
+class _Names(dict):
+    """The position of each of `names`; a lookup of any other name is an
+    unknown `what` of `fields`, or of another noun through `find`."""
+
+    __slots__ = ("fields", "what")
+
+    def __init__(self, fields, names, what):
+        dict.__init__(self, zip(names, range(len(names))))
+        self.fields, self.what = fields, what
+
+    def __missing__(self, name, what=None):
+        raise self.fields.error(f"unknown {what or self.what} {name!r}")
+
+    def find(self, name, what):
+        return self[name] if name in self else self.__missing__(name, what)
 
 
 # ---------------------------------------------------------------------------
@@ -39,61 +130,34 @@ def _split_kv(line, lineno, path):
 
 def parse_algebra(text: str, path=None):
     """Magma with optional accept set; returns (Magma, accept or None)."""
-    elements = None
-    identity = None
-    accept = None
-    table_rows = []
-    in_table = False
-    for lineno, line in _parse_lines(text, path):
-        if in_table and ":" not in line:
-            table_rows.append((lineno, line.split()))
-            continue
-        in_table = False
-        key, rest = _split_kv(line, lineno, path)
-        if key == "elements":
-            elements = tuple(rest.split())
-        elif key == "identity":
-            identity = rest or None
-        elif key == "accept":
-            accept = tuple(rest.split())
-        elif key == "table":
-            in_table = True
-        else:
-            raise FormatError(f"unknown key {key!r}", path=path, line=lineno)
-    if elements is None:
-        raise FormatError("missing 'elements:' line", path=path)
-    index = {e: i for i, e in enumerate(elements)}
+    rows = []  # the colon-free lines after a `table:` line
+
+    def row(f, line, key):
+        if key == "table" and ":" not in line:
+            rows.append((f.line, line.split()))
+            return True
+
+    f = _Fields(text, path, ".alg", row)
+    elements = f["elements"]
+    index = _Names(f, elements, "element")
     if len(index) != len(elements):
-        raise FormatError("duplicate element names", path=path)
-    if len(table_rows) != len(elements):
-        raise FormatError(
-            f"table has {len(table_rows)} rows, need {len(elements)}",
-            path=path)
+        raise f.error("duplicate element names")
+    if len(rows) != len(elements):
+        raise f.error(f"table has {len(rows)} rows, need {len(elements)}")
     table = []
-    for lineno, row in table_rows:
-        if len(row) != len(elements):
-            raise FormatError(
-                f"table row has {len(row)} entries, need {len(elements)}",
-                path=path, line=lineno)
-        try:
-            table.append(tuple(index[e] for e in row))
-        except KeyError as e:
-            raise FormatError(f"unknown element {e.args[0]!r}",
-                              path=path, line=lineno) from None
-    if identity is None:
-        raise FormatError("missing 'identity:' line", path=path)
-    if identity not in index:
-        raise FormatError(f"unknown identity element {identity!r}", path=path)
-    ident_idx = index[identity]
+    for parts in f.each(rows):
+        if len(parts) != len(elements):
+            raise f.error(
+                f"table row has {len(parts)} entries, need {len(elements)}")
+        table.append(tuple([index[e] for e in parts]))
+    identity = f["identity"] or f.__missing__("identity")  # empty is missing
+    identity = index.find(identity, "identity element")
     name = os.path.splitext(os.path.basename(path))[0] if path else "magma"
-    magma = Magma(elements, tuple(table), ident_idx, name=name)
-    accept_idx = None
+    magma = Magma(elements, tuple(table), identity, name=name)
+    accept = f.get("accept")
     if accept is not None:
-        try:
-            accept_idx = frozenset(index[e] for e in accept)
-        except KeyError as e:
-            raise FormatError(f"unknown accept element {e.args[0]!r}", path=path)
-    return magma, accept_idx
+        accept = frozenset([index.find(e, "accept element") for e in accept])
+    return magma, accept
 
 
 def algebra_language(magma: Magma, accept, name=None,
@@ -109,64 +173,24 @@ def algebra_language(magma: Magma, accept, name=None,
 
 def parse_dfa(text: str, path=None):
     """Returns (Dfa, declared_neutral or None)."""
-    states = alphabet = start = finals = None
-    neutral = None
-    trans_lines = []
-    for lineno, line in _parse_lines(text, path):
-        key, rest = _split_kv(line, lineno, path)
-        if key == "states":
-            states = tuple(rest.split())
-        elif key == "alphabet":
-            alphabet = tuple(rest.split())
-        elif key == "start":
-            start = rest
-        elif key == "finals":
-            finals = tuple(rest.split())
-        elif key == "neutral":
-            neutral = rest
-        elif key == "trans":
-            trans_lines.append((lineno, rest.split()))
-        else:
-            raise FormatError(f"unknown key {key!r}", path=path, line=lineno)
-    for what, v in (("states", states), ("alphabet", alphabet),
-                    ("start", start), ("finals", finals)):
-        if v is None:
-            raise FormatError(f"missing '{what}:' line", path=path)
-    sidx = {s: i for i, s in enumerate(states)}
-    aidx = {a: i for i, a in enumerate(alphabet)}
+    f = _Fields(text, path, ".dfa")
+    states, alphabet, start, finals = map(
+        f.__getitem__, ("states", "alphabet", "start", "finals"))
+    sidx = _Names(f, states, "state")
+    aidx = _Names(f, alphabet, "letter")
     table = [[None] * len(alphabet) for _ in states]
-    for lineno, parts in trans_lines:
+    for parts in f.each(f["trans"]):
         if len(parts) != 3:
-            raise FormatError("expected 'trans: q letter q2'",
-                              path=path, line=lineno)
+            raise f.error("expected 'trans: q letter q2'")
         q, a, q2 = parts
-        for v, idx, what in ((q, sidx, "state"), (a, aidx, "letter"),
-                             (q2, sidx, "state")):
-            if v not in idx:
-                raise FormatError(f"unknown {what} {v!r}", path=path, line=lineno)
-        if table[sidx[q]][aidx[a]] is not None:
-            raise FormatError(f"duplicate transition for ({q}, {a})",
-                              path=path, line=lineno)
-        table[sidx[q]][aidx[a]] = sidx[q2]
-    for i, row in enumerate(table):
-        for j, cell in enumerate(row):
-            if cell is None:
-                raise FormatError(
-                    f"missing transition for ({states[i]}, {alphabet[j]})",
-                    path=path)
-    if start not in sidx:
-        raise FormatError(f"unknown start state {start!r}", path=path)
-    fset = set()
-    for f in finals:
-        if f not in sidx:
-            raise FormatError(f"unknown final state {f!r}", path=path)
-        fset.add(sidx[f])
-    dfa = Dfa(states, alphabet, tuple(tuple(r) for r in table), sidx[start],
-              frozenset(fset))
-    if neutral is not None and neutral not in alphabet:
-        raise FormatError(f"neutral letter {neutral!r} not in alphabet",
-                          path=path)
-    return dfa, neutral
+        row, col, target = sidx[q], aidx[a], sidx[q2]
+        if table[row][col] is not None:
+            raise f.error(f"duplicate transition for ({q}, {a})")
+        table[row][col] = target
+    trans = f.total(table, states, alphabet, "transition")
+    dfa = Dfa(states, alphabet, trans, sidx.find(start, "start state"),
+              frozenset([sidx.find(q, "final state") for q in finals]))
+    return dfa, f.neutral(alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -179,149 +203,72 @@ def parse_cfg(text: str, path=None):
     The terminal alphabet order comes from an optional `alphabet:` line,
     otherwise first-use order.
     """
-    start = None
-    neutral = None
-    alphabet = None
-    epsilon = False
     rules = []
-    order = []
-    nts = []
-    seen_nt = set()
-    for lineno, line in _parse_lines(text, path):
-        if "->" in line:
-            lhs, _, rhs = line.partition("->")
-            lhs = lhs.strip()
-            parts = rhs.split()
-            if lhs not in seen_nt:
-                seen_nt.add(lhs)
-                nts.append(lhs)
-            if len(parts) == 1 and len(parts[0]) >= 3 and \
-                    parts[0][0] == parts[0][-1] == "'":
-                letter = parts[0][1:-1]
-                if not letter:
-                    raise FormatError("empty terminal", path=path, line=lineno)
-                if letter not in order:
-                    order.append(letter)
-                rules.append((lhs, letter))
-            elif len(parts) == 2:
-                for nt in parts:
-                    if nt not in seen_nt:
-                        seen_nt.add(nt)
-                        nts.append(nt)
-                rules.append((lhs, (parts[0], parts[1])))
-            else:
-                raise FormatError(
-                    "productions must be `A -> B C` or `A -> 'x'`",
-                    path=path, line=lineno)
-            continue
-        key, rest = _split_kv(line, lineno, path)
-        if key == "start":
-            start = rest
-        elif key == "epsilon":
-            if rest not in ("true", "false"):
-                raise FormatError("epsilon must be true or false",
-                                  path=path, line=lineno)
-            epsilon = rest == "true"
-        elif key == "alphabet":
-            alphabet = tuple(rest.split())
-        elif key == "neutral":
-            neutral = rest
+    nts = {}  # nonterminals, and below terminals, in first-use order
+    order = {}
+
+    def production(f, line, key):
+        if "->" not in line:
+            return False
+        lhs, _, rhs = line.partition("->")
+        lhs = lhs.strip()
+        parts = rhs.split()
+        nts[lhs] = None
+        if len(parts) == 2:
+            nts[parts[0]] = nts[parts[1]] = None
+            rules.append((lhs, tuple(parts)))
+        elif len(parts) == 1 and len(parts[0]) >= 3 and \
+                parts[0][0] == parts[0][-1] == "'":
+            letter = parts[0][1:-1]
+            order[letter] = None
+            rules.append((lhs, letter))
         else:
-            raise FormatError(f"unknown key {key!r}", path=path, line=lineno)
-    if start is None:
-        raise FormatError("missing 'start:' line", path=path)
-    if start not in seen_nt:
-        raise FormatError(f"start symbol {start!r} has no production", path=path)
-    terminals = alphabet if alphabet is not None else tuple(order)
+            raise f.error("productions must be `A -> B C` or `A -> 'x'`")
+        return True
+
+    f = _Fields(text, path, ".cfg", production)
+    start = f["start"]
+    if start not in nts:
+        raise f.error(f"start symbol {start!r} has no production")
+    terminals = f.get("alphabet", tuple(order))
     for letter in order:
         if letter not in terminals:
-            raise FormatError(f"terminal {letter!r} missing from alphabet",
-                              path=path)
-    try:
-        cfg = Cfg.from_rules(tuple(nts), terminals, rules, start,
-                             epsilon_in_language=epsilon)
-    except InvariantViolation as e:
-        raise FormatError(str(e), path=path) from None
-    if neutral is not None and neutral not in terminals:
-        raise FormatError(f"neutral letter {neutral!r} not in alphabet",
-                          path=path)
-    return cfg, terminals, neutral
+            raise f.error(f"terminal {letter!r} missing from alphabet")
+    cfg = Cfg.from_rules(tuple(nts), terminals, rules, start,
+                         epsilon_in_language=f.get("epsilon", False))
+    return cfg, terminals, f.neutral(terminals)
 
 
 # ---------------------------------------------------------------------------
 # Leaf automaton files
 
 def parse_leaf_automaton(text: str, path=None) -> LeafAutomaton:
-    states = inp = leaf = start = None
-    beta_lines = []
-    delta_lines = []
-    for lineno, line in _parse_lines(text, path):
-        key, rest = _split_kv(line, lineno, path)
-        if key == "states":
-            states = tuple(rest.split())
-        elif key == "input":
-            inp = tuple(rest.split())
-        elif key == "leaf":
-            leaf = tuple(rest.split())
-        elif key == "start":
-            start = rest
-        elif key == "beta":
-            beta_lines.append((lineno, rest.split()))
-        elif key == "delta":
-            delta_lines.append((lineno, rest))
-        else:
-            raise FormatError(f"unknown key {key!r}", path=path, line=lineno)
-    for what, v in (("states", states), ("input", inp), ("leaf", leaf),
-                    ("start", start)):
-        if v is None:
-            raise FormatError(f"missing '{what}:' line", path=path)
-    sidx = {s: i for i, s in enumerate(states)}
-    aidx = {a: i for i, a in enumerate(inp)}
+    f = _Fields(text, path, ".leaf")
+    states, inp, leaf, start = map(
+        f.__getitem__, ("states", "input", "leaf", "start"))
+    sidx = _Names(f, states, "state")
+    aidx = _Names(f, inp, "input letter")
     beta = [None] * len(states)
-    for lineno, parts in beta_lines:
+    for parts in f.each(f["beta"]):
         if len(parts) != 2:
-            raise FormatError("expected 'beta: q x'", path=path, line=lineno)
+            raise f.error("expected 'beta: q x'")
         q, x = parts
-        if q not in sidx:
-            raise FormatError(f"unknown state {q!r}", path=path, line=lineno)
+        row = sidx[q]
         if x not in leaf:
-            raise FormatError(f"leaf symbol {x!r} not in leaf alphabet",
-                              path=path, line=lineno)
-        beta[sidx[q]] = x
-    if any(b is None for b in beta):
-        missing = states[beta.index(None)]
-        raise FormatError(f"missing beta for state {missing!r}", path=path)
+            raise f.error(f"leaf symbol {x!r} not in leaf alphabet")
+        beta[row] = x
+    if None in beta:
+        raise f.error(f"missing beta for state {states[beta.index(None)]!r}")
     delta = [[None] * len(inp) for _ in states]
-    for lineno, rest in delta_lines:
-        if "->" not in rest:
-            raise FormatError("expected 'delta: q a -> q1 q2 ...'",
-                              path=path, line=lineno)
+    for rest in f.each(f["delta"]):
         lhs, _, rhs = rest.partition("->")
-        lhs_parts = lhs.split()
-        succ = rhs.split()
-        if len(lhs_parts) != 2 or not succ:
-            raise FormatError("expected 'delta: q a -> q1 q2 ...'",
-                              path=path, line=lineno)
-        q, a = lhs_parts
-        if q not in sidx:
-            raise FormatError(f"unknown state {q!r}", path=path, line=lineno)
-        if a not in aidx:
-            raise FormatError(f"unknown input letter {a!r}",
-                              path=path, line=lineno)
-        try:
-            delta[sidx[q]][aidx[a]] = tuple(sidx[s] for s in succ)
-        except KeyError as e:
-            raise FormatError(f"unknown successor {e.args[0]!r}",
-                              path=path, line=lineno) from None
-    for i, row in enumerate(delta):
-        for j, cell in enumerate(row):
-            if cell is None:
-                raise FormatError(
-                    f"missing delta for ({states[i]}, {inp[j]})", path=path)
-    if start not in sidx:
-        raise FormatError(f"unknown start state {start!r}", path=path)
-    return LeafAutomaton(states, inp, tuple(tuple(r) for r in delta),
-                         sidx[start], leaf, tuple(beta))
+        lhs, succ = lhs.split(), rhs.split()
+        if len(lhs) != 2 or not succ:
+            raise f.error("expected 'delta: q a -> q1 q2 ...'")
+        row, col = sidx[lhs[0]], aidx[lhs[1]]
+        delta[row][col] = tuple([sidx.find(s, "successor") for s in succ])
+    return LeafAutomaton(states, inp, f.total(delta, states, inp, "delta"),
+                         sidx.find(start, "start state"), leaf, tuple(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +276,10 @@ def parse_leaf_automaton(text: str, path=None) -> LeafAutomaton:
 
 def parse_signature(text: str, path=None):
     """Constant signature: a `constants: c1 c2` line."""
-    consts = None
-    for lineno, line in _parse_lines(text, path):
-        key, rest = _split_kv(line, lineno, path)
-        if key == "constants":
-            consts = tuple(rest.split())
-        else:
-            raise FormatError(f"unknown key {key!r}", path=path, line=lineno)
-    if consts is None:
-        raise FormatError("missing 'constants:' line", path=path)
+    f = _Fields(text, path, ".sig")
+    consts = f["constants"]
     if len(set(consts)) != len(consts):
-        raise FormatError("duplicate constant names", path=path)
+        raise f.error("duplicate constant names")
     return consts
 
 
@@ -355,14 +295,7 @@ class Toolbox:
     search_paths: tuple = ()
 
     def language(self, name: str) -> LanguageSpec:
-        from .errors import UnknownLanguage
-        try:
-            return self.languages[name]
-        except KeyError:
-            raise UnknownLanguage(f"language {name!r} not registered") from None
-
-
-_LOADERS = (".alg", ".dfa", ".cfg", ".leaf", ".sig")
+        return resolve_language(self.languages, name)
 
 
 def load_toolbox(paths=()) -> Toolbox:
@@ -371,22 +304,19 @@ def load_toolbox(paths=()) -> Toolbox:
     files = []
     for p in paths:
         if os.path.isdir(p):
-            for entry in sorted(os.listdir(p)):
-                if os.path.splitext(entry)[1] in _LOADERS:
-                    files.append(os.path.join(p, entry))
+            files += [os.path.join(p, entry) for entry in sorted(os.listdir(p))
+                      if os.path.splitext(entry)[1] in _KEYS]
         else:
             files.append(p)
     for path in files:
-        name = os.path.splitext(os.path.basename(path))[0]
-        ext = os.path.splitext(path)[1]
+        name, ext = os.path.splitext(os.path.basename(path))
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as e:
             raise FormatError(str(e), path=path) from None
         if ext == ".alg":
-            magma, accept = parse_algebra(text, path)
-            box.algebras[name] = (magma, accept)
+            magma, accept = box.algebras[name] = parse_algebra(text, path)
             if accept is not None:
                 _register(box, algebra_language(magma, accept, name=name))
         elif ext == ".dfa":

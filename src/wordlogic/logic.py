@@ -447,17 +447,18 @@ def _term_value(ctx, env, t):
     raise InvariantViolation(f"not a term: {t!r}")
 
 
-def _resolve(ctx, name: str) -> LanguageSpec:
+def resolve_language(registry, name: str) -> LanguageSpec:
+    """The language `name` of a registry, which may be None."""
     try:
-        return ctx.registry[name]
-    except KeyError:
+        return registry[name]
+    except (KeyError, TypeError):
         raise UnknownLanguage(f"language {name!r} not registered") from None
 
 
 def _node_spec(ctx, node) -> LanguageSpec:
     """The language of a quantifier node, after the checks each evaluation
     of the node makes before it builds a word."""
-    spec = _resolve(ctx, node.lang)
+    spec = resolve_language(ctx.registry, node.lang)
     if len(node.args) != spec.size - 1:
         raise ArityMismatch(
             f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
@@ -468,8 +469,14 @@ def _node_spec(ctx, node) -> LanguageSpec:
 
 
 def _instance_bits(ctx, node: LindSO) -> int:
-    """Bits of an instance code of the node; 2^bits must be within the cap."""
-    bits = (ctx.n ** node.arity) * len(node.vars)
+    """Bits of an instance code of the node; 2^bits must be within the cap.
+    Past arity 60 on two or more elements, n^arity alone is over 60 bits, so
+    such a node is refused before that power is built."""
+    k = len(node.vars)
+    if ctx.n > 1 and k and node.arity > 60:
+        raise InstanceCapExceeded(
+            f"2^({ctx.n}^{node.arity}*{k}) instances exceed the cap {ctx.cap}")
+    bits = (ctx.n ** node.arity) * k
     if bits > 60 or (1 << bits) > ctx.cap:
         raise InstanceCapExceeded(
             f"2^{bits} instances exceed the cap {ctx.cap}", required=bits

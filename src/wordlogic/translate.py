@@ -23,7 +23,6 @@ from .errors import (
     NonConstantSignature,
     NonMonadicNode,
     ExponentCapExceeded,
-    UnknownLanguage,
     UnknownLetter,
 )
 from .logic import (
@@ -67,6 +66,7 @@ from .logic import (
     iff,
     implies,
     rebuild,
+    resolve_language,
     rewrite,
     terms,
     walk_formulas,
@@ -114,13 +114,6 @@ def _set_lt(gensym, ma, mb):
     z, u = gensym("z"), gensym("u")
     return ExistsFO(z, And(Not(ma(z)), And(mb(z), ForallFO(
         u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
-
-
-def _resolve(registry, name):
-    try:
-        return registry[name]
-    except (KeyError, TypeError):
-        raise UnknownLanguage(f"language {name!r} not registered") from None
 
 
 def _require_neutral_last(spec: LanguageSpec):
@@ -231,7 +224,7 @@ def arity_collapse(formula, registry, *, neutral_check_len=8):
     if not (isinstance(formula, LindSO) and formula.ordering == CONCATENATED):
         raise FragmentViolation(
             "expected a single outer concatenated-ordering quantifier node")
-    spec = _resolve(registry, formula.lang)
+    spec = resolve_language(registry, formula.lang)
     _require_neutral_last(spec)
     if not is_neutral_letter_bounded(spec, spec.declared_neutral,
                                      neutral_check_len):
@@ -427,7 +420,7 @@ def tally_translate_fwd(formula, registry):
         raise FragmentViolation(why)
     for sub in walk_formulas(formula):
         if isinstance(sub, LindSO):
-            _require_neutral_last(_resolve(registry, sub.lang))
+            _require_neutral_last(resolve_language(registry, sub.lang))
         if isinstance(sub, Letter) and sub.letter not in ("1", "0"):
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the binary alphabet")
@@ -475,7 +468,7 @@ def tally_translate_bwd(formula, registry):
             raise FragmentViolation(
                 f"atom {type(sub).__name__} has no counterpart here")
         if isinstance(sub, LindFO):
-            _require_neutral_last(_resolve(registry, sub.lang))
+            _require_neutral_last(resolve_language(registry, sub.lang))
         if isinstance(sub, Letter) and sub.letter != "1":
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the unary alphabet")

@@ -267,3 +267,12 @@ def test_translate_failed_check_prints_no_target(capsys):
         "--formula", "(exists x (letter a x))"])
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "exponent cap" in err
+
+
+def test_eval_huge_arity_is_usage_error(capsys):
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "ab",
+        "--formula", "(Q1 Lexists 5000000000000 (X) (true))"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "instances exceed the cap" in err

@@ -1,10 +1,27 @@
+import dataclasses
+import itertools
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wordlogic.algebra import cyk_member, language_member
-from wordlogic.errors import FormatError, InvariantViolation, UnknownLanguage
+from wordlogic.algebra import (
+    Cfg,
+    Dfa,
+    cyk_member,
+    language_member,
+    pad_language,
+)
+from wordlogic.builtins import builtin_registry
+from wordlogic.errors import (
+    FormatError,
+    InvariantViolation,
+    UnknownLanguage,
+    WordlogicError,
+)
 from wordlogic.formats import (
+    _KEYS,
     Toolbox,
     algebra_language,
     load_toolbox,
@@ -14,7 +31,10 @@ from wordlogic.formats import (
     parse_leaf_automaton,
     parse_signature,
 )
-from wordlogic.leafauto import leaf_string
+from wordlogic.leafauto import LeafAutomaton, leaf_string
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def read(data_dir, name):
@@ -335,3 +355,159 @@ def test_load_toolbox_file_errors(tmp_path):
     assert type(ei.value) is FormatError
     assert str(ei.value) == f"{other}: unrecognized extension '.txt'"
     assert (ei.value.path, ei.value.line) == (str(other), None)
+
+
+def test_data_files_parse_to_known_objects(data_dir, g4):
+    def parse(parser, name):
+        return parser(read(data_dir, name), os.path.join(data_dir, name))
+
+    assert parse(parse_algebra, "g4.alg") == (
+        dataclasses.replace(g4, name="g4"), frozenset({0, 2}))
+    assert parse(parse_dfa, "ends_a.dfa") == (
+        Dfa(("q0", "q1"), ("a", "b"), ((1, 0), (1, 0)), 0, frozenset({1})),
+        None)
+    anbn = Cfg.from_rules(("S", "A", "T", "B"), ("a", "b"), [
+        ("S", ("A", "T")), ("S", ("A", "B")), ("T", ("S", "B")),
+        ("A", "a"), ("B", "b")], "S")
+    assert parse(parse_cfg, "anbn.cfg") == (anbn, ("a", "b"), None)
+    parens = Cfg.from_rules(("S", "L", "T", "R"), ("(", ")"), [
+        ("S", ("L", "T")), ("S", ("L", "R")), ("S", ("S", "S")),
+        ("T", ("S", "R")), ("L", "("), ("R", ")")], "S")
+    assert parse(parse_cfg, "parens.cfg") == (parens, ("(", ")"), None)
+    assert parse(parse_leaf_automaton, "spawn.leaf") == LeafAutomaton(
+        ("p", "q"), ("a",), (((0, 1),), ((1,),)), 0, ("0", "1"), ("0", "1"))
+    assert parse(parse_signature, "sig2.sig") == ("c1", "c2")
+
+
+# `#` starts a comment only as the first non-blank character of a line, so a
+# language padded with the default pad letter `#` can be written as a file.
+def _dfa_text(spec):
+    d = spec.body
+    return "\n".join([
+        "# a DFA padded with #",
+        f"states: {' '.join(d.states)}",
+        f"alphabet: {' '.join(d.alphabet)}",
+        f"start: {d.states[d.start]}",
+        f"finals: {' '.join(d.states[q] for q in sorted(d.finals))}",
+        f"neutral: {spec.declared_neutral}",
+    ] + [f"trans: {d.states[q]} {a} {d.states[row[j]]}"
+         for q, row in enumerate(d.trans) for j, a in enumerate(d.alphabet)])
+
+
+def _cfg_text(spec):
+    g = spec.body
+    nts = g.nonterminals
+    return "\n".join([
+        "  # a grammar padded with #",
+        f"start: {nts[g.start]}",
+        f"alphabet: {' '.join(spec.alphabet)}",
+        f"neutral: {spec.declared_neutral}",
+        f"epsilon: {str(g.epsilon_in_language).lower()}",
+    ] + [f"{nts[a]} -> {nts[b]} {nts[c]}" for a, b, c in g.binary]
+      + [f"{nts[a]} -> '{t}'" for a, t in g.lexical])
+
+
+@pytest.mark.parametrize("base,ext,write", [
+    ("Maj", ".cfg", _cfg_text),
+    ("Lexists", ".dfa", _dfa_text),
+])
+def test_hash_padded_language_round_trips_through_a_file(
+        tmp_path, base, ext, write):
+    spec = pad_language(builtin_registry()[base], "#", name="Padded")
+    text = write(spec)
+    assert "#" in text.split("\n", 1)[1]
+    (tmp_path / ("Padded" + ext)).write_text(text)
+    loaded = load_toolbox([str(tmp_path)]).language("Padded")
+    assert loaded.alphabet == ("1", "0", "#")
+    assert loaded.declared_neutral == "#"
+    for n in range(7):
+        for word in itertools.product(spec.alphabet, repeat=n):
+            assert language_member(loaded, word) == \
+                language_member(spec, word), word
+
+
+def test_hash_is_data_after_the_line_start():
+    dfa, neutral = parse_dfa("states: q\nalphabet: 1 0 #\nstart: q\n"
+                             "finals: q\nneutral: #\n  # comment\n"
+                             "trans: q 1 q\ntrans: q 0 q\ntrans: q # q")
+    assert dfa.alphabet == ("1", "0", "#") and neutral == "#"
+    cfg, alphabet, _ = parse_cfg("start: H\nH -> '#'")
+    assert alphabet == ("#",) and cyk_member(cfg, "#")
+    # what used to be a trailing comment is now data
+    assert parse_signature("constants: c1 # c2") == ("c1", "#", "c2")
+
+
+def test_readme_lists_every_format_key():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## File formats"):]
+    rows = re.findall(r"^\| `(\.\w+)` \| (.*) \|$", section, re.M)
+    listed = {ext: set(re.findall(r"`(\w+)`(\*?)", keys))
+              for ext, keys in rows}
+    declared = {ext: {(key, "") for key in one} | {(key, "*") for key in many}
+                for ext, (one, many) in _KEYS.items()}
+    assert listed == declared
+    assert "first non-blank character is `#` is a comment" in \
+        " ".join(section.split())
+
+
+# Mutated data files: whatever a loader makes of them, it either returns or
+# raises a WordlogicError.
+_DATA_FILES = sorted(f for f in os.listdir(DATA)
+                     if os.path.splitext(f)[1] in _KEYS)
+_TOKENS = ["#", ":", "->", "'", "''", "'#'", "x", "q0", "a", "1", "true",
+           "table:", "trans:", "-", "(", ""]
+
+
+@st.composite
+def _mutants(draw):
+    name = draw(st.sampled_from(_DATA_FILES))
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    index = st.integers(0, 1 << 16)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "dup", "swap", "token", "char"]))
+        if not lines:
+            lines = [draw(st.sampled_from(_TOKENS))]
+        i = draw(index) % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(index) % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            words = lines[i].split() or [""]
+            words[draw(index) % len(words)] = draw(st.sampled_from(_TOKENS))
+            lines[i] = " ".join(words)
+        else:
+            line = lines[i]
+            at = draw(index) % (len(line) + 1)
+            new = draw(st.sampled_from(["", " ", "#", ":", "'", ">", "x"]))
+            lines[i] = line[:at] + new + line[at + draw(st.integers(0, 1)):]
+    return os.path.splitext(name)[1], "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=1000)
+@given(_mutants())
+def test_loaders_fail_only_with_typed_errors(fuzz_dir, mutant):
+    ext, text = mutant
+    for parse in (parse_algebra, parse_dfa, parse_cfg, parse_leaf_automaton,
+                  parse_signature):
+        try:
+            parse(text, "m" + ext)
+        except WordlogicError:
+            pass
+    for old in fuzz_dir.iterdir():
+        old.unlink()
+    (fuzz_dir / ("m" + ext)).write_text(text, encoding="utf-8")
+    try:
+        load_toolbox([str(fuzz_dir)])
+    except WordlogicError:
+        pass

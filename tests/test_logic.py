@@ -17,6 +17,7 @@ from wordlogic.errors import (
     RankOutOfRange,
     UnboundVariable,
     UnknownFragment,
+    UnknownLanguage,
     UnknownLetter,
     WordlogicError,
 )
@@ -45,6 +46,7 @@ from wordlogic.logic import (
     ShuffleBit,
     StringStructure,
     TimesAtom,
+    TrueF,
     Var,
     define_language,
     eliminate_min_max,
@@ -57,6 +59,7 @@ from wordlogic.logic import (
     induced_word,
     instance_rank,
     instance_unrank,
+    resolve_language,
     set_code_value,
     set_from_code_value,
     structure_from_string,
@@ -202,6 +205,33 @@ def test_lindso_instance_cap(registry):
                (ExistsFO("x", InRel("X", (Var("x"),))),))
     with pytest.raises(InstanceCapExceeded):
         evaluate(S("aaaa"), f, registry=registry, instance_cap=8)
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
+def test_lindso_huge_arity_is_refused_before_the_power(registry, evaluator):
+    # n^arity has trillions of bits here; only a refusal can be quick
+    f = LindSO("Lexists", INTERLEAVED, 5 * 10 ** 12, ("X",), (TrueF(),))
+    with pytest.raises(InstanceCapExceeded) as ei:
+        evaluator(S("ab"), f, registry=registry)
+    assert "2^(2^5000000000000*1) instances" in str(ei.value)
+    # below the shortcut the exact bit count is still reported
+    f = LindSO("Lexists", INTERLEAVED, 60, ("X",), (TrueF(),))
+    with pytest.raises(InstanceCapExceeded) as ei:
+        evaluator(S("ab"), f, registry=registry)
+    assert ei.value.required == 2 ** 60
+    # on one element the power is 1 whatever the arity
+    f = LindSO("Lexists", INTERLEAVED, 61, ("X",), (TrueF(),))
+    assert evaluator(S("a"), f, registry=registry)
+
+
+def test_unknown_language_has_one_message(registry):
+    f = LindFO("NoSuch", ("x",), (TrueF(),))
+    for call in (lambda: evaluate(S("a"), f, registry=registry),
+                 lambda: evaluate_reference(S("a"), f, registry=registry),
+                 lambda: resolve_language(None, "NoSuch")):
+        with pytest.raises(UnknownLanguage) as ei:
+            call()
+        assert str(ei.value) == "language 'NoSuch' not registered"
 
 
 def test_shuffle_bit_permutation(registry):
