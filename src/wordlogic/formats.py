@@ -46,10 +46,10 @@ class _Fields(dict):
     """The `key: value` lines of one file in the format `kind`.
 
     A line whose first non-blank character is `#` is a comment; `#` anywhere
-    else is data. `other(self, line, key)` sees every other line first,
-    with the key of the last `key: value` line, and returns true for a line
-    it takes: a table row or a production. Errors made by `error` carry the
-    path, and the line while one is read or handled under `each`.
+    else is data. `other(self, line, key)` sees each other line first, with
+    the last key read, and returns true for a line it takes (a table row, a
+    production). A key with no line reads as an error. Errors carry the path
+    and the line being read or handled under `each`.
     """
 
     __slots__ = ("path", "line")
@@ -70,15 +70,15 @@ class _Fields(dict):
                 raise self.error(f"expected 'key: value', got {line!r}")
             key = key.strip()
             read = one.get(key)
-            try:
-                if read is not None:
+            if read is not None:
+                try:
                     self[key] = read(value.strip())
-                elif key in many:
-                    self[key].append((self.line, many[key](value.strip())))
-                else:
-                    raise self.error(f"unknown key {key!r}")
-            except ValueError as e:
-                raise self.error(f"{key} {e}") from None
+                except ValueError as e:  # a value `read` refuses
+                    raise self.error(f"{key} {e}") from None
+            elif key in many:
+                self[key].append((self.line, many[key](value.strip())))
+            else:
+                raise self.error(f"unknown key {key!r}")
         self.line = None
 
     def error(self, message):
