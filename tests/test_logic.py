@@ -311,6 +311,86 @@ def test_fragment_check_som_monadic_only():
     assert not ok
 
 
+# fragment_check's verdict on each formula for every fragment name, one
+# column per name in _VERDICT_NAMES order: + accepts, - refuses. The
+# verdicts are recorded, not derived, so changing one changes what a
+# fragment means. Diagnostics are not pinned.
+_VERDICT_NAMES = logic.FRAGMENTS + ("FO(+,x)", "Q_L-FO", "FO(Q_L)")
+_VERDICTS = """
++++---++----+++++-+  (true)
++++---++----+++++-+  (false)
++++---++----+++++-+  (= x y)
++++---++----+++++-+  (< min max)
++++---++----+++++-+  (letter a x)
+------------++++---  (in X x)
+-------------------  (in X x y)
+-+-----+-------++--  (plus x y z)
+-+-----+-------++--  (times x y z)
+-+-----+-------++--  (bit x y)
+-+-----+-------++--  (msb-bit x y)
+-+-----+-------++--  (size-bit x)
+-+-----+-------++--  (lt-log x)
+-+-----+-------++--  (lt-pow2 x)
+---------------+---  (set-times X Y Z)
+-+-----+-------++--  (shuffle-bit to_interleaved 0 2 x (A B))
++++---++----+++++-+  (= $c1 x)
++++---++----+++++-+  (not (letter a x))
++++---++----+++++-+  (and (letter a x) (< x y))
++++---++----+++++-+  (or (= x min) (letter b x))
+++----++----+++++-+  (exists x (letter a x))
+++----++----+++++-+  (forall x (or (letter a x) (letter b x)))
+-+-----+-------++--  (exists x (and (letter a x) (bit x x)))
+-+-----+-------++--  (forall x (shuffle-bit to_concatenated 1 2 x (X Y)))
+------------++++---  (existsSO X (exists x (in X x)))
+-------------------  (existsSO X (exists x (in X x x)))
+---------------+---  (existsSO X (exists x (and (in X x) (lt-log x))))
+---------------+---  (existsSO X (existsSO Y (set-times X Y X)))
+---+++++---------++  (Q Lexists (x) (letter a x))
+---+++++---------++  (Q Lexists (x) (not (= x $c1)))
+----++++---------++  (Q Lexists (x) (exists y (< x y)))
+-----+-+-----------  (Q Lexists (x) (plus x x x))
+------++----------+  (Q Lexists (x) (Q Lforall (y) (< x y)))
+-------------------  (Q Lexists (x) (set-times X Y Z))
+-------------------  (Q Lexists (x) (in X x))
+---+++++---------++  (Q Maj (x) (letter a x) (letter b x))
+------++----------+  (exists x (Q Lexists (y) (< x y)))
+----------++--++---  (Qstar Lexists 1 (X) (exists x (in X x)))
+--------++---+-----  (Q1 Lexists 1 (X) (exists x (in X x)))
+--------------++---  (Qstar Lexists 1 (X) (exists x (in Y x)))
+--------------++---  (Qstar Lexists 1 (X) (in X min) (in Y min))
+----------++-------  (Qstar Lexists 2 (X) (exists x (in X x x)))
+--------++---------  (Q1 Lexists 3 (X) (in X x y z))
+--------------++---  (Qstar Lexists 1 (X) (existsSO Y (in Y min)))
+--------------++---  (Qstar Lexists 1 (X) (Qstar Lexists 1 (Y) (in Y min)))
+----------++-------  (Qstar Lexists 1 (X) (Q Lexists (x) (in X x)))
+-----------+---+---  (Qstar Lexists 1 (X) (and (in X min) (plus min min min)))
+-----------+---+---  (Qstar Lexists 1 (X Y) (set-times X Y X))
+---------+---------  (Q1 Lexists 1 (X Y) (shuffle-bit to_interleaved 0 2 min (X Y)))
+----------++--++---  (Qstar Lexists 1 (X) (letter a min))
+--------------++---  (existsSO X (Qstar Lexists 1 (Y) (in Y min)))
+-------------+-----  (existsSO X (Q1 Lexists 1 (Y) (in X min)))
+-------------------  (exists x (Qstar Lexists 2 (Y) (in Y x x)))
+-------------------  (existsSO X (Qstar Lexists 1 (Y) (in X x y)))
+---------------+---  (and (Qstar Lexists 1 (X) (in X min)) (exists x (plus x x x)))
+-------------------  (or (Q1 Lexists 1 (X) (in X min)) (Qstar Lexists 1 (Y) (in Y max)))
+---------------+---  (not (Qstar Lexists 1 (X) (msb-bit min max)))
+"""
+
+
+def test_fragment_verdict_table():
+    rows = [line.split("  ", 1) for line in _VERDICTS.strip().splitlines()]
+    assert len(rows) >= 40
+    seen = set()
+    for verdicts, text in rows:
+        f = parse_formula(text)
+        seen.update(type(g) for g in logic.walk_formulas(f))
+        got = "".join("+" if fragment_check(f, name)[0] else "-"
+                      for name in _VERDICT_NAMES)
+        assert got == verdicts, text
+    assert seen == (set(logic.SUBFORMULA_FIELDS) | set(logic.TERM_FIELDS)
+                    | set(logic.LEAF_FORMULAS))
+
+
 def test_settimes_atom():
     st = S("aaaa")
     env = {"X": frozenset({(1,)}), "Y": frozenset({(1,)}),
