@@ -1332,129 +1332,79 @@ def eliminate_min_max(f, counter=None):
 
 # ---------------------------------------------------------------------------
 # Fragments
+#
+# FRAGMENT_TABLE has one row per fragment name, aliases included:
+# (outer, allowed, ordering, relations). outer is the outermost node the
+# fragment requires, LindFO, LindSO or None; allowed holds the node classes
+# allowed below it, or in the whole formula when outer is None. Every
+# LindSO, outermost or not, uses the row's ordering unless that is None.
+# relations is the side rule for relation atoms: "monadic" (every InRel and
+# every LindSO is monadic) or "outer" (an InRel reads only a variable of the
+# outermost node).
 
+CONNECTIVES = (TrueF, FalseF, Not, And, Or)
+ORDER_ATOMS = (Eq, Lt, Letter)
 ARITH_ATOMS = (PlusAtom, TimesAtom, BitAtom, HighBit, SizeBit, LtLog,
                LtPowLog, SetTimes, ShuffleBit)
+FO_BINDERS = (ExistsFO, ForallFO)
 
-FRAGMENTS = (
-    "FO", "FO+arith", "qfree-no-arith", "Q-qfree-no-arith",
-    "QL-FO", "QL-FO+arith", "FO(QL)", "FO(QL)+arith",
-    "Q1-FO", "Q1-FO+arith", "Qstar-FO", "Qstar-FO+arith",
-    "SOM", "SOM(Q1)", "SOM(Qstar)", "SOM(Qstar)+arith",
-)
+_QFREE = frozenset(CONNECTIVES + ORDER_ATOMS)
+_FO = _QFREE.union(FO_BINDERS)
+_FO_ARITH = _FO.union(ARITH_ATOMS) - {SetTimes}
+_SO_ARGS = _FO | {LindFO, InRel}
+_SOM = _FO | {ExistsSO, InRel}
+_SOMQ = _SOM | {LindSO}
 
-_ALIASES = {
-    "FO(+,x)": "FO+arith",
-    "Q_L-FO": "QL-FO",
-    "FO(Q_L)": "FO(QL)",
+FRAGMENT_TABLE = {
+    "FO": (None, _FO, None, None),
+    "FO+arith": (None, _FO_ARITH, None, None),
+    "qfree-no-arith": (None, _QFREE, None, None),
+    "Q-qfree-no-arith": (LindFO, _QFREE, None, None),
+    "QL-FO": (LindFO, _FO, None, None),
+    "QL-FO+arith": (LindFO, _FO_ARITH, None, None),
+    "FO(QL)": (None, _FO | {LindFO}, None, None),
+    "FO(QL)+arith": (None, _FO_ARITH | {LindFO}, None, None),
+    "Q1-FO": (LindSO, _SO_ARGS, INTERLEAVED, "outer"),
+    "Q1-FO+arith": (LindSO, _SO_ARGS.union(ARITH_ATOMS), INTERLEAVED,
+                    "outer"),
+    "Qstar-FO": (LindSO, _SO_ARGS, CONCATENATED, "outer"),
+    "Qstar-FO+arith": (LindSO, _SO_ARGS.union(ARITH_ATOMS), CONCATENATED,
+                       "outer"),
+    "SOM": (None, _SOM, None, "monadic"),
+    "SOM(Q1)": (None, _SOMQ, INTERLEAVED, "monadic"),
+    "SOM(Qstar)": (None, _SOMQ, CONCATENATED, "monadic"),
+    "SOM(Qstar)+arith": (None, _SOMQ.union(ARITH_ATOMS), CONCATENATED,
+                         "monadic"),
 }
+FRAGMENTS = tuple(FRAGMENT_TABLE)
+FRAGMENT_TABLE["FO(+,x)"] = FRAGMENT_TABLE["FO+arith"]
+FRAGMENT_TABLE["Q_L-FO"] = FRAGMENT_TABLE["QL-FO"]
+FRAGMENT_TABLE["FO(Q_L)"] = FRAGMENT_TABLE["FO(QL)"]
 
 
 def fragment_check(formula, fragment: str):
-    """Shape test for the named fragment; returns (ok, diagnostic)."""
-    fragment = _ALIASES.get(fragment, fragment)
-    if fragment not in FRAGMENTS:
-        raise UnknownFragment(f"unknown fragment {fragment!r}")
-    arith = fragment.endswith("+arith")
-    base = fragment[:-6] if arith else fragment
+    """Shape test for the named fragment; returns (ok, diagnostic).
 
-    def no_arith(node):
-        for sub in walk_formulas(node):
-            if isinstance(sub, ARITH_ATOMS):
-                return f"arithmetic atom {type(sub).__name__} present"
-        return None
-
-    def no_so(node):
-        for sub in walk_formulas(node):
-            if isinstance(sub, (ExistsSO, LindSO)):
-                return f"second-order construct {type(sub).__name__} present"
-            if isinstance(sub, InRel):
-                return f"relation atom on {sub.rel!r} present"
-            if isinstance(sub, SetTimes):
-                return "set-arithmetic atom present"
-        return None
-
-    def no_lind(node):
-        for sub in walk_formulas(node):
-            if isinstance(sub, (LindFO, LindSO)):
-                return f"generalized quantifier {type(sub).__name__} present"
-        return None
-
-    def no_quant(node):
-        for sub in walk_formulas(node):
-            if isinstance(sub, (ExistsFO, ForallFO, ExistsSO, LindFO, LindSO)):
-                return f"quantifier {type(sub).__name__} present"
-        return None
-
-    def fo_args_ok(node, allow_inrel_of):
-        # FO body: no SO quantifiers, no LindSO; InRel only on listed names
-        for sub in walk_formulas(node):
-            if isinstance(sub, (ExistsSO, LindSO)):
-                return f"nested second-order {type(sub).__name__}"
-            if isinstance(sub, InRel) and sub.rel not in allow_inrel_of:
-                return f"relation atom on foreign variable {sub.rel!r}"
-        return None
-
-    bad = None
-    if base == "FO":
-        bad = no_so(formula) or no_lind(formula) or (None if arith else no_arith(formula))
-    elif base == "qfree-no-arith":
-        bad = no_quant(formula) or no_so(formula) or no_arith(formula)
-    elif base == "Q-qfree-no-arith":
-        if not isinstance(formula, LindFO):
-            bad = "outermost node is not a first-order generalized quantifier"
-        else:
-            for a in formula.args:
-                bad = no_quant(a) or no_so(a) or no_arith(a)
-                if bad:
-                    break
-    elif base == "QL-FO":
-        if not isinstance(formula, LindFO):
-            bad = "outermost node is not a first-order generalized quantifier"
-        else:
-            for a in formula.args:
-                bad = no_so(a) or no_lind(a) or (None if arith else no_arith(a))
-                if bad:
-                    break
-    elif base == "FO(QL)":
-        bad = no_so(formula) or (None if arith else no_arith(formula))
-    elif base in ("Q1-FO", "Qstar-FO"):
-        want = INTERLEAVED if base == "Q1-FO" else CONCATENATED
-        if not isinstance(formula, LindSO):
-            bad = "outermost node is not a second-order generalized quantifier"
-        elif formula.ordering != want:
-            bad = f"outer quantifier uses the {formula.ordering} ordering"
-        else:
-            for a in formula.args:
-                bad = fo_args_ok(a, set(formula.vars)) or (
-                    None if arith else no_arith(a))
-                if bad:
-                    break
-    elif base == "SOM":
-        bad = no_lind(formula) or no_arith(formula)
-        if bad is None:
-            for sub in walk_formulas(formula):
-                if isinstance(sub, InRel) and len(sub.args) != 1:
-                    bad = f"non-monadic relation atom on {sub.rel!r}"
-                    break
-    elif base in ("SOM(Q1)", "SOM(Qstar)"):
-        want = INTERLEAVED if base == "SOM(Q1)" else CONCATENATED
-        for sub in walk_formulas(formula):
-            if isinstance(sub, LindFO):
-                bad = "first-order generalized quantifier present"
-                break
-            if isinstance(sub, LindSO):
-                if sub.ordering != want:
-                    bad = f"quantifier with the {sub.ordering} ordering present"
-                    break
-                if sub.arity != 1:
-                    bad = "non-monadic second-order quantifier present"
-                    break
-            if isinstance(sub, InRel) and len(sub.args) != 1:
-                bad = f"non-monadic relation atom on {sub.rel!r}"
-                break
-        if bad is None and not arith:
-            bad = no_arith(formula)
-    if bad is None:
-        return True, "ok"
-    return False, bad
+    Walks the formula once, root first, and reports the first node that
+    the fragment's row in FRAGMENT_TABLE refuses."""
+    try:
+        outer, allowed, ordering, relations = FRAGMENT_TABLE[fragment]
+    except KeyError:
+        raise UnknownFragment(f"unknown fragment {fragment!r}") from None
+    if outer is not None and type(formula) is not outer:
+        return False, f"outermost node is not {outer.__name__}"
+    for node in walk_formulas(formula):
+        ty = type(node)
+        if ty not in allowed and (outer is None or node is not formula):
+            return False, f"{ty.__name__} is not allowed in {fragment}"
+        if ty is LindSO:
+            if ordering not in (None, node.ordering):
+                return False, f"LindSO uses the {node.ordering} ordering"
+            if relations == "monadic" and node.arity != 1:
+                return False, f"LindSO of arity {node.arity} is not monadic"
+        elif ty is InRel:
+            if relations == "monadic" and len(node.args) != 1:
+                return False, f"non-monadic relation atom on {node.rel!r}"
+            if relations == "outer" and node.rel not in formula.vars:
+                return False, f"relation atom on foreign variable {node.rel!r}"
+    return True, "ok"
