@@ -469,18 +469,24 @@ def _node_spec(ctx, node) -> LanguageSpec:
 
 
 def _instance_bits(ctx, node: LindSO) -> int:
-    """Bits of an instance code of the node; 2^bits must be within the cap.
+    """Bits of an instance code of the node; 2^bits must be within the cap,
+    and so must the size of its code layout, n^arity tuples of arity entries.
     Past arity 60 on two or more elements, n^arity alone is over 60 bits, so
     such a node is refused before that power is built."""
     k = len(node.vars)
     if ctx.n > 1 and k and node.arity > 60:
         raise InstanceCapExceeded(
             f"2^({ctx.n}^{node.arity}*{k}) instances exceed the cap {ctx.cap}")
-    bits = (ctx.n ** node.arity) * k
+    tuples = ctx.n ** node.arity
+    bits = tuples * k
     if bits > 60 or (1 << bits) > ctx.cap:
         raise InstanceCapExceeded(
             f"2^{bits} instances exceed the cap {ctx.cap}", required=bits
         )
+    if tuples * node.arity > ctx.cap:
+        raise InstanceCapExceeded(
+            f"{tuples} tuples of arity {node.arity} exceed the cap {ctx.cap}",
+            required=tuples * node.arity)
     return bits
 
 

@@ -276,3 +276,12 @@ def test_eval_huge_arity_is_usage_error(capsys):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "instances exceed the cap" in err
+
+
+def test_eval_huge_arity_on_one_element_is_usage_error(capsys):
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "a",
+        "--formula", "(Q1 Lexists 5000000000000 (X) (true))"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "tuples of arity 5000000000000 exceed the cap" in err

@@ -224,6 +224,28 @@ def test_lindso_huge_arity_is_refused_before_the_power(registry, evaluator):
     assert evaluator(S("a"), f, registry=registry)
 
 
+# On one element there is one tuple, but its code layout holds `arity`
+# entries; past the cap that layout is refused before it is built.
+_ONE_ELEMENT_HUGE = LindSO("Lexists", INTERLEAVED, 5 * 10 ** 12, ("X",),
+                           (TrueF(),))
+
+
+@pytest.mark.parametrize("evaluator", [
+    evaluate, evaluate_reference,
+    lambda st, f, **kw: induced_word(st, {}, f, **kw)])
+def test_one_element_huge_arity_is_refused_before_the_layout(registry,
+                                                             evaluator):
+    with pytest.raises(InstanceCapExceeded) as ei:
+        evaluator(S("a"), _ONE_ELEMENT_HUGE, registry=registry)
+    assert ei.value.required == 5 * 10 ** 12
+    assert "1 tuples of arity 5000000000000 exceed the cap" in str(ei.value)
+    # the layout is measured against the cap it is given
+    f = LindSO("Lexists", INTERLEAVED, 9, ("X",), (TrueF(),))
+    with pytest.raises(InstanceCapExceeded):
+        evaluator(S("a"), f, registry=registry, instance_cap=8)
+    assert evaluator(S("a"), f, registry=registry, instance_cap=9)
+
+
 def test_unknown_language_has_one_message(registry):
     f = LindFO("NoSuch", ("x",), (TrueF(),))
     for call in (lambda: evaluate(S("a"), f, registry=registry),
