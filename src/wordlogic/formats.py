@@ -316,29 +316,34 @@ def load_toolbox(paths=()) -> Toolbox:
         except OSError as e:
             raise FormatError(str(e), path=path) from None
         if ext == ".alg":
-            magma, accept = box.algebras[name] = parse_algebra(text, path)
+            magma, accept = _add(box.algebras, "algebra", name,
+                                 parse_algebra(text, path))
             if accept is not None:
-                _register(box, algebra_language(magma, accept, name=name))
+                _add(box.languages, "language name", name,
+                     algebra_language(magma, accept, name=name))
         elif ext == ".dfa":
             dfa, neutral = parse_dfa(text, path)
-            _register(box, LanguageSpec(name, dfa.alphabet, dfa,
-                                        declared_neutral=neutral))
+            _add(box.languages, "language name", name,
+                 LanguageSpec(name, dfa.alphabet, dfa,
+                              declared_neutral=neutral))
         elif ext == ".cfg":
             cfg, alphabet, neutral = parse_cfg(text, path)
-            _register(box, LanguageSpec(name, alphabet, cfg,
-                                        declared_neutral=neutral))
+            _add(box.languages, "language name", name,
+                 LanguageSpec(name, alphabet, cfg, declared_neutral=neutral))
         elif ext == ".leaf":
-            if name in box.leaf_automata:
-                raise InvariantViolation(f"duplicate leaf automaton {name!r}")
-            box.leaf_automata[name] = parse_leaf_automaton(text, path)
+            _add(box.leaf_automata, "leaf automaton", name,
+                 parse_leaf_automaton(text, path))
         elif ext == ".sig":
-            box.signatures[name] = parse_signature(text, path)
+            _add(box.signatures, "signature", name,
+                 parse_signature(text, path))
         else:
             raise FormatError(f"unrecognized extension {ext!r}", path=path)
     return box
 
 
-def _register(box: Toolbox, spec: LanguageSpec):
-    if spec.name in box.languages:
-        raise InvariantViolation(f"duplicate language name {spec.name!r}")
-    box.languages[spec.name] = spec
+def _add(table: dict, what: str, name: str, value):
+    """table[name] = value, refusing a name the table already holds."""
+    if name in table:
+        raise InvariantViolation(f"duplicate {what} {name!r}")
+    table[name] = value
+    return value

@@ -195,6 +195,23 @@ def test_load_toolbox_duplicate_names(tmp_path, data_dir):
         load_toolbox([str(tmp_path)])
 
 
+@pytest.mark.parametrize("ext,first,second,msg", [
+    ("alg", "g4.alg", "elements: e\nidentity: e\ntable:\ne\n",
+     "duplicate algebra 'g'"),
+    ("sig", "sig2.sig", "constants: c\n", "duplicate signature 'g'"),
+])
+def test_load_toolbox_refuses_a_stem_in_two_directories(
+        tmp_path, data_dir, ext, first, second, msg):
+    # a later file of the same stem must not replace the earlier one
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d, text in zip(dirs, (read(data_dir, first), second)):
+        d.mkdir()
+        (d / f"g.{ext}").write_text(text)
+    with pytest.raises(InvariantViolation) as ei:
+        load_toolbox([str(d) for d in dirs])
+    assert str(ei.value) == msg
+
+
 # Every loader error, pinned whole: the exception type, the full message with
 # its `path:line:` prefix, and `.line`. One input at least per reachable
 # error site.
