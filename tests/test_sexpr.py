@@ -2,6 +2,7 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordlogic.builtins import builtin_registry
 from wordlogic.errors import (
@@ -289,3 +290,49 @@ def test_grammars_in_the_docs_list_every_head():
     block = readme.split("## Formula syntax", 1)[1].split("```")[1]
     assert set(sexpr._SYNTAX) <= _grammar_heads(block)
     assert set(sexpr._SYNTAX) <= _grammar_heads(sexpr.__doc__)
+
+
+# Token soup and mutated corpus lines: whatever parse_formula makes of them,
+# with or without a registry, it returns a formula or raises a
+# WordlogicError.
+with open(os.path.join(os.path.dirname(__file__), "data", "formulas.txt"),
+          encoding="utf-8") as _fh:
+    _CORPUS = [ln.strip() for ln in _fh if ln.strip()]
+_WORDS = sorted(sexpr._SYNTAX) + [
+    "x", "y", "X", "min", "max", "$c1", "a", "0", "1", "2", "-1",
+    str(1 << 70), "Lexists", "Maj", "NoSuch", "to_interleaved",
+    "to_concatenated"]
+_SOUP = _WORDS + ["(", ")", "(", ")", "()", "$", ";", "\n", "\u00e9", "'",
+                  ""]
+_REGISTRY = builtin_registry()
+
+
+@st.composite
+def _mutated_line(draw):
+    line = draw(st.sampled_from(_CORPUS))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            # swap one word for another, keeping the brackets balanced
+            words = re.findall(r"[()]|[^\s()]+", line)
+            at = draw(st.integers(0, len(words) - 1))
+            if words[at] not in ("(", ")"):
+                words[at] = draw(st.sampled_from(_WORDS))
+            line = " ".join(words)
+        else:
+            at = draw(st.integers(0, len(line)))
+            cut = draw(st.integers(0, 3))
+            piece = draw(st.sampled_from(_SOUP + [" "]))
+            line = line[:at] + piece + line[at + cut:]
+    return line
+
+
+_soup = st.lists(st.sampled_from(_SOUP), max_size=24).map(" ".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(_soup, _mutated_line()), st.booleans())
+def test_parse_formula_fails_only_with_typed_errors(text, with_registry):
+    try:
+        parse_formula(text, _REGISTRY if with_registry else None)
+    except WordlogicError:
+        pass
