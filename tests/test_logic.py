@@ -1,7 +1,9 @@
 import collections
 import dataclasses
 import itertools
+import os
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -411,6 +413,44 @@ def test_fragment_verdict_table():
         assert got == verdicts, text
     assert seen == (set(logic.SUBFORMULA_FIELDS) | set(logic.TERM_FIELDS)
                     | set(logic.LEAF_FORMULAS))
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _classes(cell):
+    """The node classes named in a README cell: classes and class groups,
+    less those after 'but not'."""
+    keep, _, drop = cell.partition("but not")
+    named = [set(re.findall(r"`(\w+)`", part)) for part in (keep, drop)]
+    out = [set(), set()]
+    for names, into in zip(named, out):
+        for name in names:
+            value = getattr(logic, name)
+            into.update(value if isinstance(value, tuple) else (value,))
+    return frozenset(out[0] - out[1])
+
+
+def test_readme_fragment_table_is_the_code_table():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Fragments"):text.index("## Install")]
+    prose = " ".join(section.split())
+    for group, members in re.findall(r"`([A-Z_]+)` \(((?:`\w+` ?)+)\)",
+                                     prose):
+        assert tuple(re.findall(r"`(\w+)`", members)) == tuple(
+            cls.__name__ for cls in getattr(logic, group)), group
+    listed = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) != 5 or not cells[0].startswith("`"):
+            continue
+        names, outer, allowed, ordering, relations = cells
+        row = (getattr(logic, outer.strip("`")) if outer else None,
+               _classes(allowed), ordering or None, relations or None)
+        for name in re.findall(r"`([^`]+)`", names):
+            listed[name] = row
+    assert listed == logic.FRAGMENT_TABLE
 
 
 def test_settimes_atom():
