@@ -1339,14 +1339,12 @@ def eliminate_min_max(f, counter=None):
 # ---------------------------------------------------------------------------
 # Fragments
 #
-# FRAGMENT_TABLE has one row per fragment name, aliases included:
-# (outer, allowed, ordering, relations). outer is the outermost node the
-# fragment requires, LindFO, LindSO or None; allowed holds the node classes
-# allowed below it, or in the whole formula when outer is None. Every
-# LindSO, outermost or not, uses the row's ordering unless that is None.
-# relations is the side rule for relation atoms: "monadic" (every InRel and
-# every LindSO is monadic) or "outer" (an InRel reads only a variable of the
-# outermost node).
+# FRAGMENT_TABLE maps each fragment name, aliases included, to a row
+# (outer, allowed, ordering, relations): the outermost node required
+# (LindFO, LindSO or None), the node classes allowed below it (in the whole
+# formula when there is none), the ordering every LindSO must use (or None),
+# and the side rule for relation atoms: "monadic" (every InRel and LindSO is
+# monadic) or "outer" (an InRel reads only the outermost node's variables).
 
 CONNECTIVES = (TrueF, FalseF, Not, And, Or)
 ORDER_ATOMS = (Eq, Lt, Letter)
@@ -1358,6 +1356,7 @@ _QFREE = frozenset(CONNECTIVES + ORDER_ATOMS)
 _FO = _QFREE.union(FO_BINDERS)
 _FO_ARITH = _FO.union(ARITH_ATOMS) - {SetTimes}
 _SO_ARGS = _FO | {LindFO, InRel}
+_SO_ARGS_ARITH = _SO_ARGS.union(ARITH_ATOMS)
 _SOM = _FO | {ExistsSO, InRel}
 _SOMQ = _SOM | {LindSO}
 
@@ -1371,11 +1370,9 @@ FRAGMENT_TABLE = {
     "FO(QL)": (None, _FO | {LindFO}, None, None),
     "FO(QL)+arith": (None, _FO_ARITH | {LindFO}, None, None),
     "Q1-FO": (LindSO, _SO_ARGS, INTERLEAVED, "outer"),
-    "Q1-FO+arith": (LindSO, _SO_ARGS.union(ARITH_ATOMS), INTERLEAVED,
-                    "outer"),
+    "Q1-FO+arith": (LindSO, _SO_ARGS_ARITH, INTERLEAVED, "outer"),
     "Qstar-FO": (LindSO, _SO_ARGS, CONCATENATED, "outer"),
-    "Qstar-FO+arith": (LindSO, _SO_ARGS.union(ARITH_ATOMS), CONCATENATED,
-                       "outer"),
+    "Qstar-FO+arith": (LindSO, _SO_ARGS_ARITH, CONCATENATED, "outer"),
     "SOM": (None, _SOM, None, "monadic"),
     "SOM(Q1)": (None, _SOMQ, INTERLEAVED, "monadic"),
     "SOM(Qstar)": (None, _SOMQ, CONCATENATED, "monadic"),
