@@ -309,20 +309,18 @@ _REGISTRY = builtin_registry()
 
 @st.composite
 def _mutated_line(draw):
-    line = draw(st.sampled_from(_CORPUS))
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            # swap one word for another, keeping the brackets balanced
-            words = re.findall(r"[()]|[^\s()]+", line)
-            at = draw(st.integers(0, len(words) - 1))
-            if words[at] not in ("(", ")"):
-                words[at] = draw(st.sampled_from(_WORDS))
-            line = " ".join(words)
-        else:
-            at = draw(st.integers(0, len(line)))
-            cut = draw(st.integers(0, 3))
-            piece = draw(st.sampled_from(_SOUP + [" "]))
-            line = line[:at] + piece + line[at + cut:]
+    """A corpus line with one or two words swapped for others, brackets
+    kept balanced, and sometimes one character-level edit on top."""
+    words = re.findall(r"[()]|[^\s()]+", draw(st.sampled_from(_CORPUS)))
+    spots = [i for i, w in enumerate(words) if w not in ("(", ")")]
+    for _ in range(draw(st.integers(1, 2))):
+        words[draw(st.sampled_from(spots))] = draw(st.sampled_from(_WORDS))
+    line = " ".join(words)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(line)))
+        cut = draw(st.integers(0, 3))
+        piece = draw(st.sampled_from(_SOUP + [" "]))
+        line = line[:at] + piece + line[at + cut:]
     return line
 
 
@@ -330,9 +328,10 @@ _soup = st.lists(st.sampled_from(_SOUP), max_size=24).map(" ".join)
 
 
 @settings(max_examples=500)
-@given(st.one_of(_soup, _mutated_line()), st.booleans())
-def test_parse_formula_fails_only_with_typed_errors(text, with_registry):
-    try:
-        parse_formula(text, _REGISTRY if with_registry else None)
-    except WordlogicError:
-        pass
+@given(_soup, _mutated_line(), st.booleans())
+def test_parse_formula_fails_only_with_typed_errors(soup, line, with_registry):
+    for text in (soup, line):
+        try:
+            parse_formula(text, _REGISTRY if with_registry else None)
+        except WordlogicError:
+            pass
