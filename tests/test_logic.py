@@ -209,7 +209,11 @@ def test_lindso_instance_cap(registry):
         evaluate(S("aaaa"), f, registry=registry, instance_cap=8)
 
 
-@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
+def _induced(struct, f, **kw):
+    return induced_word(struct, {}, f, **kw)
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference, _induced])
 def test_lindso_huge_arity_is_refused_before_the_power(registry, evaluator):
     # n^arity has trillions of bits here; only a refusal can be quick
     f = LindSO("Lexists", INTERLEAVED, 5 * 10 ** 12, ("X",), (TrueF(),))
@@ -224,24 +228,13 @@ def test_lindso_huge_arity_is_refused_before_the_power(registry, evaluator):
     # on one element the power is 1 whatever the arity
     f = LindSO("Lexists", INTERLEAVED, 61, ("X",), (TrueF(),))
     assert evaluator(S("a"), f, registry=registry)
-
-
-# On one element there is one tuple, but its code layout holds `arity`
-# entries; past the cap that layout is refused before it is built.
-_ONE_ELEMENT_HUGE = LindSO("Lexists", INTERLEAVED, 5 * 10 ** 12, ("X",),
-                           (TrueF(),))
-
-
-@pytest.mark.parametrize("evaluator", [
-    evaluate, evaluate_reference,
-    lambda st, f, **kw: induced_word(st, {}, f, **kw)])
-def test_one_element_huge_arity_is_refused_before_the_layout(registry,
-                                                             evaluator):
+    # but the code layout holds arity entries, and past the cap it is
+    # refused before it is built
+    f = LindSO("Lexists", INTERLEAVED, 5 * 10 ** 12, ("X",), (TrueF(),))
     with pytest.raises(InstanceCapExceeded) as ei:
-        evaluator(S("a"), _ONE_ELEMENT_HUGE, registry=registry)
+        evaluator(S("a"), f, registry=registry)
     assert ei.value.required == 5 * 10 ** 12
     assert "1 tuples of arity 5000000000000 exceed the cap" in str(ei.value)
-    # the layout is measured against the cap it is given
     f = LindSO("Lexists", INTERLEAVED, 9, ("X",), (TrueF(),))
     with pytest.raises(InstanceCapExceeded):
         evaluator(S("a"), f, registry=registry, instance_cap=8)
@@ -411,8 +404,7 @@ def test_fragment_verdict_table():
         got = "".join("+" if fragment_check(f, name)[0] else "-"
                       for name in _VERDICT_NAMES)
         assert got == verdicts, text
-    assert seen == (set(logic.SUBFORMULA_FIELDS) | set(logic.TERM_FIELDS)
-                    | set(logic.LEAF_FORMULAS))
+    assert seen == _formula_classes()
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
