@@ -1359,6 +1359,7 @@ _SO_ARGS = _FO | {LindFO, InRel}
 _SO_ARGS_ARITH = _SO_ARGS.union(ARITH_ATOMS)
 _SOM = _FO | {ExistsSO, InRel}
 _SOMQ = _SOM | {LindSO}
+_SOMQ_ARITH = _SOMQ.union(ARITH_ATOMS)
 
 FRAGMENT_TABLE = {
     "FO": (None, _FO, None, None),
@@ -1376,8 +1377,7 @@ FRAGMENT_TABLE = {
     "SOM": (None, _SOM, None, "monadic"),
     "SOM(Q1)": (None, _SOMQ, INTERLEAVED, "monadic"),
     "SOM(Qstar)": (None, _SOMQ, CONCATENATED, "monadic"),
-    "SOM(Qstar)+arith": (None, _SOMQ.union(ARITH_ATOMS), CONCATENATED,
-                         "monadic"),
+    "SOM(Qstar)+arith": (None, _SOMQ_ARITH, CONCATENATED, "monadic"),
 }
 FRAGMENTS = tuple(FRAGMENT_TABLE)
 FRAGMENT_TABLE["FO(+,x)"] = FRAGMENT_TABLE["FO+arith"]
