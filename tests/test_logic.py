@@ -410,17 +410,20 @@ def test_fragment_verdict_table():
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
+def _named_classes(text):
+    """The node classes named in text, as classes or class groups."""
+    out = set()
+    for name in re.findall(r"`(\w+)`", text):
+        value = getattr(logic, name)
+        out.update(value if isinstance(value, tuple) else (value,))
+    return out
+
+
 def _classes(cell):
-    """The node classes named in a README cell: classes and class groups,
-    less those after 'but not'."""
+    """The node classes a README cell allows: those it names, less those
+    named after 'but not'."""
     keep, _, drop = cell.partition("but not")
-    named = [set(re.findall(r"`(\w+)`", part)) for part in (keep, drop)]
-    out = [set(), set()]
-    for names, into in zip(named, out):
-        for name in names:
-            value = getattr(logic, name)
-            into.update(value if isinstance(value, tuple) else (value,))
-    return frozenset(out[0] - out[1])
+    return frozenset(_named_classes(keep) - _named_classes(drop))
 
 
 def test_readme_fragment_table_is_the_code_table():
