@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_, or_, rshift
+from functools import cache, cached_property, reduce
+from operator import and_, not_, or_, rshift
 
 from .errors import (
     EmptyWord,
@@ -24,6 +24,8 @@ from .errors import (
 )
 
 BRACKETING_CAP = 12
+# largest number of words of one length a bounded property check tabulates
+TABLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -601,7 +603,45 @@ def language_member(spec: LanguageSpec, word) -> bool:
 
 
 def is_neutral_letter_bounded(spec: LanguageSpec, letter: str, max_len: int) -> bool:
-    """Bounded test of `uv in L iff u letter v in L`, sound for refutation."""
+    """Bounded test of `uv in L iff u letter v in L` for |uv| <= max_len,
+    sound for refutation.
+
+    Compares the verdict tables of lengths l and l + 1 slice by slice: the
+    padded words with the letter at cut c and prefix rank q form one run of
+    ranks at level l + 1, and so do their unpadded twins at level l; those
+    with suffix rank r form one stride of ranks on both levels. Level
+    l + 1 is built only when l is reached, so a refutation at a short
+    length stays cheap.
+    """
+    if letter not in spec.alphabet:
+        raise LetterOutOfAlphabet(f"{letter!r} not in alphabet of {spec.name!r}")
+    k = spec.size
+    c = spec.alphabet.index(letter)
+    levels = _verdict_levels(spec)
+    ok = next(levels)
+    for length in range(max_len + 1):
+        padded = next(levels)
+        p = k ** length  # words of the suffix after the cut
+        for cut in range(length + 1):
+            n = k ** cut  # words of the prefix before the cut
+            if n <= p:  # one run of suffixes per prefix
+                for q in range(n):
+                    lo = (q * k + c) * p
+                    if padded[lo:lo + p] != ok[q * p:(q + 1) * p]:
+                        return False
+            else:  # one stride of prefixes per suffix
+                for r in range(p):
+                    if padded[c * p + r::k * p] != ok[r::p]:
+                        return False
+            p //= k
+        ok = padded
+    return True
+
+
+def is_neutral_letter_bounded_reference(spec: LanguageSpec, letter: str,
+                                        max_len: int) -> bool:
+    """Oracle for `is_neutral_letter_bounded`: one `language_member` call
+    per word and padded word."""
     if letter not in spec.alphabet:
         raise LetterOutOfAlphabet(f"{letter!r} not in alphabet of {spec.name!r}")
     for length in range(0, max_len + 1):
@@ -615,7 +655,28 @@ def is_neutral_letter_bounded(spec: LanguageSpec, letter: str, max_len: int) -> 
 
 
 def is_symmetric_bounded(spec: LanguageSpec, max_len: int) -> bool:
-    """True iff membership depends only on letter counts, up to `max_len`."""
+    """True iff membership depends only on letter counts, up to `max_len`.
+
+    Each rank of a level carries a letter-count code (letter i counts
+    (max_len + 1)^i); a level is symmetric iff no code is both accepted and
+    rejected.
+    """
+    weights = [(max_len + 1) ** i for i in range(spec.size)]
+    levels = _verdict_levels(spec)
+    next(levels)
+    codes = [0]
+    for _ in range(max_len):
+        ok = next(levels)
+        codes = [code + w for code in codes for w in weights]
+        accepted = set(itertools.compress(codes, ok))
+        if not accepted.isdisjoint(itertools.compress(codes, map(not_, ok))):
+            return False
+    return True
+
+
+def is_symmetric_bounded_reference(spec: LanguageSpec, max_len: int) -> bool:
+    """Oracle for `is_symmetric_bounded`: one `language_member` call per
+    word."""
     for length in range(1, max_len + 1):
         seen = {}
         for w in itertools.product(spec.alphabet, repeat=length):
@@ -624,6 +685,79 @@ def is_symmetric_bounded(spec: LanguageSpec, max_len: int) -> bool:
             if seen.setdefault(counts, value) != value:
                 return False
     return True
+
+
+def _verdict_levels(spec: LanguageSpec):
+    """Yield, for length 0, 1, 2, ..., the membership verdict of every word
+    of that length, indexed by its base-k rank (first letter most
+    significant, letters in `spec.alphabet` order).
+
+    A level is built when it is asked for, and a level of more than
+    `TABLE_CAP` words raises `CapExceeded` instead.
+    """
+    body = spec.body
+    letters = spec.alphabet
+    if isinstance(body, Cfg):
+        yield from _mask_levels(
+            len(letters), body.epsilon_in_language, 1 << body.start,
+            [sum({1 << a for a, t in body.lexical if t == x}) for x in letters],
+            lambda x, y: sum({1 << a for a, b, c in body.binary
+                              if x >> b & 1 and y >> c & 1}))
+        return
+    if isinstance(body, Dfa):
+        cols = [body.alphabet.index(x) for x in letters]
+        table, start, accept = body.trans, body.start, body.finals
+    else:
+        cols = [spec.letter_map[x] for x in letters]
+        table, start, accept = body.magma.table, body.magma.identity, body.accept
+        if not body.associative:
+            yield from _mask_levels(
+                len(letters), start in accept, sum(1 << x for x in accept),
+                [1 << x for x in cols],
+                lambda x, y: sum({1 << table[i][j]
+                                  for i in _bits(x) for j in _bits(y)}))
+            return
+    # one fold step per letter: the successors of state s in letter order
+    succ = [[row[i] for i in cols] for row in table]
+    final = [s in accept for s in range(len(table))]
+    row = [start]
+    for length in itertools.count(1):
+        yield list(map(final.__getitem__, row))
+        _check_table_cap(len(letters), length)
+        row = list(itertools.chain.from_iterable(map(succ.__getitem__, row)))
+
+
+def _mask_levels(k: int, empty: bool, accept: int, first: list, combine):
+    """`_verdict_levels` for a mask body: a word's mask is the OR, over
+    split points, of `combine(mask[u], mask[v])`, and the word is accepted
+    iff its mask meets `accept`."""
+    combine = cache(combine)  # for this call only
+    yield [empty]
+    rows = [None]
+    row = first
+    for length in itertools.count(1):
+        rows.append(row)
+        verdict = {m: bool(m & accept) for m in set(row)}
+        yield list(map(verdict.__getitem__, row))
+        _check_table_cap(k, length + 1)
+        row = None
+        for split in range(1, length + 1):
+            left, right = rows[split], rows[length + 1 - split]
+            distinct = set(right)
+            segments = {}
+            for x in set(left):
+                values = {y: combine(x, y) for y in distinct}
+                segments[x] = list(map(values.__getitem__, right))
+            part = list(itertools.chain.from_iterable(
+                map(segments.__getitem__, left)))
+            row = part if row is None else list(map(or_, row, part))
+
+
+def _check_table_cap(k: int, length: int) -> None:
+    if k ** length > TABLE_CAP:
+        raise CapExceeded(
+            f"{k ** length} words of length {length} exceed the table cap "
+            f"{TABLE_CAP}", required=k ** length)
 
 
 def pad_language(spec: LanguageSpec, pad_letter: str, name: str | None = None) -> LanguageSpec:

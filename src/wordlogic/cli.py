@@ -8,6 +8,7 @@ disagreement, 2 on usage or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import random
 import sys
@@ -315,7 +316,9 @@ def cmd_oracle(args):
     raise WordlogicError(f"unknown oracle {args.what!r}")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built by the first call and shared after it."""
     ap = argparse.ArgumentParser(
         prog="wordlogic",
         description="generalized-quantifier logic over words: evaluation, "

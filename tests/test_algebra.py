@@ -3,9 +3,10 @@ import os
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordlogic.algebra import (
+    TABLE_CAP,
     Cfg,
     Dfa,
     LanguageSpec,
@@ -19,7 +20,9 @@ from wordlogic.algebra import (
     groupoid_reachable,
     groupoid_reachable_reference,
     is_neutral_letter_bounded,
+    is_neutral_letter_bounded_reference,
     is_symmetric_bounded,
+    is_symmetric_bounded_reference,
     language_member,
     monoid_word_eval,
     pad_language,
@@ -27,8 +30,8 @@ from wordlogic.algebra import (
     word_problem_member,
 )
 from wordlogic.builtins import Z2, builtin_registry, majority_grammar
-from wordlogic.errors import InvariantViolation, NotCnf
-from wordlogic.formats import parse_cfg
+from wordlogic.errors import CapExceeded, InvariantViolation, NotCnf
+from wordlogic.formats import load_toolbox, parse_cfg
 
 
 def test_magma_identity_law_enforced():
@@ -204,15 +207,16 @@ def _parens_ok(w):
 
 
 @st.composite
-def cnf_grammars(draw, max_nonterminals=5):
-    """Random CNF grammars over terminals a, b, c, with as few as no binary
+def cnf_grammars(draw, max_nonterminals=5, terminals="abc"):
+    """Random CNF grammars over `terminals`, with as few as no binary
     rules, possibly no lexical rule for the start symbol, and either value
     of the epsilon flag."""
     nn = draw(st.integers(1, max_nonterminals))
     nt = st.integers(0, nn - 1)
     binary = draw(st.lists(st.tuples(nt, nt, nt), max_size=10))
-    lexical = draw(st.lists(st.tuples(nt, st.sampled_from("abc")), max_size=6))
-    return Cfg(tuple(f"N{i}" for i in range(nn)), ("a", "b", "c"),
+    lexical = draw(st.lists(st.tuples(nt, st.sampled_from(terminals)),
+                            max_size=6))
+    return Cfg(tuple(f"N{i}" for i in range(nn)), tuple(terminals),
                tuple(binary), tuple(lexical), draw(nt), draw(st.booleans()))
 
 
@@ -353,3 +357,136 @@ def test_groupoid_long_words_on_a_group():
     rng = random.Random(6)
     word = [rng.randrange(5) for _ in range(300)]
     assert groupoid_reachable(z5, word) == frozenset({sum(word) % 5})
+
+
+# ---------------------------------------------------------------------------
+# The whole-language property checks against their reference loops
+
+
+def _identity_magmas(g):
+    """Every g-element multiplication table with identity 0."""
+    free = [(x, y) for x in range(1, g) for y in range(1, g)]
+    for values in itertools.product(range(g), repeat=len(free)):
+        table = [list(range(g))] + [[x] + [0] * (g - 1) for x in range(1, g)]
+        for (x, y), v in zip(free, values):
+            table[x][y] = v
+        yield Magma(tuple(f"g{i}" for i in range(g)),
+                    tuple(map(tuple, table)), 0)
+
+
+# associative -> every magma of one to three elements that is (or is not)
+_MAGMAS = {flag: [m for g in (1, 2, 3) for m in _identity_magmas(g)
+                  if check_associative(m) == flag] for flag in (True, False)}
+
+
+def _random_word_problem(rng):
+    """A word problem over a random magma of up to three elements,
+    associative or not, whose letters map to elements in a random order."""
+    m = rng.choice(_MAGMAS[rng.random() < 0.5])
+    letters = tuple("xyz"[:m.size])
+    accept = {x for x in range(m.size) if rng.random() < 0.5}
+    return LanguageSpec("wp", letters, WordProblem.of(m, accept),
+                        letter_map=dict(zip(letters, rng.sample(range(m.size),
+                                                                m.size))))
+
+
+def _random_dfa(rng, letters):
+    """A DFA of two to four states, some but not all of them final; half the
+    time one letter loops on every state, so that it is neutral."""
+    q = rng.randint(2, 4)
+    trans = [[rng.randrange(q) for _ in letters] for _ in range(q)]
+    if rng.random() < 0.5:
+        i = rng.randrange(len(letters))
+        for s, row in enumerate(trans):
+            row[i] = s
+    return Dfa(tuple(f"q{i}" for i in range(q)), tuple(letters),
+               tuple(map(tuple, trans)), rng.randrange(q),
+               frozenset(rng.sample(range(q), rng.randint(1, q - 1))))
+
+
+def _spec(body, letters, rng):
+    """A spec over a random order of `letters`, so that spec rank order and
+    body letter order differ."""
+    return LanguageSpec("L", tuple(rng.sample(letters, len(letters))), body)
+
+
+_rngs = st.randoms(use_true_random=False)
+
+SPECS = {
+    "cfg": st.builds(lambda g, rng: _spec(g, "abc", rng), cnf_grammars(), _rngs),
+    "dfa": _rngs.map(lambda rng: _spec(_random_dfa(rng, "abc"), "abc", rng)),
+    "word-problem": _rngs.map(_random_word_problem),
+    "pad-dfa": _rngs.map(lambda rng: pad_language(
+        _spec(_random_dfa(rng, "ab"), "ab", rng), "#")),
+    "pad-cfg": st.builds(lambda g, rng: pad_language(_spec(g, "ab", rng), "#"),
+                         cnf_grammars(terminals="ab"), _rngs),
+}
+
+
+def _first_refuted(reference, *args):
+    """The least bound from 0 to 6 at which the reference check refutes, or
+    7. Each check is monotone in its bound: once it refutes at one bound it
+    refutes at every larger one."""
+    if reference(*args, 6):
+        return 7
+    return next(n for n in range(7) if not reference(*args, n))
+
+
+@pytest.mark.parametrize("kind", SPECS)
+@settings(max_examples=30)  # a reference check on 3 letters takes ~0.1 s
+@given(data=st.data())
+def test_property_checks_match_references(kind, data):
+    spec = data.draw(SPECS[kind])
+    first = _first_refuted(is_symmetric_bounded_reference, spec)
+    assert [is_symmetric_bounded(spec, n) for n in range(7)] == \
+        [n < first for n in range(7)]
+    for letter in spec.alphabet:
+        first = _first_refuted(is_neutral_letter_bounded_reference, spec, letter)
+        assert [is_neutral_letter_bounded(spec, letter, n) for n in range(7)] \
+            == [n < first for n in range(7)], letter
+
+
+def _property_registry(data_dir):
+    reg = load_toolbox([data_dir]).languages
+    reg["MajPad"] = pad_language(reg["Maj"], "#", name="MajPad")
+    return reg
+
+
+# the property checks the benchmark times, with their verdicts, and two
+# that need a table level of 3^9 and 4^7 words
+@pytest.mark.parametrize("lang,letter,length,want", [
+    ("MajPad", "#", 5, True), ("MajPad", None, 6, True),
+    ("Maj", None, 7, True), ("Maj", "0", 7, False),
+    ("anbn", None, 7, False), ("anbn", "a", 6, False),
+    ("g4", None, 7, False), ("g4", "e", 5, True),
+    ("MajPad", "#", 8, True), ("g4", "e", 6, True),
+])
+def test_property_check_anchors(data_dir, lang, letter, length, want):
+    spec = _property_registry(data_dir)[lang]
+    if letter is None:
+        assert is_symmetric_bounded(spec, length) == want
+    else:
+        assert is_neutral_letter_bounded(spec, letter, length) == want
+
+
+def test_neutral_check_refutes_past_the_middle():
+    # x resets a mod-3 counter of a's from 2 to 0 and is neutral elsewhere;
+    # the first refutation comes at length 3 ("aa" x "a"), with every
+    # refuting cut past the middle of the word and before its end
+    spec = LanguageSpec("reset", ("a", "x"), Dfa(
+        ("q0", "q1", "q2"), ("a", "x"), ((1, 0), (2, 1), (0, 0)), 0,
+        frozenset({1})))
+    for n in range(5):
+        assert is_neutral_letter_bounded(spec, "x", n) == (n < 3) == \
+            is_neutral_letter_bounded_reference(spec, "x", n)
+
+
+def test_property_check_table_cap():
+    # the cap bounds each table level: a refutation at a short length
+    # still answers, and a check that would need a level of more than
+    # TABLE_CAP words is refused
+    reg = builtin_registry()
+    assert not is_neutral_letter_bounded(reg["Maj"], "0", 40)
+    with pytest.raises(CapExceeded) as exc:
+        is_neutral_letter_bounded(reg["Lexists"], "0", 40)
+    assert exc.value.required == 2 ** 21 > TABLE_CAP

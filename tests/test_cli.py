@@ -172,6 +172,33 @@ def test_translate_with_toolbox_language(capsys, tmp_path):
     assert code == EXIT_OK and "verdict: equivalent" in out
 
 
+def test_repeated_main_calls_share_no_state(capsys, tmp_path):
+    # main reuses one parser: no call may see another's options
+    (tmp_path / "ones.dfa").write_text(
+        "states: q0 q1\nalphabet: 1 0\nstart: q0\nfinals: q1\n"
+        "trans: q0 1 q1\ntrans: q0 0 q0\ntrans: q1 1 q1\ntrans: q1 0 q1\n")
+    ones = ["eval", "--alphabet", "a,b", "--structure", "ab",
+            "--formula", "(Q ones (x) (letter b x))"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    for _ in range(2):
+        assert run(capsys, ones[:1] + ["--toolbox", str(tmp_path)] + ones[1:]) \
+            == (EXIT_OK, "true\n", "")
+        code, out, err = run(capsys, ones)
+        assert code == EXIT_USAGE and out == "" and "ones" in err
+        with pytest.raises(SystemExit) as exc:
+            main(ones + ["--bogus"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--bogus" in capsys.readouterr().err
+        assert run(capsys, cases(str(tmp_path))["eval_true"][1]) \
+            == (EXIT_OK, golden("eval_true"), "")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out == usage
+
+
 def test_eval_long_conjunction(capsys):
     # the parser nests (and ...) 3000 levels deep; evaluation flattens it
     code, out, err = run(capsys, [
