@@ -50,7 +50,6 @@ from .translate import (
     q1_to_q_star,
     q_star_to_q1,
     tally_member,
-    tally_of,
     tally_translate_bwd,
     tally_translate_fwd,
 )

@@ -65,12 +65,6 @@ class Magma:
     def size(self):
         return len(self.elements)
 
-    def index(self, name: str) -> int:
-        return self.elements.index(name)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
     @cached_property
     def _layout(self) -> "_RuleLayout":
         g = range(len(self.elements))
@@ -224,9 +218,6 @@ class Dfa:
             raise InvariantViolation("DFA start state out of range")
         if any(not 0 <= f < q for f in self.finals):
             raise InvariantViolation("DFA final state out of range")
-
-    def letter_index(self, a: str) -> int:
-        return self.alphabet.index(a)
 
     def run(self, word) -> bool:
         state = self.start
@@ -574,9 +565,6 @@ class LanguageSpec:
     def size(self) -> int:
         return len(self.alphabet)
 
-    def member(self, word) -> bool:
-        return language_member(self, word)
-
 
 def language_member(spec: LanguageSpec, word) -> bool:
     """Membership of `word` (an iterable of letters) in the named language."""
@@ -783,48 +771,24 @@ def pad_language(spec: LanguageSpec, pad_letter: str, name: str | None = None) -
 
 
 def _pad_cfg(g: Cfg, pad: str) -> Cfg:
-    # Every padded word is p0 a1 p1 a2 ... ar pr with pi in pad*. Leading pads
-    # attach to the following letter; trailing pads hang off a new start.
-    h = "_H"
-    p = "_P"
-    old = g.nonterminals
-    wrapped = {nt: "_W" + nt for nt in old}  # letter-carrying wrappers
-    new_start = "_S"
-    nts = (new_start, p, h) + old + tuple(wrapped[nt] for nt in old)
-    binary = []
-    lexical = [(2, pad)]  # h -> pad
-    idx = {nt: i for i, nt in enumerate(nts)}
-    binary.append((idx[p], idx[h], idx[p]))
-    lexical.append((idx[p], pad))
-    shift = {}
-    for i, nt in enumerate(old):
-        shift[i] = idx[nt]
-    for a, b, c in g.binary:
-        binary.append((shift[a], idx[wrapped[old[b]]], idx[wrapped[old[c]]]))
-    for a, t in g.lexical:
-        lexical.append((shift[a], t))
-    for nt in old:
-        binary.append((idx[wrapped[nt]], idx[p], idx[nt]))
-        # wrapper also derives the bare nonterminal
-        for a, b, c in g.binary:
-            if old[a] == nt:
-                binary.append((idx[wrapped[nt]], idx[wrapped[old[b]]], idx[wrapped[old[c]]]))
-        for a, t in g.lexical:
-            if old[a] == nt:
-                lexical.append((idx[wrapped[nt]], t))
-    start_w = idx[wrapped[old[g.start]]]
-    binary.append((idx[new_start], start_w, idx[p]))
-    # new start also derives the unpadded-tail form and pure pad strings
-    for b in list(binary):
-        if b[0] == start_w:
-            binary.append((idx[new_start], b[1], b[2]))
-    for a, t in list(lexical):
-        if a == start_w:
-            lexical.append((idx[new_start], t))
-    eps = g.epsilon_in_language
-    if eps:
-        # pure pad strings project to the empty word
-        binary.append((idx[new_start], idx[h], idx[p]))
-        lexical.append((idx[new_start], pad))
+    # A fresh P derives pad+, and every nonterminal with a lexical rule
+    # takes pads on either side (X -> X P | P X): each letter's preterminal
+    # absorbs the pads next to it. Words of pads alone project to the empty
+    # word; when that is a member they hang off a fresh start, since the old
+    # start may occur on a right-hand side.
+    p = len(g.nonterminals)
+    nts = g.nonterminals + ("_P",)
+    binary = [*g.binary, (p, p, p)]
+    lexical = [*g.lexical, (p, pad)]
+    for x in sorted({a for a, _ in g.lexical}):
+        binary += [(x, x, p), (x, p, x)]
+    start = g.start
+    if g.epsilon_in_language:
+        start = len(nts)
+        nts += ("_S",)
+        binary += [(start, b, c) for a, b, c in binary if a == g.start]
+        binary.append((start, p, p))
+        lexical += [(start, t) for a, t in lexical if a == g.start]
+        lexical.append((start, pad))
     return Cfg(nts, g.terminals + (pad,), tuple(binary), tuple(lexical),
-               idx[new_start], eps)
+               start, g.epsilon_in_language)

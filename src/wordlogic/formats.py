@@ -109,13 +109,16 @@ class _Fields(dict):
 
 
 class _Names(dict):
-    """The position of each of `names`; a lookup of any other name is an
-    unknown `what` of `fields`, or of another noun through `find`."""
+    """The position of each of `names`, which must be distinct; a lookup of
+    any other name is an unknown `what` of `fields`, or of another noun
+    through `find`."""
 
     __slots__ = ("fields", "what")
 
     def __init__(self, fields, names, what):
         dict.__init__(self, zip(names, range(len(names))))
+        if len(self) != len(names):
+            raise fields.error(f"duplicate {what} names")
         self.fields, self.what = fields, what
 
     def __missing__(self, name, what=None):
@@ -140,8 +143,6 @@ def parse_algebra(text: str, path=None):
     f = _Fields(text, path, ".alg", row)
     elements = f["elements"]
     index = _Names(f, elements, "element")
-    if len(index) != len(elements):
-        raise f.error("duplicate element names")
     if len(rows) != len(elements):
         raise f.error(f"table has {len(rows)} rows, need {len(elements)}")
     table = []
@@ -160,11 +161,9 @@ def parse_algebra(text: str, path=None):
     return magma, accept
 
 
-def algebra_language(magma: Magma, accept, name=None,
-                     declared_neutral=None) -> LanguageSpec:
+def algebra_language(magma: Magma, accept, name=None) -> LanguageSpec:
     wp = WordProblem.of(magma, accept)
     return LanguageSpec(name or magma.name, magma.elements, wp,
-                        declared_neutral=declared_neutral,
                         letter_map={e: i for i, e in enumerate(magma.elements)})
 
 
@@ -231,6 +230,7 @@ def parse_cfg(text: str, path=None):
     if start not in nts:
         raise f.error(f"start symbol {start!r} has no production")
     terminals = f.get("alphabet", tuple(order))
+    _Names(f, terminals, "letter")
     for letter in order:
         if letter not in terminals:
             raise f.error(f"terminal {letter!r} missing from alphabet")
@@ -248,6 +248,7 @@ def parse_leaf_automaton(text: str, path=None) -> LeafAutomaton:
         f.__getitem__, ("states", "input", "leaf", "start"))
     sidx = _Names(f, states, "state")
     aidx = _Names(f, inp, "input letter")
+    _Names(f, leaf, "leaf symbol")
     beta = [None] * len(states)
     for parts in f.each(f["beta"]):
         if len(parts) != 2:
@@ -278,8 +279,7 @@ def parse_signature(text: str, path=None):
     """Constant signature: a `constants: c1 c2` line."""
     f = _Fields(text, path, ".sig")
     consts = f["constants"]
-    if len(set(consts)) != len(consts):
-        raise f.error("duplicate constant names")
+    _Names(f, consts, "constant")
     return consts
 
 
@@ -292,7 +292,6 @@ class Toolbox:
     leaf_automata: dict = field(default_factory=dict)
     algebras: dict = field(default_factory=dict)
     signatures: dict = field(default_factory=dict)
-    search_paths: tuple = ()
 
     def language(self, name: str) -> LanguageSpec:
         return resolve_language(self.languages, name)
@@ -300,7 +299,7 @@ class Toolbox:
 
 def load_toolbox(paths=()) -> Toolbox:
     """Scan the given files/directories; built-ins always pre-registered."""
-    box = Toolbox(languages=builtin_registry(), search_paths=tuple(paths))
+    box = Toolbox(languages=builtin_registry())
     files = []
     for p in paths:
         if os.path.isdir(p):

@@ -1344,7 +1344,8 @@ def eliminate_min_max(f, counter=None):
 # (LindFO, LindSO or None), the node classes allowed below it (in the whole
 # formula when there is none), the ordering every LindSO must use (or None),
 # and the side rule for relation atoms: "monadic" (every InRel and LindSO is
-# monadic) or "outer" (an InRel reads only the outermost node's variables).
+# monadic) or "outer" (no relation variable is free: the outermost node's
+# are the only ones a formula reads).
 
 CONNECTIVES = (TrueF, FalseF, Not, And, Or)
 ORDER_ATOMS = (Eq, Lt, Letter)
@@ -1353,22 +1354,22 @@ ARITH_ATOMS = (PlusAtom, TimesAtom, BitAtom, HighBit, SizeBit, LtLog,
 FO_BINDERS = (ExistsFO, ForallFO)
 
 _QFREE = frozenset(CONNECTIVES + ORDER_ATOMS)
-_FO = _QFREE.union(FO_BINDERS)
-_FO_ARITH = _FO.union(ARITH_ATOMS) - {SetTimes}
-_SO_ARGS = _FO | {LindFO, InRel}
+_FIRST_ORDER = _QFREE.union(FO_BINDERS)
+_FO_ARITH = _FIRST_ORDER.union(ARITH_ATOMS) - {SetTimes, ShuffleBit}
+_SO_ARGS = _FIRST_ORDER | {LindFO, InRel}
 _SO_ARGS_ARITH = _SO_ARGS.union(ARITH_ATOMS)
-_SOM = _FO | {ExistsSO, InRel}
+_SOM = _FIRST_ORDER | {ExistsSO, InRel}
 _SOMQ = _SOM | {LindSO}
 _SOMQ_ARITH = _SOMQ.union(ARITH_ATOMS)
 
 FRAGMENT_TABLE = {
-    "FO": (None, _FO, None, None),
+    "FO": (None, _FIRST_ORDER, None, None),
     "FO+arith": (None, _FO_ARITH, None, None),
     "qfree-no-arith": (None, _QFREE, None, None),
     "Q-qfree-no-arith": (LindFO, _QFREE, None, None),
-    "QL-FO": (LindFO, _FO, None, None),
+    "QL-FO": (LindFO, _FIRST_ORDER, None, None),
     "QL-FO+arith": (LindFO, _FO_ARITH, None, None),
-    "FO(QL)": (None, _FO | {LindFO}, None, None),
+    "FO(QL)": (None, _FIRST_ORDER | {LindFO}, None, None),
     "FO(QL)+arith": (None, _FO_ARITH | {LindFO}, None, None),
     "Q1-FO": (LindSO, _SO_ARGS, INTERLEAVED, "outer"),
     "Q1-FO+arith": (LindSO, _SO_ARGS_ARITH, INTERLEAVED, "outer"),
@@ -1389,7 +1390,8 @@ def fragment_check(formula, fragment: str):
     """Shape test for the named fragment; returns (ok, diagnostic).
 
     Walks the formula once, root first, and reports the first node that
-    the fragment's row in FRAGMENT_TABLE refuses."""
+    the fragment's row in FRAGMENT_TABLE refuses; the "outer" rule is
+    checked after the walk."""
     try:
         outer, allowed, ordering, relations = FRAGMENT_TABLE[fragment]
     except KeyError:
@@ -1405,9 +1407,10 @@ def fragment_check(formula, fragment: str):
                 return False, f"LindSO uses the {node.ordering} ordering"
             if relations == "monadic" and node.arity != 1:
                 return False, f"LindSO of arity {node.arity} is not monadic"
-        elif ty is InRel:
-            if relations == "monadic" and len(node.args) != 1:
-                return False, f"non-monadic relation atom on {node.rel!r}"
-            if relations == "outer" and node.rel not in formula.vars:
-                return False, f"relation atom on foreign variable {node.rel!r}"
+        elif ty is InRel and relations == "monadic" and len(node.args) != 1:
+            return False, f"non-monadic relation atom on {node.rel!r}"
+    if relations == "outer":
+        foreign = free_variables(formula)[1]
+        if foreign:
+            return False, f"reads foreign relation variable {min(foreign)!r}"
     return True, "ok"

@@ -212,7 +212,11 @@ def q1_to_q_star(formula):
 # ---------------------------------------------------------------------------
 # Arity collapse
 
-def arity_collapse(formula, registry, *, neutral_check_len=8):
+# words up to this length are checked for the declared neutral letter
+NEUTRAL_CHECK_LEN = 8
+
+
+def arity_collapse(formula, registry):
     """Collapse a single outer concatenated quantifier binding k m-ary
     variables into one binding a single higher-arity variable.
 
@@ -227,7 +231,7 @@ def arity_collapse(formula, registry, *, neutral_check_len=8):
     spec = resolve_language(registry, formula.lang)
     _require_neutral_last(spec)
     if not is_neutral_letter_bounded(spec, spec.declared_neutral,
-                                     neutral_check_len):
+                                     NEUTRAL_CHECK_LEN):
         raise NoNeutralLetter(
             f"{spec.name}: letter {spec.declared_neutral!r} fails the "
             f"bounded neutrality check")
@@ -275,19 +279,7 @@ def arity_collapse(formula, registry, *, neutral_check_len=8):
 # ---------------------------------------------------------------------------
 # Padding translation
 
-@dataclass(frozen=True)
-class PaddedSignature:
-    base_alphabet: tuple[str, ...]
-    pad_letter: str
-    k: int
-
-    def __post_init__(self):
-        if self.pad_letter in self.base_alphabet:
-            raise InvariantViolation("pad letter must be outside the base alphabet")
-
-    @property
-    def alphabet(self):
-        return self.base_alphabet + (self.pad_letter,)
+PAD_LETTER = "#"
 
 
 def pad_string(w: str, k: int, pad: str) -> str:
@@ -311,9 +303,10 @@ def _size_chain(gensym, mp, k, tail):
     return out
 
 
-def pad_translate(formula, alphabet, pad_letter="#"):
+def pad_translate(formula, alphabet):
     """Turn a sentence with one outer concatenated quantifier over k-ary
-    relations into one over unary relations on the padded universe.
+    relations into one over unary relations on the universe padded with
+    `PAD_LETTER` to n^k positions.
 
     Returns (translated sentence, shape sentence chi, structure mapper);
     the translated sentence already conjoins chi.
@@ -321,7 +314,9 @@ def pad_translate(formula, alphabet, pad_letter="#"):
     ok, why = fragment_check(formula, "Qstar-FO")
     if not ok:
         raise FragmentViolation(why)
-    sig = PaddedSignature(tuple(alphabet), pad_letter, formula.arity)
+    if PAD_LETTER in alphabet:
+        raise InvariantViolation("pad letter must be outside the base alphabet")
+    padded_alphabet = tuple(alphabet) + (PAD_LETTER,)
     k = formula.arity
     src = eliminate_min_max(formula)
     gensym = _Gensym(_all_names(src))
@@ -329,9 +324,9 @@ def pad_translate(formula, alphabet, pad_letter="#"):
 
     def last_nonpad(v):
         u = gensym("u")
-        return And(Not(Letter(pad_letter, Var(v))),
+        return And(Not(Letter(PAD_LETTER, Var(v))),
                    Not(ExistsFO(u, And(Lt(Var(v), Var(u)),
-                                       Not(Letter(pad_letter, Var(u)))))))
+                                       Not(Letter(PAD_LETTER, Var(u)))))))
 
     def le_mp(x):
         return Or(Lt(Var(x), Var(mp)), Eq(Var(x), Var(mp)))
@@ -372,8 +367,8 @@ def pad_translate(formula, alphabet, pad_letter="#"):
     # chi: pads form a suffix and the length is (last nonpad + 1)^k
     up, vp = gensym("u"), gensym("v")
     suffix = ForallFO(up, ForallFO(vp, implies(
-        And(Letter(pad_letter, Var(up)), Lt(Var(up), Var(vp))),
-        Letter(pad_letter, Var(vp)))))
+        And(Letter(PAD_LETTER, Var(up)), Lt(Var(up), Var(vp))),
+        Letter(PAD_LETTER, Var(vp)))))
     mp2 = gensym("mp")
 
     def is_max(cvar):
@@ -385,8 +380,8 @@ def pad_translate(formula, alphabet, pad_letter="#"):
     chi = And(suffix, size)
 
     def mapper(st: StringStructure) -> StringStructure:
-        return StringStructure(sig.alphabet,
-                               tuple(pad_string(st.word, k, pad_letter)))
+        return StringStructure(padded_alphabet,
+                               tuple(pad_string(st.word, k, PAD_LETTER)))
 
     return And(phi_star, chi), chi, mapper
 
@@ -400,12 +395,6 @@ def tally_member(spec: LanguageSpec, n: int) -> bool:
     if n < 2:
         return False
     return language_member(spec, format(n, "b")[1:])
-
-
-def tally_of(spec: LanguageSpec):
-    desc = (f"unary strings 1^n whose size has binary expansion 1w "
-            f"with w in {spec.name}")
-    return desc, lambda n: tally_member(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +452,7 @@ def tally_translate_bwd(formula, registry):
     if not ok:
         raise FragmentViolation(why)
     for sub in walk_formulas(formula):
-        if isinstance(sub, (BitAtom, HighBit, SizeBit, LtLog, LtPowLog,
-                            SetTimes, ShuffleBit)):
+        if isinstance(sub, (BitAtom, HighBit, SizeBit, LtLog, LtPowLog)):
             raise FragmentViolation(
                 f"atom {type(sub).__name__} has no counterpart here")
         if isinstance(sub, LindFO):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -55,7 +56,7 @@ def test_z2_is_monoid():
 
 
 def test_groupoid_reachable_g4(g4):
-    a = g4.index("a")
+    a = g4.elements.index("a")
     # a*a = b; (aa)a = ba = e wait: table row b col a
     reach3 = groupoid_reachable(g4, (a, a, a))
     assert reach3 == brute_force_bracketings(g4, (a, a, a))
@@ -444,6 +445,20 @@ def test_property_checks_match_references(kind, data):
         first = _first_refuted(is_neutral_letter_bounded_reference, spec, letter)
         assert [is_neutral_letter_bounded(spec, letter, n) for n in range(7)] \
             == [n < first for n in range(7)], letter
+
+
+@settings(max_examples=40)  # each example checks 5461 words
+@given(st.one_of(cnf_grammars(), _rngs.map(lambda rng: _random_dfa(rng, "abc"))))
+def test_pad_language_is_the_projection(body):
+    # w is in the padded language iff w with its pads deleted is in the
+    # original one; grammars come with either epsilon flag
+    member = functools.cache(body.run if isinstance(body, Dfa) else
+                             functools.partial(cyk_member_reference, body))
+    padded = pad_language(LanguageSpec("L", tuple("abc"), body), "#")
+    for n in range(7):
+        for w in itertools.product("abc#", repeat=n):
+            assert language_member(padded, w) == \
+                member(tuple(x for x in w if x != "#")), w
 
 
 def _property_registry(data_dir):

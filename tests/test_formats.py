@@ -273,7 +273,9 @@ LOADER_ERRORS = [
     ("dfa", _DFA + "trans: q a r\ntrans: q b q\ntrans: r a r\n",
      "x.dfa: missing transition for (r, b)", None),
     ("dfa", "states: q q\nalphabet: a\nstart: q\nfinals: q\ntrans: q a q",
-     "x.dfa: missing transition for (q, a)", None),
+     "x.dfa: duplicate state names", None),
+    ("dfa", "states: q\nalphabet: a a\nstart: q\nfinals: q\ntrans: q a q",
+     "x.dfa: duplicate letter names", None),
     ("dfa", "states: q r\nalphabet: a b\nstart: z\nfinals: r\n" + _TRANS,
      "x.dfa: unknown start state 'z'", None),
     ("dfa", "states: q r\nalphabet: a b\nstart: q\nfinals: r z\n" + _TRANS,
@@ -300,6 +302,8 @@ LOADER_ERRORS = [
      "x.cfg: start symbol 'T' has no production", None),
     ("cfg", "start: S\nalphabet: b\nS -> 'a'",
      "x.cfg: terminal 'a' missing from alphabet", None),
+    ("cfg", "start: S\nalphabet: a a\nS -> 'a'",
+     "x.cfg: duplicate letter names", None),
     ("cfg", "start: S\nneutral: z\nS -> 'a'",
      "x.cfg: neutral letter 'z' not in alphabet", None),
     ("leaf", _LEAF + "bogus: 1\n" + _BETA_DELTA,
@@ -336,6 +340,12 @@ LOADER_ERRORS = [
      "x.leaf:9: unknown successor 'z'", 9),
     ("leaf", _LEAF + "beta: p 0\nbeta: q 1\ndelta: p a -> p q\n",
      "x.leaf: missing delta for (q, a)", None),
+    ("leaf", "states: p p\ninput: a\nleaf: 0 1\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: duplicate state names", None),
+    ("leaf", "states: p q\ninput: a a\nleaf: 0 1\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: duplicate input letter names", None),
+    ("leaf", "states: p q\ninput: a\nleaf: 0 0\nstart: p\n" + _BETA_DELTA,
+     "x.leaf: duplicate leaf symbol names", None),
     ("leaf", "states: p q\ninput: a\nleaf: 0 1\nstart: z\n" + _BETA_DELTA,
      "x.leaf: unknown start state 'z'", None),
     ("sig", "constants c1",

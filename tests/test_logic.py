@@ -349,7 +349,7 @@ _VERDICTS = """
 -+-----+-------++--  (lt-log x)
 -+-----+-------++--  (lt-pow2 x)
 ---------------+---  (set-times X Y Z)
--+-----+-------++--  (shuffle-bit to_interleaved 0 2 x (A B))
+---------------+---  (shuffle-bit to_interleaved 0 2 x (A B))
 +++---++----+++++-+  (= $c1 x)
 +++---++----+++++-+  (not (letter a x))
 +++---++----+++++-+  (and (letter a x) (< x y))
@@ -357,7 +357,7 @@ _VERDICTS = """
 ++----++----+++++-+  (exists x (letter a x))
 ++----++----+++++-+  (forall x (or (letter a x) (letter b x)))
 -+-----+-------++--  (exists x (and (letter a x) (bit x x)))
--+-----+-------++--  (forall x (shuffle-bit to_concatenated 1 2 x (X Y)))
+---------------+---  (forall x (shuffle-bit to_concatenated 1 2 x (X Y)))
 ------------++++---  (existsSO X (exists x (in X x)))
 -------------------  (existsSO X (exists x (in X x x)))
 ---------------+---  (existsSO X (exists x (and (in X x) (lt-log x))))
@@ -382,7 +382,9 @@ _VERDICTS = """
 ----------++-------  (Qstar Lexists 1 (X) (Q Lexists (x) (in X x)))
 -----------+---+---  (Qstar Lexists 1 (X) (and (in X min) (plus min min min)))
 -----------+---+---  (Qstar Lexists 1 (X Y) (set-times X Y X))
+---------------+---  (Qstar Lexists 1 (X Y) (set-times X Y Z))
 ---------+---------  (Q1 Lexists 1 (X Y) (shuffle-bit to_interleaved 0 2 min (X Y)))
+-------------------  (Q1 Lexists 1 (X Y) (shuffle-bit to_interleaved 0 2 min (A B)))
 ----------++--++---  (Qstar Lexists 1 (X) (letter a min))
 --------------++---  (existsSO X (Qstar Lexists 1 (Y) (in Y min)))
 -------------+-----  (existsSO X (Q1 Lexists 1 (Y) (in X min)))
