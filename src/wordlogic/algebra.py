@@ -161,15 +161,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def brute_force_bracketings(m: Magma, word, cap: int = BRACKETING_CAP) -> frozenset[int]:
+def brute_force_bracketings(m: Magma, word) -> frozenset[int]:
     """Independent oracle: evaluate every full binary bracketing of `word`."""
     word = tuple(word)
     if not word:
         raise EmptyWord("brute_force_bracketings needs a nonempty word")
-    if len(word) > cap:
-        raise CapExceeded(
-            f"word length {len(word)} exceeds bracketing cap {cap}", required=len(word)
-        )
+    if len(word) > BRACKETING_CAP:
+        raise CapExceeded(f"word length {len(word)} exceeds bracketing cap "
+                          f"{BRACKETING_CAP}", required=len(word))
     table = m.table
 
     def values(lo: int, hi: int):

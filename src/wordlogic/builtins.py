@@ -3,6 +3,8 @@
 The binary alphabets are ordered (1, 0): the first alphabet letter is the
 one a quantifier's first argument formula emits, which is what makes the
 existential/universal/parity languages behave as their namesake quantifiers.
+Lexists, Lforall and Lmod2 are regular; Maj is the one context-free language,
+given by a CNF grammar of 4 nonterminals and 6 binary rules.
 """
 
 from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem
@@ -37,31 +39,22 @@ def mod_counting_language(p: int) -> LanguageSpec:
 
 
 def majority_grammar() -> Cfg:
-    """CNF grammar for {w in {0,1}+ : more 1s than 0s}.
+    """CNF grammar for {w in {0,1}+ : more 1s than 0s}: S -> 1 | SS | 0SS |
+    S0S | SS0, with Z -> 0, P -> SS and Q -> ZS.
 
-    E derives the nonempty equal-count words via the shortest-balanced-prefix
-    decomposition; S peels one surplus 1 per step.
+    Write e(w) = #1 - #0. Soundness: every production keeps e >= 1.
+    Completeness, by induction on the length of w with e(w) >= 1:
+    - e >= 2: cut w where the running excess first reaches 1; both parts
+      have e >= 1, so SS.
+    - e = 1 and w = 0x: e(x) = 2 cuts the same way, so 0SS; w = x0 gives SS0.
+    - e = 1 otherwise: w = 1, or w starts and ends with 1, so the running
+      excess is 1 after the first letter and 0 before the last. Cut at the
+      first 0 that takes it from 1 to 0; both parts have e = 1, so S0S.
     """
-    rules = [
-        ("A1", "1"), ("A0", "0"),
-        # E: 01 | 10 | 0E1 | 1E0 | 01E | 10E | 0E1E | 1E0E
-        ("E", ("A0", "A1")), ("E", ("A1", "A0")),
-        ("E", ("A0", "F1")), ("E", ("A1", "F0")),
-        ("E", ("P01", "E")), ("E", ("P10", "E")),
-        ("E", ("A0", "K1")), ("E", ("A1", "K0")),
-        ("F1", ("E", "A1")), ("F0", ("E", "A0")),
-        ("P01", ("A0", "A1")), ("P10", ("A1", "A0")),
-        ("K1", ("E", "G1")), ("K0", ("E", "G0")),
-        ("G1", ("A1", "E")), ("G0", ("A0", "E")),
-        # S: 1 | 1S | 1E | E1 | E1S | E1E
-        ("S", "1"),
-        ("S", ("A1", "S")), ("S", ("A1", "E")), ("S", ("E", "A1")),
-        ("S", ("E", "M1")), ("S", ("E", "G1")),
-        ("M1", ("A1", "S")),
-    ]
-    nts = ("S", "E", "A1", "A0", "F1", "F0", "P01", "P10",
-           "K1", "K0", "G1", "G0", "M1")
-    return Cfg.from_rules(nts, ("1", "0"), rules, "S")
+    rules = [("S", "1"), ("Z", "0"), ("S", ("S", "S")), ("P", ("S", "S")),
+             ("S", ("Z", "P")), ("S", ("P", "Z")),  # 0SS, SS0
+             ("S", ("S", "Q")), ("Q", ("Z", "S"))]  # S0S
+    return Cfg.from_rules(("S", "Z", "P", "Q"), ("1", "0"), rules, "S")
 
 
 def _maj() -> LanguageSpec:

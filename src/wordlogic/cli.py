@@ -83,26 +83,20 @@ def _add_common(p):
 
 
 def _read_formula(args, box):
-    if getattr(args, "formula_file", None):
+    if args.formula_file:
         with open(args.formula_file, encoding="utf-8") as fh:
             text = fh.read()
-    elif getattr(args, "formula", None):
+    elif args.formula:
         text = args.formula
     else:
         raise WordlogicError("one of --formula/--formula-file is required")
     return parse_formula(text, box.languages)
 
 
-def _structure(args):
-    if args.structure is None:
-        raise WordlogicError("--structure is required")
-    return StringStructure(_alphabet(args.alphabet), tuple(args.structure))
-
-
 def cmd_eval(args):
     box = load_toolbox(args.toolbox)
     f = _read_formula(args, box)
-    st = _structure(args)
+    st = StringStructure(_alphabet(args.alphabet), tuple(args.structure))
     value = evaluate(st, f, registry=box.languages,
                      instance_cap=args.instance_cap)
     print("true" if value else "false")
@@ -171,8 +165,6 @@ def cmd_translate(args):
     elif args.op == "exp-rev":
         out = exp_translate_rev(f, alphabet)
         structures = []
-    else:
-        raise WordlogicError(f"unknown translation {args.op!r}")
     target = format_formula(out)
     if structures is None:
         structures = string_structures(alphabet, args.max_n, min_n)
@@ -304,16 +296,16 @@ def _oracle_lind(args):
     return EXIT_OK
 
 
+_ORACLES = {
+    "groupoid-reachable": _oracle_groupoid,
+    "cfg-groupoid": _oracle_cfg,
+    "dfa-monoid": _oracle_dfa,
+    "lind-eval": _oracle_lind,
+}
+
+
 def cmd_oracle(args):
-    if args.what == "groupoid-reachable":
-        return _oracle_groupoid(args)
-    if args.what == "cfg-groupoid":
-        return _oracle_cfg(args)
-    if args.what == "dfa-monoid":
-        return _oracle_dfa(args)
-    if args.what == "lind-eval":
-        return _oracle_lind(args)
-    raise WordlogicError(f"unknown oracle {args.what!r}")
+    return _ORACLES[args.what](args)
 
 
 @functools.cache
@@ -380,8 +372,7 @@ def build_parser():
     p = sub.add_parser("oracle",
                        help="compare a fast path against its brute-force twin")
     _add_common(p)
-    p.add_argument("what", choices=("groupoid-reachable", "cfg-groupoid",
-                                    "dfa-monoid", "lind-eval"))
+    p.add_argument("what", choices=tuple(_ORACLES))
     p.add_argument("--algebra")
     p.add_argument("--grammar")
     p.add_argument("--dfa")

@@ -102,14 +102,20 @@ _USAGE["Qstar"] = _USAGE["Q1"]
 _TOKEN = re.compile(r"[^ \t\r\n();]+|[()\n]|;[^\n]*")
 
 
+class _List(list):
+    """A parenthesized form; pos is the (line, col) of its '('."""
+
+    __slots__ = ("pos",)
+
+
 def _read(text):
-    """The one form in text: a (text, line, col) atom or a list of forms.
+    """The one form in text: a (text, line, col) atom or a _List of forms.
 
     One pass over the tokens, with the open forms on a stack. A '(' more
     than MAX_NESTING levels below the outermost one raises
     NestingCapExceeded, which bounds the recursion of _build.
     """
-    forms, opens = [], []  # items and '(' positions of the open forms
+    forms = []  # the open forms
     tree = None
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
@@ -128,13 +134,13 @@ def _read(text):
                 raise NestingCapExceeded(
                     f"{line}:{col}: formula nests deeper than "
                     f"{MAX_NESTING} levels")
-            forms.append([])
-            opens.append((line, col))
+            item = _List()
+            item.pos = (line, col)
+            forms.append(item)
             continue
         if tok == ")":
             if not forms:
                 raise FormulaSyntaxError("unexpected ')'", line, col)
-            opens.pop()
             item = forms.pop()
         else:
             item = (tok, line, col)
@@ -143,7 +149,7 @@ def _read(text):
         else:
             tree = item
     if forms:
-        raise FormulaSyntaxError("unclosed '('", *opens[-1])
+        raise FormulaSyntaxError("unclosed '('", *forms[-1].pos)
     if tree is None:
         raise FormulaSyntaxError("empty input")
     return tree
@@ -155,13 +161,13 @@ def _fail(atom, msg):
 
 def _head(form):
     if not form or type(form[0]) is not tuple:
-        raise FormulaSyntaxError("expected a parenthesized form")
+        raise FormulaSyntaxError("expected a parenthesized form", *form.pos)
     return form[0]
 
 
 def _atom(item, noun):
     """The text of an atom operand."""
-    if type(item) is list:
+    if type(item) is _List:
         _fail(_head(item), f"expected a {noun}, got a list")
     return item[0]
 
@@ -180,13 +186,11 @@ def _term(item):
 
 
 def _names(item, noun):
-    if type(item) is not list:
+    if type(item) is not _List:
         _fail(item, f"expected a parenthesized {noun} list")
-    names = tuple([_atom(x, noun) for x in item])
-    if not names:
-        # an empty list has no atom to point at; 0:0 stands for that
-        raise FormulaSyntaxError(f"empty {noun} list", 0, 0)
-    return names
+    if not item:
+        raise FormulaSyntaxError(f"empty {noun} list", *item.pos)
+    return tuple([_atom(x, noun) for x in item])
 
 
 def _check_lang(registry, head, name, nargs):

@@ -606,17 +606,21 @@ def const_unrewrite(formula, const_names):
 # ---------------------------------------------------------------------------
 # Exponential-universe translation
 
+# the longest string exp_structure turns into a 2^n-element structure
+EXP_CAP = 5
+
+
 def const_name_for(letter: str) -> str:
     return f"c_{letter}"
 
 
-def exp_structure(st: StringStructure, cap: int = 5) -> ConstStructure:
+def exp_structure(st: StringStructure) -> ConstStructure:
     """String of length n as a constant structure on 2^n elements: each
     letter's position set becomes an integer read most significant first."""
     n = st.size
-    if n > cap:
+    if n > EXP_CAP:
         raise ExponentCapExceeded(
-            f"universe 2^{n} exceeds the exponent cap {cap}", required=n)
+            f"universe 2^{n} exceeds the exponent cap {EXP_CAP}", required=n)
     consts = {}
     for a in st.alphabet:
         consts[const_name_for(a)] = sum(
@@ -624,7 +628,7 @@ def exp_structure(st: StringStructure, cap: int = 5) -> ConstStructure:
     return ConstStructure.of(1 << n, consts)
 
 
-def exp_translate(formula, alphabet, *, cap: int = 5):
+def exp_translate(formula, alphabet):
     """Monadic second-order sentence over strings to a first-order
     arithmetic sentence over the exponential constant structure."""
     ok, why = fragment_check(formula, "SOM(Qstar)")
@@ -653,7 +657,7 @@ def exp_translate(formula, alphabet, *, cap: int = 5):
             return LindFO(g.lang, g.vars, tuple(map(rw, g.args)))
         return None
 
-    return rewrite(src, fn), lambda st: exp_structure(st, cap)
+    return rewrite(src, fn), exp_structure
 
 
 def exp_translate_rev(formula, alphabet):

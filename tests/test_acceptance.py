@@ -9,7 +9,6 @@ import itertools
 import random
 
 import numpy as np
-import pytest
 
 from wordlogic.algebra import (
     Cfg,
@@ -17,7 +16,6 @@ from wordlogic.algebra import (
     brute_force_bracketings,
     cfg_to_groupoid,
     cyk_member,
-    cyk_member as _cyk,
     groupoid_reachable,
     language_member,
     regular_to_monoid,
@@ -64,7 +62,6 @@ from wordlogic.translate import (
     exp_structure,
     exp_translate,
     exp_translate_rev,
-    pad_string,
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
@@ -195,6 +192,7 @@ def test_criterion_2_cfg_groupoid():
          lambda w: len(w) > 0 and "".join(w) ==
          "a" * (len(w) // 2) + "b" * (len(w) - len(w) // 2) and
          len(w) % 2 == 0),
+        (majority_grammar(), "10", lambda w: 2 * w.count("1") > len(w)),
     ]:
         wp, hom = cfg_to_groupoid(cfg)
         for length in range(0, 11):

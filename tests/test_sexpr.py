@@ -161,8 +161,8 @@ ERROR_TABLE = [
     ("x", FormulaSyntaxError, "1:1"),
     ("(frob x)", FormulaSyntaxError, "1:2"),
     ("(EXISTS x (true))", FormulaSyntaxError, "1:2"),
-    ("()", FormulaSyntaxError, None),
-    ("((true))", FormulaSyntaxError, None),
+    ("()", FormulaSyntaxError, "1:1"),
+    ("((true))", FormulaSyntaxError, "1:1"),
     ("(not x)", FormulaSyntaxError, "1:6"),
     ("(true x)", FormulaSyntaxError, "1:2"),
     ("(false (true))", FormulaSyntaxError, "1:2"),
@@ -182,7 +182,7 @@ ERROR_TABLE = [
     ("(msb-bit x)", FormulaSyntaxError, "1:2"),
     ("(size-bit)", FormulaSyntaxError, "1:2"),
     ("(lt-log x y)", FormulaSyntaxError, "1:2"),
-    ("(lt-pow2 ())", FormulaSyntaxError, None),
+    ("(lt-pow2 ())", FormulaSyntaxError, "1:10"),
     ("(set-times X Y (Z))", FormulaSyntaxError, "1:17"),
     ("(set-times X Y)", FormulaSyntaxError, "1:2"),
     ("(shuffle-bit to_interleaved 0 2 x)", FormulaSyntaxError, "1:2"),
@@ -192,18 +192,18 @@ ERROR_TABLE = [
     ("(shuffle-bit to_interleaved (0) 2 x (A B))", FormulaSyntaxError, "1:30"),
     ("(shuffle-bit to_interleaved 0 2 (x) (A B))", FormulaSyntaxError, "1:34"),
     ("(shuffle-bit to_interleaved 0 2 x A)", FormulaSyntaxError, "1:35"),
-    ("(shuffle-bit to_interleaved 0 2 x ())", FormulaSyntaxError, "0:0"),
+    ("(shuffle-bit to_interleaved 0 2 x ())", FormulaSyntaxError, "1:35"),
     ("(shuffle-bit to_interleaved 0 2 x (A (B)))", FormulaSyntaxError, "1:39"),
     ("(exists (x) (true))", FormulaSyntaxError, "1:10"),
-    ("(exists () (true))", FormulaSyntaxError, None),
-    ("(exists ((x)) (true))", FormulaSyntaxError, None),
+    ("(exists () (true))", FormulaSyntaxError, "1:9"),
+    ("(exists ((x)) (true))", FormulaSyntaxError, "1:9"),
     ("(forall x)", FormulaSyntaxError, "1:2"),
     ("(existsSO X (true) (true))", FormulaSyntaxError, "1:2"),
     ("(exists x y)", FormulaSyntaxError, "1:11"),
     ("(Q Lexists (x))", FormulaSyntaxError, "1:2"),
     ("(Q (Lexists) (x) (true))", FormulaSyntaxError, "1:5"),
     ("(Q Lexists x (true))", FormulaSyntaxError, "1:12"),
-    ("(Q Lexists () (true))", FormulaSyntaxError, "0:0"),
+    ("(Q Lexists () (true))", FormulaSyntaxError, "1:12"),
     ("(Q NoSuch (x) (true))", UnknownLanguage, "1:2"),
     ("(Q Lexists (x) (true) (false))", ArityMismatch, "1:2"),
     ("(Q NoSuch (x) (frob))", FormulaSyntaxError, "1:16"),

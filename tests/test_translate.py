@@ -312,7 +312,7 @@ def test_exp_structure_codes():
 def test_exp_structure_cap():
     from wordlogic.logic import structure_from_string
     with pytest.raises(ExponentCapExceeded) as ei:
-        exp_structure(structure_from_string(AB, "a" * 6), cap=5)
+        exp_structure(structure_from_string(AB, "a" * 6))
     assert ei.value.required == 6
 
 
