@@ -44,6 +44,7 @@ from .logic import (
     evaluate,
     free_variables,
     induced_word,
+    string_structures,
     walk_formulas,
     LindFO,
     LindSO,
@@ -60,7 +61,6 @@ from .translate import (
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
-    string_structures,
     tally_translate_bwd,
     tally_translate_fwd,
 )
@@ -220,50 +220,53 @@ def cmd_equiv(args):
         else EXIT_COUNTEREXAMPLE
 
 
+def _agree(cases, same, show):
+    """Exit status of an oracle: prints `disagree` and show(case) for the
+    first case where same(case) is false, else `agree`."""
+    for case in cases:
+        if not same(case):
+            print(f"disagree {show(case)}")
+            return EXIT_COUNTEREXAMPLE
+    print("agree")
+    return EXIT_OK
+
+
+def _words(alphabet, min_len, max_len):
+    """Every tuple of letters of min_len to max_len letters, shortest first."""
+    for length in range(min_len, max_len + 1):
+        yield from itertools.product(alphabet, repeat=length)
+
+
 def _oracle_groupoid(args):
     with open(args.algebra, encoding="utf-8") as fh:
         magma, _ = parse_algebra(fh.read(), args.algebra)
-    g = magma.size
-    for length in range(1, args.max_len + 1):
-        for word in itertools.product(range(g), repeat=length):
-            fast = groupoid_reachable(magma, word)
-            slow = brute_force_bracketings(magma, word)
-            if fast != slow:
-                text = " ".join(magma.elements[i] for i in word)
-                print(f"disagree {text}")
-                return EXIT_COUNTEREXAMPLE
-    print("agree")
-    return EXIT_OK
+    return _agree(
+        _words(range(magma.size), 1, args.max_len),
+        lambda w: (groupoid_reachable(magma, w)
+                   == brute_force_bracketings(magma, w)),
+        lambda w: " ".join(magma.elements[i] for i in w))
 
 
 def _oracle_cfg(args):
     with open(args.grammar, encoding="utf-8") as fh:
         cfg, alphabet, _ = parse_cfg(fh.read(), args.grammar)
     wp, hom = cfg_to_groupoid(cfg)
-    for length in range(0, args.max_len + 1):
-        for word in itertools.product(alphabet, repeat=length):
-            slow = cyk_member_reference(cfg, word)
-            via_groupoid = word_problem_member(wp, [hom[a] for a in word])
-            if via_groupoid != slow or cyk_member(cfg, word) != slow:
-                print(f"disagree {''.join(word)}")
-                return EXIT_COUNTEREXAMPLE
-    print("agree")
-    return EXIT_OK
+
+    def same(word):
+        slow = cyk_member_reference(cfg, word)
+        return (word_problem_member(wp, [hom[a] for a in word]) == slow
+                and cyk_member(cfg, word) == slow)
+    return _agree(_words(alphabet, 0, args.max_len), same, "".join)
 
 
 def _oracle_dfa(args):
     with open(args.dfa, encoding="utf-8") as fh:
         dfa, _ = parse_dfa(fh.read(), args.dfa)
     wp, hom = regular_to_monoid(dfa)
-    for length in range(0, args.max_len + 1):
-        for word in itertools.product(dfa.alphabet, repeat=length):
-            fast = word_problem_member(wp, [hom[a] for a in word])
-            slow = dfa.run(word)
-            if fast != slow:
-                print(f"disagree {''.join(word)}")
-                return EXIT_COUNTEREXAMPLE
-    print("agree")
-    return EXIT_OK
+    return _agree(
+        _words(dfa.alphabet, 0, args.max_len),
+        lambda w: word_problem_member(wp, [hom[a] for a in w]) == dfa.run(w),
+        "".join)
 
 
 def _oracle_lind(args):
@@ -276,24 +279,21 @@ def _oracle_lind(args):
         rng = random.Random(args.seed)
         formulas = [random_lindfo(rng, "Lexists", 1, alphabet)
                     for _ in range(args.count)]
-    for f in formulas:
-        for st in string_structures(alphabet, args.max_n):
-            for node in walk_formulas(f):
-                if not isinstance(node, (LindFO, LindSO)):
-                    continue
-                fo, so = free_variables(node)
-                if fo or so:
-                    continue
-                fast = evaluate(st, node, registry=reg,
-                                instance_cap=args.instance_cap)
-                word = induced_word(st, {}, node, registry=reg,
-                                    instance_cap=args.instance_cap)
-                slow = language_member(reg[node.lang], word)
-                if fast != slow:
-                    print(f"disagree {st} {format_formula(node)}")
-                    return EXIT_COUNTEREXAMPLE
-    print("agree")
-    return EXIT_OK
+    cap = args.instance_cap
+
+    def same(case):
+        st, node = case
+        fast = evaluate(st, node, registry=reg, instance_cap=cap)
+        word = induced_word(st, {}, node, registry=reg, instance_cap=cap)
+        return fast == language_member(reg[node.lang], word)
+    # every closed quantifier node of every formula, on every structure
+    cases = ((st, node) for f in formulas
+             for st in string_structures(alphabet, args.max_n)
+             for node in walk_formulas(f)
+             if isinstance(node, (LindFO, LindSO))
+             and not any(free_variables(node)))
+    return _agree(cases, same,
+                  lambda case: f"{case[0]} {format_formula(case[1])}")
 
 
 _ORACLES = {

@@ -9,7 +9,10 @@ or concatenated bit codes. Membership of the induced word decides the node.
 `evaluate` compiles a formula once into closures over a slot array and
 solves existential witnesses that a plus, times or = atom fixes;
 `evaluate_reference` is the direct tree walk that tests and oracles hold it
-against.
+against. What a quantifier ranges over is defined once and both read it:
+`_instances` gives a quantifier node's instances in word order, `subsets`
+the relations an existsSO tries, and `string_structures` the words up to a
+length.
 """
 
 from __future__ import annotations
@@ -396,10 +399,6 @@ def set_code_value(s, n: int) -> int:
     return v
 
 
-def set_from_code_value(v: int, n: int) -> frozenset:
-    return frozenset((j,) for j in range(n) if (v >> (n - 1 - j)) & 1)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation: pieces shared by the compiled and the reference evaluator
 
@@ -490,6 +489,27 @@ def _instance_bits(ctx, node: LindSO) -> int:
     return bits
 
 
+def subsets(n: int):
+    """Every monadic relation over n positions, lazily: the relation of
+    mask r holds position j when bit j of r is set, for r = 0 .. 2^n - 1."""
+    for mask in range(1 << n):
+        yield frozenset([(j,) for j in range(n) if (mask >> j) & 1])
+
+
+def _instances(ctx, node):
+    """The value tuples the vars of a LindFO or LindSO node range over, in
+    the order of its induced word: position tuples lexicographically, or
+    relation tuples by instance rank. The instance cap is checked when this
+    is called, before any tuple is produced."""
+    n, k = ctx.n, len(node.vars)
+    if type(node) is LindFO:
+        return itertools.product(range(n), repeat=k)
+    bits = _instance_bits(ctx, node)
+    ordering, m = node.ordering, node.arity
+    return (instance_unrank(rank, n, k, ordering, m)
+            for rank in range(1 << bits))
+
+
 def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
@@ -498,35 +518,23 @@ def _floor_log2(n: int) -> int:
 # Reference evaluation: a direct tree walk over a name -> value environment.
 # Tests and oracles compare the compiled evaluator against it.
 
-def _letter_for(ctx, env, node, values, spec):
-    """First-match letter rule: argument formulas tried left to right."""
-    for idx, arg in enumerate(node.args):
+def _induced(ctx, env, node):
+    """(language, induced word) of a quantifier node: per instance, the
+    letter of the first argument formula true in env extended by the
+    instance, else the alphabet's last letter."""
+    spec = _node_spec(ctx, node)
+    rules = tuple(zip(node.args, spec.alphabet))
+    last = spec.alphabet[-1]
+    letters = []
+    for values in _instances(ctx, node):
         sub = dict(env)
-        sub.update(values)
-        if _eval(ctx, sub, arg):
-            return spec.alphabet[idx]
-    return spec.alphabet[-1]
-
-
-def _lindfo_word(ctx, env, node):
-    spec = _node_spec(ctx, node)
-    k = len(node.vars)
-    letters = []
-    for tup in itertools.product(range(ctx.n), repeat=k):
-        values = dict(zip(node.vars, tup))
-        letters.append(_letter_for(ctx, env, node, values, spec))
-    return spec, "".join(letters)
-
-
-def _lindso_word(ctx, env, node):
-    spec = _node_spec(ctx, node)
-    bits = _instance_bits(ctx, node)
-    k = len(node.vars)
-    letters = []
-    for rank in range(1 << bits):
-        sets = instance_unrank(rank, ctx.n, k, node.ordering, node.arity)
-        values = dict(zip(node.vars, sets))
-        letters.append(_letter_for(ctx, env, node, values, spec))
+        sub.update(zip(node.vars, values))
+        for arg, letter in rules:
+            if _eval(ctx, sub, arg):
+                letters.append(letter)
+                break
+        else:
+            letters.append(last)
     return spec, "".join(letters)
 
 
@@ -605,17 +613,14 @@ def _eval(ctx, env, f) -> bool:
     if ty is ExistsSO:
         if ctx.n == 0:
             raise EmptyDomain("quantifier over the empty structure")
-        for mask in range(1 << ctx.n):
+        for rel in subsets(ctx.n):
             env2 = dict(env)
-            env2[f.var] = frozenset((j,) for j in range(ctx.n) if (mask >> j) & 1)
+            env2[f.var] = rel
             if _eval(ctx, env2, f.body):
                 return True
         return False
-    if ty is LindFO:
-        spec, word = _lindfo_word(ctx, env, f)
-        return language_member(spec, word)
-    if ty is LindSO:
-        spec, word = _lindso_word(ctx, env, f)
+    if ty is LindFO or ty is LindSO:
+        spec, word = _induced(ctx, env, f)
         return language_member(spec, word)
     raise InvariantViolation(f"not a formula: {f!r}")
 
@@ -994,8 +999,8 @@ class _Compiler:
             n = c.n
             if n == 0:
                 raise EmptyDomain("quantifier over the empty structure")
-            for mask in range(1 << n):
-                s[i] = frozenset((j,) for j in range(n) if (mask >> j) & 1)
+            for rel in subsets(n):
+                s[i] = rel
                 if body(c, s):
                     return True
             return False
@@ -1011,25 +1016,12 @@ class _Compiler:
         args = []
         for a in f.args:
             args.append(self.compile(a, inner, depth + 1))
-        k = len(slots)
 
-        if kind == _FO:
-            def lindfo(c, s):
-                spec = _node_spec(c, f)
-                tuples = itertools.product(range(c.n), repeat=k)
-                return language_member(spec, _word(c, s, spec, args, slots,
-                                                   tuples))
-            return lindfo
-
-        def lindso(c, s):
+        def quantifier(c, s):
             spec = _node_spec(c, f)
-            bits = _instance_bits(c, f)
-            n = c.n
-            instances = (instance_unrank(rank, n, k, f.ordering, f.arity)
-                         for rank in range(1 << bits))
             return language_member(spec, _word(c, s, spec, args, slots,
-                                               instances))
-        return lindso
+                                               _instances(c, f)))
+        return quantifier
 
     def atom(self, f, scope):
         ty = type(f)
@@ -1104,27 +1096,26 @@ def induced_word(struct, assignment, node, *, registry=None,
     """The exact word a generalized quantifier node tests for membership."""
     check_nesting(node)
     ctx = _Ctx(struct, registry, instance_cap)
-    env = dict(assignment or {})
-    if isinstance(node, LindFO):
-        _, word = _lindfo_word(ctx, env, node)
-    elif isinstance(node, LindSO):
-        _, word = _lindso_word(ctx, env, node)
-    else:
+    if type(node) not in (LindFO, LindSO):
         raise InvariantViolation("induced_word needs a generalized quantifier node")
-    return word
+    return _induced(ctx, dict(assignment or {}), node)[1]
+
+
+def string_structures(alphabet, max_n: int, min_n: int = 1):
+    """Every word over alphabet of min_n to max_n letters, as a structure:
+    shorter words first, words of one length in alphabet order."""
+    alphabet = tuple(alphabet)
+    for length in range(min_n, max_n + 1):
+        for w in itertools.product(alphabet, repeat=length):
+            yield StringStructure(alphabet, w)
 
 
 def define_language(sentence, alphabet, max_n: int, *, registry=None,
                     instance_cap=DEFAULT_INSTANCE_CAP):
     """All nonempty strings of length <= max_n satisfying the sentence."""
-    out = []
-    for length in range(1, max_n + 1):
-        for w in itertools.product(alphabet, repeat=length):
-            struct = StringStructure(tuple(alphabet), w)
-            if evaluate(struct, sentence, registry=registry,
-                        instance_cap=instance_cap):
-                out.append("".join(w))
-    return out
+    return [st.word for st in string_structures(alphabet, max_n)
+            if evaluate(st, sentence, registry=registry,
+                        instance_cap=instance_cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -1302,15 +1293,14 @@ def free_variables(f):
     return fo, so
 
 
-def eliminate_min_max(f, counter=None):
+def eliminate_min_max(f):
     """Replace min/max terms by quantified variables pinned by order atoms.
 
     Used by translations whose target domain moves the endpoints. Every
     min or max term draws a fresh name, and equal endpoints of one atom all
     take the first name drawn for them.
     """
-    if counter is None:
-        counter = itertools.count()
+    counter = itertools.count()
 
     def fn(node, rw):
         old = terms(node)

@@ -166,9 +166,11 @@ def _head(form):
 
 
 def _atom(item, noun):
-    """The text of an atom operand."""
+    """The text of an atom operand. A list in its place is reported at its
+    head atom, or at its '(' when it has none."""
     if type(item) is _List:
-        _fail(_head(item), f"expected a {noun}, got a list")
+        at = item[0][1:] if item and type(item[0]) is tuple else item.pos
+        raise FormulaSyntaxError(f"expected a {noun}, got a list", *at)
     return item[0]
 
 

@@ -68,6 +68,8 @@ from .logic import (
     rebuild,
     resolve_language,
     rewrite,
+    string_structures,  # defined in logic; callers import it from here too
+    subsets,
     terms,
     walk_formulas,
     with_terms,
@@ -734,30 +736,18 @@ class TranslationReport:
         return "\n".join(lines)
 
 
-def string_structures(alphabet, max_n: int, min_n: int = 1):
-    alphabet = tuple(alphabet)
-    for length in range(min_n, max_n + 1):
-        for w in itertools.product(alphabet, repeat=length):
-            yield StringStructure(alphabet, w)
-
-
-def const_structures(const_names, max_n: int, min_n: int = 1):
+def const_structures(const_names, max_n: int):
     names = tuple(const_names)
-    for n in range(min_n, max_n + 1):
+    for n in range(1, max_n + 1):
         for vals in itertools.product(range(n), repeat=len(names)):
             yield ConstStructure.of(n, dict(zip(names, vals)))
 
 
 def _assignments(fo_vars, so_vars, n):
-    fo_vars, so_vars = sorted(fo_vars), sorted(so_vars)
-    fo_space = [range(n)] * len(fo_vars)
-    so_space = [[frozenset((j,) for j in range(n) if (mask >> j) & 1)
-                 for mask in range(1 << n)]] * len(so_vars)
-    for fo_vals in itertools.product(*fo_space):
-        for so_vals in itertools.product(*so_space):
-            env = dict(zip(fo_vars, fo_vals))
-            env.update(zip(so_vars, so_vals))
-            yield env
+    names = sorted(fo_vars) + sorted(so_vars)
+    space = [range(n)] * len(fo_vars) + [tuple(subsets(n))] * len(so_vars)
+    for values in itertools.product(*space):
+        yield dict(zip(names, values))
 
 
 def _fmt_assignment(env):

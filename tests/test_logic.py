@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wordlogic import logic, sexpr
+from wordlogic.algebra import Dfa, LanguageSpec
 from wordlogic.errors import (
     ArityMismatch,
     EmptyDomain,
@@ -63,7 +64,6 @@ from wordlogic.logic import (
     instance_unrank,
     resolve_language,
     set_code_value,
-    set_from_code_value,
     structure_from_string,
 )
 from wordlogic.sexpr import format_formula, parse_formula
@@ -141,7 +141,64 @@ def test_instance_rank_out_of_range():
 def test_set_codes():
     s = frozenset({(0,), (2,)})
     assert set_code_value(s, 3) == 0b101
-    assert set_from_code_value(0b101, 3) == s
+
+
+def _only(word):
+    """The language over (1, 0) whose one member is word, as a DFA."""
+    dead = len(word) + 1
+    trans = [(i + 1, dead) if a == "1" else (dead, i + 1)
+             for i, a in enumerate(word)] + [(dead, dead)] * 2
+    dfa = Dfa(tuple(map(str, range(dead + 1))), ("1", "0"), tuple(trans), 0,
+              frozenset({len(word)}))
+    return {"Only": LanguageSpec("Only", ("1", "0"), dfa)}
+
+
+def _assert_word(st, node, assignment, expected):
+    """induced_word is expected, and so evaluate and evaluate_reference
+    decide the node by it."""
+    registry = _only(expected)
+    assert induced_word(st, assignment, node, registry=registry) == expected
+    assert evaluate(st, node, assignment, registry=registry)
+    assert evaluate_reference(st, node, assignment, registry=registry)
+
+
+# The instance order of quantifier nodes, built here by ranking or nested
+# loops rather than by the ranges the evaluators share. One probe per
+# variable and tuple (or position) reads one bit of every instance; together
+# the probes pin each instance to its place in the word.
+@pytest.mark.parametrize("ordering", [INTERLEAVED, CONCATENATED])
+def test_lindso_word_follows_the_instance_rank(ordering):
+    for n, m, k in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+        npos = n ** m
+        if npos * k > 12:  # n = 3, m = 2, k = 2: 2^18 instances
+            continue
+        names = ("X", "Y")[:k]
+        tuples = list(itertools.product(range(n), repeat=m))
+        relations = [frozenset(c) for size in range(npos + 1)
+                     for c in itertools.combinations(tuples, size)]
+        probe = [f"p{j}" for j in range(m)]
+        for i, t in itertools.product(range(k), tuples):
+            word = [None] * (1 << (npos * k))
+            for sets in itertools.product(relations, repeat=k):
+                word[instance_rank(sets, n, ordering, m)] = \
+                    "1" if t in sets[i] else "0"
+            node = LindSO("Only", ordering, m, names,
+                          (InRel(names[i], tuple(map(Var, probe))),))
+            _assert_word(S("a" * n), node, dict(zip(probe, t)),
+                         "".join(word))
+
+
+def test_lindfo_word_follows_position_order():
+    for n, k in itertools.product((1, 2, 3), (1, 2)):
+        if k == 1:
+            order = [(x,) for x in range(n)]
+        else:
+            order = [(x, y) for x in range(n) for y in range(n)]
+        names = ("x", "y")[:k]
+        for i, v in itertools.product(range(k), range(n)):
+            word = "".join("1" if tup[i] == v else "0" for tup in order)
+            node = LindFO("Only", names, (Eq(Var(names[i]), Var("p")),))
+            _assert_word(S("a" * n), node, {"p": v}, word)
 
 
 def test_lindfo_exists(registry):

@@ -116,6 +116,9 @@ def test_no_registry_skips_language_checks():
     ("(= min)", "takes 2 operands"),
     ("(Q1 Lexists one (X) (true))", "arity must be an integer"),
     ("(exists (x) (true))", "expected a variable"),
+    ("(exists () (true))", "1:9: expected a variable, got a list"),
+    ("(in X ())", "1:7: expected a term, got a list"),
+    ("(lt-pow2 ())", "1:10: expected a term, got a list"),
     ("(= $ x)", "empty constant name"),
     (")", "unexpected ')'"),
 ])
