@@ -27,9 +27,9 @@ from .logic import (
 )
 
 
-def random_magma(rng: random.Random, max_size: int = 5, name="") -> Magma:
+def random_magma(rng: random.Random) -> Magma:
     """Random multiplication table with element 0 forced to be the identity."""
-    g = rng.randint(2, max_size)
+    g = rng.randint(2, 5)
     table = []
     for x in range(g):
         if x == 0:
@@ -38,11 +38,11 @@ def random_magma(rng: random.Random, max_size: int = 5, name="") -> Magma:
             row = [x if y == 0 else rng.randrange(g) for y in range(g)]
             table.append(tuple(row))
     elements = tuple(f"g{i}" for i in range(g))
-    return Magma(elements, tuple(table), 0, name=name or f"rand{g}")
+    return Magma(elements, tuple(table), 0, name=f"rand{g}")
 
 
 def random_fo_formula(rng: random.Random, fo_vars, so_vars, alphabet,
-                      depth: int = 2, allow_quantifiers: bool = True):
+                      depth: int = 2):
     """Random formula over the given free first- and second-order variables."""
     so_vars = tuple(so_vars)
     alphabet = tuple(alphabet)
@@ -69,7 +69,7 @@ def random_fo_formula(rng: random.Random, fo_vars, so_vars, alphabet,
     def go(d, fo):
         if d == 0:
             return atom(fo)
-        pick = rng.randrange(6 if allow_quantifiers else 4)
+        pick = rng.randrange(6)
         if pick == 0:
             return atom(fo)
         if pick == 1:

@@ -7,11 +7,13 @@ instances of their bound relation variables, ordered either by interleaved
 or concatenated bit codes. Membership of the induced word decides the node.
 
 `evaluate` compiles a formula once into closures over a slot array and
-solves existential witnesses that a plus, times or = atom fixes;
-`evaluate_reference` is the direct tree walk that tests and oracles hold it
-against. What a quantifier ranges over is defined once and both read it:
-`_instances` gives a quantifier node's instances in word order, `subsets`
-the relations an existsSO tries, and `string_structures` the words up to a
+solves existential witnesses that a plus, times or = atom fixes. It runs
+them only when a call meets what the formula needs for no node to raise;
+the direct tree walk answers every other call. `evaluate_reference` is
+that walk, and tests and oracles hold `evaluate` against it. What a
+quantifier ranges over is defined once and both read it: `_instances`
+gives a quantifier node's instances in word order, `subsets` the
+relations an existsSO tries, and `string_structures` the words up to a
 length.
 """
 
@@ -468,9 +470,10 @@ def _node_spec(ctx, node) -> LanguageSpec:
 
 
 def _instance_bits(ctx, node: LindSO) -> int:
-    """Bits of an instance code of the node; 2^bits must be within the cap,
-    and so must the size of its code layout, n^arity tuples of arity entries.
-    Past arity 60 on two or more elements, n^arity alone is over 60 bits, so
+    """Bits of an instance code of the node; 2^bits must be within the cap.
+    The code layout, n^arity tuples of arity entries, is built in memory,
+    so its size must be within the cap and DEFAULT_INSTANCE_CAP both. Past
+    arity 60 on two or more elements, n^arity alone is over 60 bits, so
     such a node is refused before that power is built."""
     k = len(node.vars)
     if ctx.n > 1 and k and node.arity > 60:
@@ -482,9 +485,10 @@ def _instance_bits(ctx, node: LindSO) -> int:
         raise InstanceCapExceeded(
             f"2^{bits} instances exceed the cap {ctx.cap}", required=bits
         )
-    if tuples * node.arity > ctx.cap:
+    cap = min(ctx.cap, DEFAULT_INSTANCE_CAP)
+    if tuples * node.arity > cap:
         raise InstanceCapExceeded(
-            f"{tuples} tuples of arity {node.arity} exceed the cap {ctx.cap}",
+            f"{tuples} tuples of arity {node.arity} exceed the cap {cap}",
             required=tuples * node.arity)
     return bits
 
@@ -512,6 +516,19 @@ def _instances(ctx, node):
 
 def _floor_log2(n: int) -> int:
     return n.bit_length() - 1
+
+
+def _spine(f, ty):
+    """Operands of the maximal ty (And or Or) spine at f, left to right."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is ty:
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +613,12 @@ def _eval(ctx, env, f) -> bool:
         return _eval_shuffle(ctx, env, f)
     if ty is Not:
         return not _eval(ctx, env, f.body)
-    if ty is And:
-        return _eval(ctx, env, f.left) and _eval(ctx, env, f.right)
-    if ty is Or:
-        return _eval(ctx, env, f.left) or _eval(ctx, env, f.right)
+    if ty is And or ty is Or:
+        decisive = ty is Or  # an operand with this value decides the junction
+        for g in _spine(f, ty):
+            if bool(_eval(ctx, env, g)) is decisive:
+                return decisive
+        return not decisive
     if ty is ExistsFO or ty is ForallFO:
         if ctx.n == 0:
             raise EmptyDomain("quantifier over the empty structure")
@@ -660,32 +679,32 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # ---------------------------------------------------------------------------
 # Compiled evaluation
 #
-# A formula compiles once into closures fn(ctx, slots) -> bool. Every binder
-# owns one index of the list `slots`, fixed at compile time; a free name gets
-# an index that evaluate fills from the assignment or leaves _UNBOUND. So a
-# binding is one list store instead of an environment copy, and an And/Or
-# spine is one n-ary node. Atoms the slots cannot serve run the reference
-# code on an environment of just the names they read.
+# A formula compiles once into closures fn(ctx, slots) -> bool and into a
+# record of what a call must supply so that no node of it can raise: its
+# free names, split into those read as positions and those read as
+# relations, whether it reads letters, the constants it reads and its
+# quantifier nodes. evaluate runs the closures only when the structure,
+# assignment, registry and cap meet the record; the reference walk answers
+# every other call, so an error is always the reference's own.
+#
+# Every binder and every free name owns one index of the list `slots`, fixed
+# at compile time. So a binding is one list store instead of an environment
+# copy, and an And/Or spine is one n-ary node. Atoms the slots cannot serve
+# run the reference code on an environment of just the names they read.
 #
 # An existential whose body fixes its variable by a plus, times or = atom
 # over values bound outside it is solved instead of looped over; see
-# _Compiler.witness for when that agrees with the reference's loop.
+# _Plan.witness.
 
 # Compiled levels (And/Or spines count once). Deeper formulas are refused,
 # so compiling and running stay within Python's default recursion limit.
 MAX_NESTING = 300
 _PLAN_CACHE_SIZE = 8
-_FO, _SO, _FREE = "fo", "so", "free"
-_UNBOUND = object()
-# Atoms read straight from slots when all their names are bound; on bound
-# positions none of them can raise. Other atoms, and these with a free name
-# or a min, max or constant term, run the reference code.
+_FO, _SO = "fo", "so"
+# Atoms read straight from slots when all their terms are variables
 _SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
-_REFERENCE_ATOMS = (BitAtom, HighBit, SizeBit, LtLog, LtPowLog, SetTimes,
-                    ShuffleBit)
 
-# id(formula) -> (formula, (fn, slot count, ((free name, slot), ...))),
-# oldest first
+# id(formula) -> (formula, _Plan), oldest first
 _plans: dict = {}
 
 
@@ -695,19 +714,6 @@ def _true(c, s):
 
 def _false(c, s):
     return False
-
-
-def _spine(f, ty):
-    """Operands of the maximal ty (And or Or) spine at f, left to right."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is ty:
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            out.append(g)
-    return out
 
 
 def _junction(parts, ty):
@@ -754,8 +760,8 @@ def _word(c, s, spec, args, slots, values):
 
 
 def _slot_atom(f, idx):
-    """Closure of an atom whose relation and terms are the bound variables
-    in slots idx (relation first)."""
+    """Closure of an atom whose relation and terms are the variables in
+    slots idx (relation first)."""
     ty = type(f)
     if ty is InRel:
         r, *args = idx
@@ -780,72 +786,77 @@ def _slot_atom(f, idx):
 
 
 def _solver(op, reads):
-    """Closure computing op over the read values; None when a free read
-    holds no integer."""
-    if all(type(r) is int for r in reads):
-        if op is None:
-            (i,) = reads
-            return lambda c, s: s[i]
-        i, j = reads
-        return lambda c, s: op(s[i], s[j])
+    """Closure computing op over the read values (the one value when op is
+    None)."""
     if op is None:
         return _reader(reads[0])
+    if all(type(r) is int for r in reads):
+        i, j = reads
+        return lambda c, s: op(s[i], s[j])
     a, b = map(_reader, reads)
-
-    def solve(c, s):
-        x, y = a(c, s), b(c, s)
-        if x is None or y is None:
-            return None
-        return op(x, y)
-    return solve
+    return lambda c, s: op(a(c, s), b(c, s))
 
 
-def _cannot_raise(f, fo, so):
-    """(ok, reads_letters). ok: f evaluates without raising on a nonempty
-    structure with letters, names in fo bound to positions and names in so to
-    relations. reads_letters: f has a Letter atom."""
-    reads_letters = False
-    stack = [(f, fo, so)]
-    while stack:
-        g, fo, so = stack.pop()
-        ty = type(g)
-        if ty in _SLOT_ATOMS:
-            if ty is InRel and g.rel not in so:
-                return False, False
-            for t in terms(g):
-                if not (type(t) in (Min, Max) or
-                        (type(t) is Var and t.name in fo)):
-                    return False, False
-            reads_letters = reads_letters or ty is Letter
-            continue
-        if ty is ExistsFO or ty is ForallFO:
-            fo, so = fo | {g.var}, so - {g.var}
-        elif ty is ExistsSO:
-            fo, so = fo - {g.var}, so | {g.var}
-        elif ty not in (Not, And, Or, TrueF, FalseF):
-            return False, False
-        for sub in children(g):
-            stack.append((sub, fo, so))
-    return True, reads_letters
+class _Plan:
+    """A compiled formula fn and its record. free maps each free name to
+    its slot and kind (_FO if read as a position, _SO as a relation).
+    sound is false when no call can meet the record: the formula holds a
+    non-node or a term that is not one, or reads a name in two kinds, or in
+    another kind than its binder gives."""
 
-
-class _Compiler:
-    def __init__(self):
+    def __init__(self, formula):
         self.nslots = 0
-        self.free = {}  # free name -> slot
+        self.free = {}  # free name -> (slot, kind)
+        self.sound = True
+        self.letters = False
+        self.constants = set()
+        self.nodes = []
+        self.fn = self.compile(formula, {}, 0)
+
+    def slots(self, ctx, assignment):
+        """The slot list fn runs on, with the free names filled in from
+        assignment; None when the call does not meet the record."""
+        n = ctx.n
+        if not self.sound or n == 0:
+            return None
+        struct = ctx.struct
+        if self.letters and not isinstance(struct, StringStructure):
+            return None
+        if self.constants and not (
+                isinstance(struct, ConstStructure)
+                and self.constants <= {name for name, _ in struct.constants}):
+            return None
+        slots = [None] * self.nslots
+        for name, (i, kind) in self.free.items():
+            v = assignment.get(name)
+            ok = (type(v) is int and 0 <= v < n if kind == _FO
+                  else isinstance(v, frozenset))
+            if not ok:
+                return None
+            slots[i] = v
+        try:
+            for node in self.nodes:
+                _node_spec(ctx, node)
+                if type(node) is LindSO:
+                    _instance_bits(ctx, node)
+        except (UnknownLanguage, ArityMismatch, InstanceCapExceeded):
+            return None
+        return slots
 
     def new_slot(self) -> int:
         self.nslots += 1
         return self.nslots - 1
 
-    def resolve(self, name, scope):
-        """(slot, kind) of a name: its innermost binder, else a free slot."""
-        hit = scope.get(name)
-        if hit is not None:
-            return hit
-        if name not in self.free:
-            self.free[name] = self.new_slot()
-        return self.free[name], _FREE
+    def resolve(self, name, scope, kind) -> int:
+        """Slot of a name read as kind: its innermost binder's, else its
+        free slot."""
+        hit = scope.get(name) or self.free.get(name)
+        if hit is None:
+            hit = self.free[name] = (self.new_slot(), kind)
+        slot, bound = hit
+        if bound != kind:
+            self.sound = False
+        return slot
 
     def compile(self, f, scope, depth):
         if depth > MAX_NESTING:
@@ -874,62 +885,41 @@ class _Compiler:
 
         if type(f) is ForallFO:
             def forall(c, s):
-                n = c.n
-                if n == 0:
-                    raise EmptyDomain("quantifier over the empty structure")
-                for v in range(n):
+                for v in range(c.n):
                     s[i] = v
                     if not body(c, s):
                         return False
                 return True
             return forall
 
-        def exists(c, s):
-            n = c.n
-            if n == 0:
-                raise EmptyDomain("quantifier over the empty structure")
-            for v in range(n):
-                s[i] = v
-                if body(c, s):
-                    return True
-            return False
-
-        found = self.witness(f, scope)
-        if found is None:
+        solve = self.witness(f, scope)
+        if solve is None:
+            def exists(c, s):
+                for v in range(c.n):
+                    s[i] = v
+                    if body(c, s):
+                        return True
+                return False
             return exists
-        solve, reads_letters = found
 
         def exists_solved(c, s):
-            n = c.n
-            if n == 0:
-                raise EmptyDomain("quantifier over the empty structure")
-            if reads_letters and c.letters is _NO_LETTERS:
-                return exists(c, s)
             w = solve(c, s)
-            if w is None:
-                return exists(c, s)
-            if 0 <= w < n:
+            if 0 <= w < c.n:
                 s[i] = w
                 return body(c, s)
             return False
         return exists_solved
 
     def witness(self, f, scope):
-        """(solver, reads_letters) for the first conjunct of the body of
-        `exists v B` (f) that fixes v from values bound outside f, or None.
+        """Solver of the first conjunct of the body of `exists v B` (f)
+        that fixes v from values bound outside f, or None.
 
-        The walk goes down B through And and nested exists. Each conjunct
-        evaluated before the fixing atom must be unable to raise. Then the
-        body is false, with no error, at every value of v but the solved
-        one, which alone decides the reference's loop; a solved value outside
-        the domain makes the quantifier false. reads_letters marks a Letter
-        among those conjuncts: on a constant structure the loop runs instead.
+        The walk goes down B through And and nested exists. No conjunct
+        raises when the plan runs, so B is false at every value of v but
+        the solved one, which alone decides the quantifier; a solved value
+        outside the domain makes it false.
         """
         v = f.var
-        fo = {name for name, (_, kind) in scope.items() if kind == _FO}
-        fo.add(v)
-        so = {name for name, (_, kind) in scope.items() if kind == _SO} - fo
-        reads_letters = False
         stack = [(f.body, frozenset())]  # (conjunct, names bound below f)
         while stack:
             g, inner = stack.pop()
@@ -942,11 +932,7 @@ class _Compiler:
             else:
                 solve = self.solver(g, v, scope, inner)
                 if solve is not None:
-                    return solve, reads_letters
-                ok, letters = _cannot_raise(g, fo | inner, so - inner)
-                if not ok:
-                    return None
-                reads_letters = reads_letters or letters
+                    return solve
         return None
 
     def solver(self, g, v, scope, inner):
@@ -975,31 +961,23 @@ class _Compiler:
         return None
 
     def source(self, t, v, scope, inner):
-        """Operand of a solved witness: a position bound outside the
-        quantifier on v, as a slot or a reader (None for a free name that
-        holds no integer); None if t is no such operand."""
+        """Operand of a solved witness: min, max or a name bound outside
+        the quantifier on v, as a reader or a slot; None if t is no such
+        operand."""
         if type(t) is Min:
             return lambda c, s: 0
         if type(t) is Max:
             return lambda c, s: c.n - 1
         if type(t) is not Var or t.name == v or t.name in inner:
             return None
-        i, kind = self.resolve(t.name, scope)
-        if kind == _FO:
-            return i
-        if kind == _FREE:
-            return lambda c, s: s[i] if type(s[i]) is int else None
-        return None
+        return self.resolve(t.name, scope, _FO)
 
     def so_exists(self, f, scope, depth):
         i = self.new_slot()
         body = self.compile(f.body, {**scope, f.var: (i, _SO)}, depth + 1)
 
         def exists_so(c, s):
-            n = c.n
-            if n == 0:
-                raise EmptyDomain("quantifier over the empty structure")
-            for rel in subsets(n):
+            for rel in subsets(c.n):
                 s[i] = rel
                 if body(c, s):
                     return True
@@ -1007,6 +985,7 @@ class _Compiler:
         return exists_so
 
     def lindstrom(self, f, scope, depth):
+        self.nodes.append(f)
         kind = _SO if type(f) is LindSO else _FO
         inner = dict(scope)
         slots = []
@@ -1029,45 +1008,36 @@ class _Compiler:
             return _true
         if ty is FalseF:
             return _false
-        if ty in _SLOT_ATOMS:
-            ts = terms(f)
-            if all(type(t) is Var for t in ts):
-                names = [f.rel] if ty is InRel else []
-                hits = [scope.get(name)
-                        for name in names + [t.name for t in ts]]
-                if None not in hits:
-                    return _slot_atom(f, [i for i, _ in hits])
-            return self.by_reference(f, scope)
-        if ty in _REFERENCE_ATOMS:
-            return self.by_reference(f, scope)
-
-        def not_a_formula(c, s):
-            raise InvariantViolation(f"not a formula: {f!r}")
-        return not_a_formula
-
-    def by_reference(self, f, scope):
+        if ty not in _TERMS and ty is not SetTimes:
+            self.sound = False  # not a formula: the reference raises
+            return None
         fo, so = free_variables(f)
-        reads = tuple((name, self.resolve(name, scope)[0]) for name in fo | so)
+        reads = {name: self.resolve(name, scope, _FO) for name in fo}
+        reads.update((name, self.resolve(name, scope, _SO)) for name in so)
+        ts = terms(f)
+        for t in ts:
+            if type(t) is ConstSym:
+                self.constants.add(t.name)
+            elif type(t) not in (Var, Min, Max):
+                self.sound = False  # not a term: the reference raises
+        self.letters = self.letters or ty is Letter
+        if ty in _SLOT_ATOMS and all(type(t) is Var for t in ts):
+            names = [f.rel] if ty is InRel else []
+            return _slot_atom(f, [reads[name]
+                                  for name in names + [t.name for t in ts]])
+        pairs = tuple(reads.items())
 
         def reference_atom(c, s):
-            env = {}
-            for name, i in reads:
-                v = s[i]
-                if v is not _UNBOUND:
-                    env[name] = v
-            return _eval(c, env, f)
+            return _eval(c, {name: s[i] for name, i in pairs}, f)
         return reference_atom
 
 
-def _plan(formula):
-    """(fn, slot count, free names with their slots) of the compiled form
-    of formula, memoised for the last few formulas."""
+def _plan(formula) -> _Plan:
+    """The compiled form of formula, memoised for the last few formulas."""
     hit = _plans.get(id(formula))
     if hit is not None and hit[0] is formula:
         return hit[1]
-    comp = _Compiler()
-    fn = comp.compile(formula, {}, 0)
-    plan = fn, comp.nslots, tuple(comp.free.items())
+    plan = _Plan(formula)
     _plans[id(formula)] = (formula, plan)
     if len(_plans) > _PLAN_CACHE_SIZE:
         del _plans[next(iter(_plans))]
@@ -1078,17 +1048,20 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
              instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
     """Tarskian truth of `formula` in `struct` under `assignment`.
 
-    Runs the compiled form of the formula. It gives evaluate_reference's
-    verdict, or raises the same error type, except on formulas nested
-    deeper than MAX_NESTING levels, which raise NestingCapExceeded: here an
-    And/Or chain counts as one level, there each And/Or counts.
+    Runs the compiled form of the formula when the call meets its record,
+    so that no node can raise, and the reference walk otherwise. So it
+    gives evaluate_reference's verdict, or raises its error in type and
+    message, except on formulas nested deeper than MAX_NESTING levels,
+    which raise NestingCapExceeded: here an And/Or chain counts as one
+    level, there each And/Or counts.
     """
-    fn, nslots, free = _plan(formula)
-    slots = [_UNBOUND] * nslots
-    if assignment:
-        for name, i in free:
-            slots[i] = assignment.get(name, _UNBOUND)
-    return fn(_Ctx(struct, registry, instance_cap), slots)
+    plan = _plan(formula)
+    ctx = _Ctx(struct, registry, instance_cap)
+    assignment = assignment or {}
+    slots = plan.slots(ctx, assignment)
+    if slots is None:
+        return _eval(ctx, dict(assignment), formula)
+    return plan.fn(ctx, slots)
 
 
 def induced_word(struct, assignment, node, *, registry=None,
@@ -1293,14 +1266,34 @@ def free_variables(f):
     return fo, so
 
 
+def all_names(f) -> set:
+    """Every variable name occurring anywhere in the formula: the free
+    names and the names of every binder."""
+    fo, so = free_variables(f)
+    for sub in walk_formulas(f):
+        if type(sub) in (ExistsFO, ForallFO, ExistsSO):
+            fo.add(sub.var)
+        elif type(sub) in (LindFO, LindSO):
+            fo.update(sub.vars)
+    return fo | so
+
+
 def eliminate_min_max(f):
     """Replace min/max terms by quantified variables pinned by order atoms.
 
     Used by translations whose target domain moves the endpoints. Every
-    min or max term draws a fresh name, and equal endpoints of one atom all
-    take the first name drawn for them.
+    min or max term draws a fresh name, _min<k> or _max<k> for the next k
+    whose name and pin name <name>u the formula does not use, and equal
+    endpoints of one atom all take the first name drawn for them.
     """
+    used = all_names(f)
     counter = itertools.count()
+
+    def fresh(which):
+        while True:
+            v = f"_{which}{next(counter)}"
+            if v not in used and v + "u" not in used:
+                return v
 
     def fn(node, rw):
         old = terms(node)
@@ -1309,7 +1302,7 @@ def eliminate_min_max(f):
         for t in old:
             if type(t) is Min or type(t) is Max:
                 which = "min" if type(t) is Min else "max"
-                v = f"_{which}{next(counter)}"
+                v = fresh(which)
                 new.setdefault(t, Var(v))
                 wrappers.append((v, which))
         if not wrappers:

@@ -58,6 +58,7 @@ from .logic import (
     TimesAtom,
     TrueF,
     Var,
+    all_names,
     children,
     eliminate_min_max,
     evaluate,
@@ -68,7 +69,6 @@ from .logic import (
     rebuild,
     resolve_language,
     rewrite,
-    string_structures,  # defined in logic; callers import it from here too
     subsets,
     terms,
     walk_formulas,
@@ -77,18 +77,6 @@ from .logic import (
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-def _all_names(f):
-    """Every variable-ish name occurring anywhere in the formula: the free
-    names and the names of every binder."""
-    fo, so = free_variables(f)
-    for sub in walk_formulas(f):
-        if type(sub) in (ExistsFO, ForallFO, ExistsSO):
-            fo.add(sub.var)
-        elif type(sub) in (LindFO, LindSO):
-            fo.update(sub.vars)
-    return fo | so
-
 
 class _Gensym:
     def __init__(self, used):
@@ -240,7 +228,7 @@ def arity_collapse(formula, registry):
     k = len(formula.vars)
     m = formula.arity
     tag_bits = max(1, math.ceil(math.log2(k))) if k > 1 else 1
-    gensym = _Gensym(_all_names(formula))
+    gensym = _Gensym(all_names(formula))
     rel = gensym("R")
     z0, z1 = gensym("z"), gensym("z")
 
@@ -321,7 +309,7 @@ def pad_translate(formula, alphabet):
     padded_alphabet = tuple(alphabet) + (PAD_LETTER,)
     k = formula.arity
     src = eliminate_min_max(formula)
-    gensym = _Gensym(_all_names(src))
+    gensym = _Gensym(all_names(src))
     mp = gensym("mp")
 
     def last_nonpad(v):
@@ -463,7 +451,7 @@ def tally_translate_bwd(formula, registry):
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the unary alphabet")
     src = eliminate_min_max(formula)
-    gensym = _Gensym(_all_names(src))
+    gensym = _Gensym(all_names(src))
 
     def vname(t):
         if type(t) is not Var:
@@ -564,7 +552,7 @@ def const_rewrite(formula, const_names):
         for t in terms(sub):
             if type(t) is ConstSym and t.name not in index:
                 raise NonConstantSignature(f"unknown constant {t.name!r}")
-    gensym = _Gensym(_all_names(formula))
+    gensym = _Gensym(all_names(formula))
 
     def holds_at(cname, y):
         i = index[cname]
@@ -673,7 +661,7 @@ def exp_translate_rev(formula, alphabet):
             "generalized quantifier, without arithmetic")
     alphabet = tuple(alphabet)
     letter_of = {const_name_for(a): a for a in alphabet}
-    gensym = _Gensym(_all_names(formula))
+    gensym = _Gensym(all_names(formula))
 
     def mem(t):
         ty = type(t)

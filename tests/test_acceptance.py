@@ -51,6 +51,7 @@ from wordlogic.logic import (
     instance_rank,
     instance_unrank,
     set_code_value,
+    string_structures,
     structure_from_string,
 )
 from wordlogic.translate import (
@@ -65,7 +66,6 @@ from wordlogic.translate import (
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
-    string_structures,
     tally_translate_bwd,
     tally_translate_fwd,
 )

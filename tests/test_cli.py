@@ -312,3 +312,67 @@ def test_eval_huge_arity_on_one_element_is_usage_error(capsys):
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert "tuples of arity 5000000000000 exceed the cap" in err
+
+
+def test_eval_huge_arity_under_a_huge_cap_is_usage_error(capsys):
+    # the code layout is built in memory, so the default cap bounds it
+    # whatever --instance-cap says
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "a",
+        "--instance-cap", "1000000000000000000000",
+        "--formula", "(Q1 Lexists 5000000000000 (X) (true))"])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "tuples of arity 5000000000000 exceed the cap 16777216" in err
+
+
+@pytest.mark.parametrize("op", ["exp", "pad", "tally-fwd"])
+def test_translate_min_max_names_skip_the_formula_names(capsys, op):
+    # the formula binds _min0, the first name drawn for its min
+    code, out, err = run(capsys, [
+        "translate", "--op", op, "--max-n", "3", "--formula",
+        "(Qstar Lexists 1 (X) (exists _min0 (and (in X _min0) "
+        "(< min _min0))))"])
+    assert (code, err) == (EXIT_OK, "")
+    assert "_min1" in out and out.endswith("verdict: equivalent\n")
+
+
+def test_translate_swap_keeps_a_shadowing_existsso(capsys):
+    code, out, err = run(capsys, [
+        "translate", "--op", "qstar-to-q1", "--max-n", "3", "--formula",
+        "(Qstar Lmod2 1 (X Y) (or (in Y min) "
+        "(existsSO X (exists x (and (in X x) (letter a x))))))"])
+    assert (code, err) == (EXIT_OK, "")
+    # Y's atom is permuted; X's is not, since existsSO X rebinds it
+    assert out.splitlines()[0] == (
+        "(Q1 Lmod2 1 (X Y) (or (shuffle-bit to_interleaved 1 2 min (X Y)) "
+        "(existsSO X (exists x (and (in X x) (letter a x))))))")
+    assert out.endswith("verdict: equivalent\n")
+
+
+def test_equiv_counterexample_prints_the_assignment(capsys):
+    code, out, err = run(capsys, [
+        "equiv", "--alphabet", "a,b", "--max-n", "1",
+        "--formula", "(and (in Y min) (letter b min))", "--formula2", "(false)"])
+    assert (code, out, err) == (
+        EXIT_COUNTEREXAMPLE, "verdict: counterexample b {Y={0}}\n", "")
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["--op", "q1-to-qstar", "--max-n", "3",
+      "--formula", "(Q1 Lmod2 1 (X) (exists x (in X x)))"],
+     "(Qstar Lmod2 1 (X) (exists x (shuffle-bit to_concatenated 0 1 x (X))))\n"
+     "source: (Q1 Lmod2 1 (X) (exists x (in X x)))\n"
+     "target: (Qstar Lmod2 1 (X) (exists x (shuffle-bit to_concatenated 0 1 x "
+     "(X))))\nmapper: identity\nrange: n <= 3\nverdict: equivalent\n"),
+    (["--op", "const-unrewrite", "--constants", "c1,c2",
+      "--formula", "(exists x (and (letter s1 x) (forall y (< y x))))"],
+     "(exists x (and (and (= $c1 x) (not (= $c2 x))) (forall y (< y x))))\n"),
+    (["--op", "exp-rev", "--formula", "(Q Lexists (x) (< $c_a x))"],
+     "(Qstar Lexists 1 (x) (exists _z0 (and (not (letter a _z0)) (and "
+     "(in x _z0) (forall _u1 (or (not (< _u1 _z0)) (and (or (not "
+     "(letter a _u1)) (in x _u1)) (or (not (in x _u1)) "
+     "(letter a _u1)))))))))\n"),
+])
+def test_translate_ops_without_a_golden(capsys, argv, want):
+    assert run(capsys, ["translate"] + argv) == (EXIT_OK, want, "")

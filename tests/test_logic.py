@@ -31,22 +31,27 @@ from wordlogic.logic import (
     MAX,
     MIN,
     And,
+    BitAtom,
     ConstStructure,
     ConstSym,
     Eq,
     ExistsFO,
     ExistsSO,
     ForallFO,
+    HighBit,
     InRel,
     Letter,
     LindFO,
     LindSO,
     Lt,
+    LtLog,
+    LtPowLog,
     Not,
     Or,
     PlusAtom,
     SetTimes,
     ShuffleBit,
+    SizeBit,
     StringStructure,
     TimesAtom,
     TrueF,
@@ -360,6 +365,21 @@ def test_eliminate_min_max():
             assert evaluate(st, f, {"x": x}) == evaluate(st, g, {"x": x})
 
 
+def test_eliminate_min_max_skips_names_the_formula_uses():
+    # the formula binds _min0 and reads _min1u, the pin name of _min1
+    f = ExistsFO("_min0", And(Lt(MIN, Var("_min0")),
+                              Lt(Var("_min1u"), MAX)))
+    g = eliminate_min_max(f)
+    assert format_formula(g) == (
+        "(exists _min0 (and (exists _min2 (and (not (exists _min2u "
+        "(< _min2u _min2))) (< _min2 _min0))) (exists _max3 (and (not "
+        "(exists _max3u (< _max3 _max3u))) (< _min1u _max3)))))")
+    for w in ["a", "ab", "bba"]:
+        for y in range(len(w)):
+            env = {"_min1u": y}
+            assert evaluate(S(w), f, env) == evaluate(S(w), g, env)
+
+
 def test_fragment_check(registry):
     qfo = LindFO("Lexists", ("x",), (Letter("a", Var("x")),))
     assert fragment_check(qfo, "QL-FO")[0]
@@ -581,13 +601,36 @@ def _chain(rng):
     return body
 
 
+_ARITH = (BitAtom, HighBit, SizeBit, LtLog, LtPowLog, SetTimes)
+_ARITH_TERMS = (Var("x"), Var("y"), MIN, MAX)
+
+
+def _arith_atoms(cls):
+    """Every cls atom on x, y, min and max (SetTimes reads X, Y and X)."""
+    if cls is SetTimes:
+        return [SetTimes("X", "Y", "X")]
+    return [cls(*ts) for ts in itertools.product(
+        _ARITH_TERMS, repeat=len(logic.TERM_FIELDS[cls]))]
+
+
+def _so_arith(rng, cls):
+    """existsSO X over a random formula and a cls atom, whose bit position
+    may lie past the end of the bit string."""
+    atom = rng.choice(_arith_atoms(cls))
+    body = random_fo_formula(rng, ("x", "y"), ("X", "Y"), AB, depth=2)
+    body = rng.choice((And, Or))(*rng.sample((atom, body), 2))
+    return ExistsSO("X", rng.choice((ExistsFO, ForallFO))("x", body))
+
+
 @st.composite
 def _formulas(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(("fo", "lindfo", "lindso", "chain", "chain",
-                                 "chain")))
+    kind = draw(st.sampled_from(("fo", "lindfo", "lindso", "so-arith",
+                                 "chain", "chain", "chain")))
     if kind == "fo":
         return random_fo_formula(rng, ("y",), ("Y",), AB, depth=3)
+    if kind == "so-arith":
+        return _so_arith(rng, draw(st.sampled_from(_ARITH)))
     if kind == "lindfo":
         return random_lindfo(rng, draw(st.sampled_from(LANGS)), 1, AB,
                              k=draw(st.integers(1, 2)))
@@ -602,7 +645,7 @@ def _outcome(evaluator, *args, **kwargs):
     try:
         return evaluator(*args, **kwargs)
     except WordlogicError as e:
-        return type(e)
+        return type(e), str(e)
 
 
 def _witness_atoms():
@@ -644,10 +687,24 @@ def test_witness_atoms_match_reference(shape, x_bound):
                     _outcome(evaluate_reference, struct, f, env), (f, env)
 
 
+@pytest.mark.parametrize("cls", _ARITH)
+def test_arithmetic_atoms_match_reference(cls):
+    """Exhaustive twin of the existsSO kind below: each cls atom under an
+    existsSO and a forall, on n = 0..4, with y unbound or at every value."""
+    for atom in _arith_atoms(cls):
+        f = ExistsSO("X", ForallFO("x", Or(atom, InRel("X", (Var("x"),)))))
+        for n in range(5):
+            struct = S("abba"[:n])
+            for env in [{}] + [{"y": y, "Y": frozenset({(y,)})}
+                               for y in range(n)]:
+                assert _outcome(evaluate, struct, f, env) == \
+                    _outcome(evaluate_reference, struct, f, env), (f, env)
+
+
 @given(f=_formulas(), data=st.data())
 def test_evaluate_matches_reference(registry, f, data):
-    """Same verdict or same error type, on n = 0..4, under every value of
-    the free y, and with y or Y left unbound."""
+    """Same verdict or same error, in type and message, on n = 0..4, under
+    every value of the free y, and with y or Y left unbound."""
     free_fo, _ = free_variables(f)
     for n in range(5):
         if data.draw(st.integers(0, 3)):
@@ -665,6 +722,101 @@ def test_evaluate_matches_reference(registry, f, data):
             slow = _outcome(evaluate_reference, struct, f, env,
                             registry=registry)
             assert fast == slow, (struct, env)
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
+def test_quantifier_nodes_are_checked_before_a_short_circuit(evaluator):
+    # at v = 0 the or reaches the unregistered node; solving v from
+    # (= v x) without checking the node first would answer true
+    f = parse_formula(
+        "(exists v (and (or (= v x) (Q Nope (y) (true))) (= v x)))")
+    with pytest.raises(UnknownLanguage, match="'Nope' not registered"):
+        evaluator(S("abab"), f, {"x": 2})
+
+
+def test_long_conjunction_falls_back_without_recursing():
+    f = parse_formula("(and" + " (true)" * 2999 + " (letter a u))")
+    with pytest.raises(UnboundVariable, match="unbound variable 'u'"):
+        evaluate(S("ab"), f)
+    with pytest.raises(NestingCapExceeded):
+        evaluate_reference(S("ab"), f)
+
+
+_x, _X = Var("x"), InRel("X", (Var("x"),))
+
+
+@pytest.mark.parametrize("struct,f,env,error", [
+    (S(""), ExistsFO("x", TrueF()), {}, EmptyDomain),
+    (S(""), LindFO("Lexists", ("x",), (TrueF(),)), {}, EmptyDomain),
+    (ConstStructure.of(0, {}), Eq(MIN, MIN), {}, EmptyDomain),
+    (ConstStructure.of(2, {}), ForallFO("x", Letter("a", _x)), {},
+     NonConstantSignature),
+    # the reference raises at v = 0; solving v from (= v x) would not
+    (ConstStructure.of(2, {}), parse_formula(
+        "(exists v (and (or (= v x) (letter a v)) (= v x)))"), {"x": 1},
+     NonConstantSignature),
+    (ConstStructure.of(2, {"c": 1}), parse_formula(
+        "(exists v (and (or (= v x) (< $d v)) (= v x)))"), {"x": 1},
+     UnboundVariable),
+    (S("ab"), Lt(_x, ConstSym("c")), {"x": 0}, UnboundVariable),
+    (ConstStructure.of(2, {"c": 1}), Lt(ConstSym("c"), ConstSym("d")), {},
+     UnboundVariable),
+    (S("ab"), And(Letter("a", MIN), Letter("a", _x)), {}, UnboundVariable),
+    (S("ab"), And(Eq(_x, MIN), _X), {"x": 0}, UnboundVariable),
+    (S("ab"), ExistsFO("x", _X), {}, UnboundVariable),
+    (S("ab"), LindSO("Lexists", INTERLEAVED, 3, ("X",), (_X,)), {},
+     InstanceCapExceeded),
+])
+def test_calls_that_miss_the_record_raise_the_reference_error(
+        registry, struct, f, env, error):
+    out = _outcome(evaluate, struct, f, env, registry=registry,
+                   instance_cap=64)
+    assert out == _outcome(evaluate_reference, struct, f, env,
+                           registry=registry, instance_cap=64)
+    assert out[0] is error
+
+
+def _any_outcome(evaluator, *args):
+    try:
+        return evaluator(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("env", [{"x": -1}, {"x": 5}, {"x": True},
+                                 {"x": 1.0}, {"x": 0, "X": {(0,)}},
+                                 {"x": 0, "X": [(0,)]}, {"x": 1}])
+def test_names_of_the_wrong_kind_fall_back(env):
+    # the reference reads x at v = 0 before (= v x) can fix v; where that
+    # read crashes, so must evaluate
+    for text in ("(= x x)", "(< x max)", "(exists v (= v x))",
+                 "(or (< max x) (in X x))",
+                 "(exists v (and (or (= v x) (letter a x)) (= v x)))",
+                 "(exists v (and (or (= v x) (in x x)) (= v x)))",
+                 "(exists x (exists v (and (or (= v x) (in x x)) (= v x))))"):
+        f = parse_formula(text)
+        assert _any_outcome(evaluate, S("ab"), f, env) == \
+            _any_outcome(evaluate_reference, S("ab"), f, env), (text, env)
+
+
+def test_compiled_plan_runs_without_the_reference(registry, monkeypatch):
+    # every atom reads bound slots, so nothing needs the reference code
+    sentences = [parse_formula(text, registry) for text in (
+        "(exists x (exists y (and (< x y) (letter a x) (letter b y))))",
+        "(exists x (exists y (exists v (and (plus x y v) (letter b v)))))",
+        "(forall x (or (letter a x) (not (exists y (< x y)))))",
+        "(Q1 Lmod2 1 (X) (exists x (in X x)))",
+        "(Qstar Maj 1 (X Y) (exists x (and (in X x) (in Y x))))",
+        "(Q Lexists (x) (letter b x))",
+        "(existsSO X (forall x (in X x)))")]
+    cases = [(S(w), f) for w in ("a", "ab", "ba", "aab") for f in sentences]
+    want = [evaluate_reference(st, f, registry=registry) for st, f in cases]
+    assert True in want and False in want
+
+    def fail(*args):
+        raise AssertionError("the reference walk ran")
+    monkeypatch.setattr(logic, "_eval", fail)
+    assert [evaluate(st, f, registry=registry) for st, f in cases] == want
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from wordlogic.logic import (
     evaluate,
     instance_rank,
     instance_unrank,
+    string_structures,
     structure_from_string,
 )
 from wordlogic.translate import (
@@ -51,7 +52,6 @@ from wordlogic.translate import (
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
-    string_structures,
     tally_member,
     tally_translate_bwd,
     tally_translate_fwd,
