@@ -74,6 +74,11 @@ class UnboundVariable(WordlogicError):
     """Evaluation hit a variable missing from the assignment."""
 
 
+class SortMismatch(WordlogicError):
+    """A name holds a value of the wrong kind: a position that is not an
+    element of the domain, or a relation that is not a set."""
+
+
 class EmptyDomain(WordlogicError):
     """Quantification or min/max over the empty structure."""
 

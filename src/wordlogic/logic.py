@@ -6,9 +6,14 @@ domain elements; second-order monadic/m-ary nodes do the same over all
 instances of their bound relation variables, ordered either by interleaved
 or concatenated bit codes. Membership of the induced word decides the node.
 
-`evaluate` compiles a formula once into closures over a slot array and
-solves existential witnesses that a plus, times or = atom fixes. It runs
-them only when a call meets what the formula needs for no node to raise;
+`evaluate` compiles a formula once into closures over a slot array, in
+which min, max and constants have slots of their own, and solves
+existential witnesses that a plus, times or = atom fixes. In an argument
+of a LindSO node, a block of quantifiers that reads the node's relations
+through one (in R t...) leaf alone (a guarded block) becomes one set test
+per instance, against a set of t-tuples computed before the node's
+instance loop. It runs the closures only when a call meets what the
+formula needs for no node to raise;
 the direct tree walk answers every other call. `evaluate_reference` is
 that walk, and tests and oracles hold `evaluate` against it. What a
 quantifier ranges over is defined once and both read it: `_instances`
@@ -33,6 +38,7 @@ from .errors import (
     NestingCapExceeded,
     NonConstantSignature,
     RankOutOfRange,
+    SortMismatch,
     UnboundVariable,
     UnknownFragment,
     UnknownLanguage,
@@ -347,25 +353,23 @@ class ConstStructure:
 
 @functools.lru_cache(maxsize=16)
 def _code_layout(n: int, k: int, ordering: str, m: int):
-    """(total bits, per variable the (bit shift, m-tuple) of each code bit).
+    """(total bits, the format spec of a code, the m-tuples in lexicographic
+    order, per variable the slice of the code holding its bits).
 
-    Built once per shape: every rank of a quantifier node reuses it.
+    A code is read most significant bit first; bit j of variable i sits at
+    j*k + i (interleaved) or i*n^m + j (concatenated). Built once per shape:
+    every rank of a quantifier node reuses it.
     """
     tuples = tuple(itertools.product(range(n), repeat=m))
     npos = len(tuples)
-    total_bits = npos * k
     if ordering == INTERLEAVED:
-        def bit(i, j):
-            return j * k + i
+        parts = tuple(slice(i, None, k) for i in range(k))
     elif ordering == CONCATENATED:
-        def bit(i, j):
-            return i * npos + j
+        parts = tuple(slice(i * npos, (i + 1) * npos) for i in range(k))
     else:
         raise InvariantViolation(f"unknown ordering {ordering!r}")
-    layout = tuple(tuple((total_bits - 1 - bit(i, j), t)
-                         for j, t in enumerate(tuples))
-                   for i in range(k))
-    return total_bits, layout
+    total_bits = npos * k
+    return total_bits, f"0{total_bits}b", tuples, parts
 
 
 def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
@@ -374,22 +378,30 @@ def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
     Each relation is coded by the bit string over lexicographically ordered
     m-tuples; codes are read most significant bit first.
     """
-    _, layout = _code_layout(n, len(sets), ordering, m)
+    total_bits, _, tuples, parts = _code_layout(n, len(sets), ordering, m)
+    top = total_bits - 1
     rank = 0
-    for s, bits in zip(sets, layout):
-        for shift, t in bits:
+    for s, part in zip(sets, parts):
+        for at, t in zip(range(total_bits)[part], tuples):
             if t in s:
-                rank |= 1 << shift
+                rank |= 1 << (top - at)
     return rank
+
+
+# code digits '0' and '1' -> selector bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     """Inverse of instance_rank; returns a k-tuple of frozensets of tuples."""
-    total_bits, layout = _code_layout(n, k, ordering, m)
+    total_bits, spec, tuples, parts = _code_layout(n, k, ordering, m)
     if not 0 <= rank < (1 << total_bits):
         raise RankOutOfRange(f"rank {rank} outside [0, 2^{total_bits})")
-    return tuple(frozenset([t for shift, t in bits if (rank >> shift) & 1])
-                 for bits in layout)
+    code = format(rank, spec).encode().translate(_DIGITS)
+    if k == 1:  # the one variable's bits are the whole code
+        return (frozenset(itertools.compress(tuples, code)),)
+    return tuple([frozenset(itertools.compress(tuples, code[part]))
+                  for part in parts])
 
 
 def set_code_value(s, n: int) -> int:
@@ -429,9 +441,16 @@ class _Ctx:
 def _term_value(ctx, env, t):
     if type(t) is Var:
         try:
-            return env[t.name]
+            v = env[t.name]
         except KeyError:
             raise UnboundVariable(f"unbound variable {t.name!r}") from None
+        if type(v) is not int:
+            raise SortMismatch(
+                f"{t.name!r} holds a value of type {type(v).__name__}, "
+                "not a position")
+        if not 0 <= v < ctx.n:
+            raise SortMismatch(f"position {t.name!r} = {v} outside [0, {ctx.n})")
+        return v
     if type(t) is Min:
         if ctx.n == 0:
             raise EmptyDomain("min over the empty structure")
@@ -446,6 +465,19 @@ def _term_value(ctx, env, t):
                 f"constant ${t.name} evaluated on a string structure")
         return ctx.struct.const(t.name)
     raise InvariantViolation(f"not a term: {t!r}")
+
+
+def _relation(env, name):
+    """The relation the name holds in env."""
+    try:
+        v = env[name]
+    except KeyError:
+        raise UnboundVariable(f"unbound relation variable {name!r}") from None
+    if not isinstance(v, (set, frozenset)):
+        raise SortMismatch(
+            f"{name!r} holds a value of type {type(v).__name__}, "
+            "not a relation")
+    return v
 
 
 def resolve_language(registry, name: str) -> LanguageSpec:
@@ -569,10 +601,7 @@ def _eval(ctx, env, f) -> bool:
         pos = _term_value(ctx, env, f.term)
         return ctx.letters[pos] == f.letter
     if ty is InRel:
-        try:
-            s = env[f.rel]
-        except KeyError:
-            raise UnboundVariable(f"unbound relation variable {f.rel!r}") from None
+        s = _relation(env, f.rel)
         return tuple(_term_value(ctx, env, t) for t in f.args) in s
     if ty is PlusAtom:
         return (_term_value(ctx, env, f.a) + _term_value(ctx, env, f.b)
@@ -602,12 +631,8 @@ def _eval(ctx, env, f) -> bool:
     if ty is LtPowLog:
         return _term_value(ctx, env, f.term) < (1 << _floor_log2(ctx.n))
     if ty is SetTimes:
-        try:
-            xv = set_code_value(env[f.x], ctx.n)
-            yv = set_code_value(env[f.y], ctx.n)
-            zv = set_code_value(env[f.z], ctx.n)
-        except KeyError as e:
-            raise UnboundVariable(f"unbound relation variable {e.args[0]!r}") from None
+        xv, yv, zv = (set_code_value(_relation(env, name), ctx.n)
+                      for name in (f.x, f.y, f.z))
         return xv * yv == zv
     if ty is ShuffleBit:
         return _eval_shuffle(ctx, env, f)
@@ -648,12 +673,7 @@ def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
     n = ctx.n
     k = f.width
     x = _term_value(ctx, env, f.point)
-    sets = []
-    for v in f.set_vars:
-        try:
-            sets.append(env[v])
-        except KeyError:
-            raise UnboundVariable(f"unbound relation variable {v!r}") from None
+    sets = [_relation(env, v) for v in f.set_vars]
     if n == 1:
         return (x,) in sets[f.index]
     if f.direction == "to_interleaved":
@@ -687,22 +707,36 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # assignment, registry and cap meet the record; the reference walk answers
 # every other call, so an error is always the reference's own.
 #
-# Every binder and every free name owns one index of the list `slots`, fixed
-# at compile time. So a binding is one list store instead of an environment
-# copy, and an And/Or spine is one n-ary node. Atoms the slots cannot serve
-# run the reference code on an environment of just the names they read.
+# Every binder, every free name, min, max and every constant owns one index
+# of the list `slots`, fixed at compile time. So a binding is one list store
+# instead of an environment copy, every relation, order, letter and plus or
+# times atom reads its values straight from slots, and an And/Or spine is one
+# n-ary node. The other atoms run the reference code on an environment of
+# just the names they read.
 #
-# An existential whose body fixes its variable by a plus, times or = atom
-# over values bound outside it is solved instead of looped over; see
-# _Plan.witness.
+# First-order quantifiers compile a block at a time: the maximal nest of
+# exists and and nodes (an exists block) or of forall and or nodes (a forall
+# block) entered at a quantifier; its leaves are the nodes where the nest
+# stops. An existential whose block fixes its variable by a plus, times or =
+# leaf over values bound outside it is solved instead of looped over; see
+# _Plan.witness. In an argument of a LindSO node N, a block is guarded by a
+# relation R of N when one leaf, (in R t...) or (not (in R t...)) with every
+# t a variable of the block above it, reads what N or the binders between N
+# and the block bind, and no other leaf does. Such a block compiles into one
+# set test per instance: before N's instance loop, N's closure evaluates the
+# block once per value of the t's, with that leaf replaced by the unit of
+# the junction, and stores the t-tuples where it holds (exists) or fails
+# (forall); see _Plan.block.
 
 # Compiled levels (And/Or spines count once). Deeper formulas are refused,
 # so compiling and running stay within Python's default recursion limit.
 MAX_NESTING = 300
 _PLAN_CACHE_SIZE = 8
 _FO, _SO = "fo", "so"
-# Atoms read straight from slots when all their terms are variables
+# Atoms read straight from slots
 _SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
+# Terms whose value is fixed by the structure, each filled into one slot
+_FIXED_TERMS = (Min, Max, ConstSym)
 
 # id(formula) -> (formula, _Plan), oldest first
 _plans: dict = {}
@@ -717,7 +751,12 @@ def _false(c, s):
 
 
 def _junction(parts, ty):
-    """n-ary And or Or over compiled operands, left to right."""
+    """n-ary And or Or over compiled operands, left to right, less those
+    that are its unit."""
+    unit = _true if ty is And else _false
+    parts = [p for p in parts if p is not unit]
+    if len(parts) < 2:
+        return parts[0] if parts else unit
     if len(parts) == 2:
         a, b = parts
         if ty is And:
@@ -732,13 +771,6 @@ def _junction(parts, ty):
                 return decisive
         return not decisive
     return junction
-
-
-def _reader(x):
-    """Reader closure of a compiled term (a bound slot or a reader)."""
-    if type(x) is int:
-        return lambda c, s: s[x]
-    return x
 
 
 def _word(c, s, spec, args, slots, values):
@@ -760,8 +792,8 @@ def _word(c, s, spec, args, slots, values):
 
 
 def _slot_atom(f, idx):
-    """Closure of an atom whose relation and terms are the variables in
-    slots idx (relation first)."""
+    """Closure of an atom whose relation and terms are in slots idx
+    (relation first)."""
     ty = type(f)
     if ty is InRel:
         r, *args = idx
@@ -786,47 +818,113 @@ def _slot_atom(f, idx):
 
 
 def _solver(op, reads):
-    """Closure computing op over the read values (the one value when op is
-    None)."""
+    """Closure computing op over the values in slots reads (the one value
+    when op is None)."""
     if op is None:
-        return _reader(reads[0])
-    if all(type(r) is int for r in reads):
-        i, j = reads
-        return lambda c, s: op(s[i], s[j])
-    a, b = map(_reader, reads)
-    return lambda c, s: op(a(c, s), b(c, s))
+        (i,) = reads
+        return lambda c, s: s[i]
+    i, j = reads
+    return lambda c, s: op(s[i], s[j])
+
+
+def _loop(ty, i, body, solve):
+    """Closure of a first-order quantifier of type ty over slot i; an
+    existential with a solver tries only the solved value."""
+    if ty is ForallFO:
+        def forall(c, s):
+            for v in range(c.n):
+                s[i] = v
+                if not body(c, s):
+                    return False
+            return True
+        return forall
+
+    if solve is None:
+        def exists(c, s):
+            for v in range(c.n):
+                s[i] = v
+                if body(c, s):
+                    return True
+            return False
+        return exists
+
+    def exists_solved(c, s):
+        w = solve(c, s)
+        if 0 <= w < c.n:
+            s[i] = w
+            return body(c, s)
+        return False
+    return exists_solved
+
+
+def _fill(k, body, free, reads, want):
+    """Closure storing in slot k the tuple of the values in slots reads at
+    every assignment of positions to slots free where body is want."""
+    def fill(c, s):
+        hits = []
+        for vals in itertools.product(range(c.n), repeat=len(free)):
+            for i, v in zip(free, vals):
+                s[i] = v
+            if bool(body(c, s)) is want:
+                hits.append(tuple([s[i] for i in reads]))
+        s[k] = frozenset(hits)
+    return fill
+
+
+def _set_test(ty, positive, r, k):
+    """Closure deciding a guarded block of type ty over the relation in
+    slot r and the fill in slot k: the tuples where the rest of an exists
+    block holds, or where the rest of a forall block fails."""
+    if ty is ExistsFO:
+        if positive:
+            return lambda c, s: not s[r].isdisjoint(s[k])
+        return lambda c, s: not s[k] <= s[r]
+    if positive:
+        return lambda c, s: s[k] <= s[r]
+    return lambda c, s: s[r].isdisjoint(s[k])
 
 
 class _Plan:
     """A compiled formula fn and its record. free maps each free name to
-    its slot and kind (_FO if read as a position, _SO as a relation).
-    sound is false when no call can meet the record: the formula holds a
-    non-node or a term that is not one, or reads a name in two kinds, or in
-    another kind than its binder gives."""
+    its slot and kind (_FO if read as a position, _SO as a relation), and
+    fixed each min, max and constant term to its slot. sound is false when
+    no call can meet the record: the formula holds a non-node or a term
+    that is not one, or reads a name in two kinds, or in another kind than
+    its binder gives."""
 
     def __init__(self, formula):
         self.nslots = 0
         self.free = {}  # free name -> (slot, kind)
+        self.fixed = {}  # min, max or constant term -> slot
         self.sound = True
         self.letters = False
-        self.constants = set()
         self.nodes = []
+        self.reads = []  # every slot a name was resolved to, in order
+        # the innermost LindSO whose argument is being compiled: its first
+        # slot, its relation slots, its arity and its fills
+        self.node = None
         self.fn = self.compile(formula, {}, 0)
 
     def slots(self, ctx, assignment):
-        """The slot list fn runs on, with the free names filled in from
-        assignment; None when the call does not meet the record."""
+        """The slot list fn runs on, with the free names, min, max and the
+        constants filled in; None when the call does not meet the record."""
         n = ctx.n
         if not self.sound or n == 0:
             return None
         struct = ctx.struct
         if self.letters and not isinstance(struct, StringStructure):
             return None
-        if self.constants and not (
-                isinstance(struct, ConstStructure)
-                and self.constants <= {name for name, _ in struct.constants}):
-            return None
         slots = [None] * self.nslots
+        for t, i in self.fixed.items():
+            if type(t) is ConstSym:
+                if not isinstance(struct, ConstStructure):
+                    return None
+                try:
+                    slots[i] = struct.const(t.name)
+                except UnboundVariable:
+                    return None
+            else:
+                slots[i] = 0 if type(t) is Min else n - 1
         for name, (i, kind) in self.free.items():
             v = assignment.get(name)
             ok = (type(v) is int and 0 <= v < n if kind == _FO
@@ -856,6 +954,20 @@ class _Plan:
         slot, bound = hit
         if bound != kind:
             self.sound = False
+        self.reads.append(slot)
+        return slot
+
+    def term(self, t, scope):
+        """Slot of a term: its variable's, or the one min, max or the
+        constant fills; None if t is no term."""
+        if type(t) is Var:
+            return self.resolve(t.name, scope, _FO)
+        if type(t) not in _FIXED_TERMS:
+            self.sound = False  # not a term: the reference raises
+            return None
+        slot = self.fixed.get(t)
+        if slot is None:
+            slot = self.fixed[t] = self.new_slot()
         return slot
 
     def compile(self, f, scope, depth):
@@ -872,65 +984,129 @@ class _Plan:
             body = self.compile(f.body, scope, depth + 1)
             return lambda c, s: not body(c, s)
         if ty is ExistsFO or ty is ForallFO:
-            return self.fo_quantifier(f, scope, depth)
+            return self.block(f, scope, depth)
         if ty is ExistsSO:
             return self.so_exists(f, scope, depth)
         if ty is LindFO or ty is LindSO:
             return self.lindstrom(f, scope, depth)
         return self.atom(f, scope)
 
-    def fo_quantifier(self, f, scope, depth):
-        i = self.new_slot()
-        body = self.compile(f.body, {**scope, f.var: (i, _FO)}, depth + 1)
+    def block(self, f, scope, depth):
+        """Closure of the block entered at the quantifier f.
 
-        if type(f) is ForallFO:
-            def forall(c, s):
-                for v in range(c.n):
-                    s[i] = v
-                    if not body(c, s):
-                        return False
-                return True
-            return forall
-
-        solve = self.witness(f, scope)
-        if solve is None:
-            def exists(c, s):
-                for v in range(c.n):
-                    s[i] = v
-                    if body(c, s):
-                        return True
-                return False
-            return exists
-
-        def exists_solved(c, s):
-            w = solve(c, s)
-            if 0 <= w < c.n:
-                s[i] = w
-                return body(c, s)
-            return False
-        return exists_solved
-
-    def witness(self, f, scope):
-        """Solver of the first conjunct of the body of `exists v B` (f)
-        that fixes v from values bound outside f, or None.
-
-        The walk goes down B through And and nested exists. No conjunct
-        raises when the plan runs, so B is false at every value of v but
-        the solved one, which alone decides the quantifier; a solved value
-        outside the domain makes it false.
+        One walk down the nest gives each quantifier its slot and builds
+        its loop, and compiles each leaf, noting whether the leaf reads a
+        slot bound by the innermost LindSO N or between N and f. If exactly
+        one leaf does and guard accepts it, the block becomes a set test
+        instead, and N's closure fills its slot.
         """
-        v = f.var
-        stack = [(f.body, frozenset())]  # (conjunct, names bound below f)
-        while stack:
-            g, inner = stack.pop()
-            ty = type(g)
-            if ty is And:
-                stack.append((g.right, inner))
-                stack.append((g.left, inner))
-            elif ty is ExistsFO and g.var != v:
-                stack.append((g.body, inner | {g.var}))
-            else:
-                solve = self.solver(g, v, scope, inner)
+        ty = type(f)
+        spine = And if ty is ExistsFO else Or
+        unit = _true if ty is ExistsFO else _false
+        node = self.node
+        forbidden = None if node is None else {
+            i for i, _ in scope.values() if i >= node[0]}
+        binders = {}  # var -> (slot, solver)
+        names = []  # the var of each quantifier
+        leaves = []  # per leaf: (node, closure, block names above it,
+        #              whether it reads a forbidden slot)
+        above = []
+
+        def walk(g, scope, depth):
+            if depth > MAX_NESTING:
+                raise NestingCapExceeded(
+                    f"formula nests deeper than {MAX_NESTING} levels")
+            if type(g) is ty:
+                i, start = self.new_slot(), len(leaves)
+                names.append(g.var)
+                above.append(g.var)
+                body = walk(g.body, {**scope, g.var: (i, _FO)}, depth + 1)
+                above.pop()
+                solve = None
+                if ty is ExistsFO:
+                    solve = self.witness(g.var, scope, leaves[start:],
+                                         len(above))
+                binders[g.var] = (i, solve)
+                return _loop(ty, i, body, solve)
+            if type(g) is spine:
+                return _junction([walk(h, scope, depth + 1)
+                                  for h in _spine(g, spine)], spine)
+            mark = len(self.reads)
+            fn = self.compile(g, scope, depth)
+            leaves.append((g, fn, tuple(above), forbidden is not None
+                           and not forbidden.isdisjoint(self.reads[mark:])))
+            return fn
+
+        loops = walk(f, scope, depth)
+        hits = [leaf for leaf in leaves if leaf[3]]
+        guard = None
+        if len(hits) == 1 and len(binders) == len(names):
+            guard = self.guard(hits[0], scope, node, binders)
+        if guard is None:
+            return loops
+        positive, r, drop, reads = guard
+        at = iter(leaves)
+
+        def rest(g):
+            """The block without the guard leaf and the binders of its
+            terms, over the closures walk made."""
+            if type(g) is ty:
+                body = rest(g.body)
+                if g.var in drop:
+                    return body
+                i, solve = binders[g.var]
+                return _loop(ty, i, body, solve)
+            if type(g) is spine:
+                return _junction(list(map(rest, _spine(g, spine))), spine)
+            leaf = next(at)
+            return unit if leaf is hits[0] else leaf[1]
+
+        k = self.new_slot()
+        node[3].append(_fill(k, rest(f), tuple(drop.values()), reads,
+                             ty is ExistsFO))
+        return _set_test(ty, positive, r, k)
+
+    def guard(self, leaf, scope, node, binders):
+        """(positive, relation slot, slots of the leaf's distinct terms by
+        name, slots of its terms) when the leaf, the one that reads what N
+        or the binders between N and the block bind, makes the block
+        guarded; else None.
+
+        The leaf must be (in R t...) or its negation, R a relation of N
+        and every t a variable bound in the block above the leaf, with at
+        most N's arity distinct ones, so a fill holds at most n^arity
+        tuples. The block's variables have distinct names, so each t names
+        one quantifier.
+        """
+        g, _, above, _ = leaf
+        _, relations, arity, _ = node
+        positive = type(g) is not Not
+        atom = g if positive else g.body
+        if type(atom) is not InRel:
+            return None
+        rel = scope.get(atom.rel)
+        if rel is None or rel[0] not in relations:
+            return None
+        if not all(type(t) is Var and t.name in above for t in atom.args):
+            return None
+        drop = {t.name: binders[t.name][0] for t in atom.args}
+        if len(drop) > arity:
+            return None
+        return positive, rel[0], drop, tuple(drop[t.name] for t in atom.args)
+
+    def witness(self, v, outer, leaves, level):
+        """Solver of the first leaf below `exists v` (leaves, at the given
+        level of its block) that fixes v from values bound outside it, or
+        None. Leaves below a deeper binder of v are skipped.
+
+        No leaf raises when the plan runs, so the body is false at every
+        value of v but the solved one, which alone decides the quantifier;
+        a solved value outside the domain makes it false.
+        """
+        for g, _, above, _ in leaves:
+            inner = above[level + 1:]
+            if v not in inner:
+                solve = self.solver(g, v, outer, inner)
                 if solve is not None:
                     return solve
         return None
@@ -961,13 +1137,11 @@ class _Plan:
         return None
 
     def source(self, t, v, scope, inner):
-        """Operand of a solved witness: min, max or a name bound outside
-        the quantifier on v, as a reader or a slot; None if t is no such
+        """Slot of an operand of a solved witness: min, max, a constant or
+        a name bound outside the quantifier on v; None if t is no such
         operand."""
-        if type(t) is Min:
-            return lambda c, s: 0
-        if type(t) is Max:
-            return lambda c, s: c.n - 1
+        if type(t) in _FIXED_TERMS:
+            return self.term(t, scope)
         if type(t) is not Var or t.name == v or t.name in inner:
             return None
         return self.resolve(t.name, scope, _FO)
@@ -992,12 +1166,18 @@ class _Plan:
         for name in f.vars:
             slots.append(self.new_slot())
             inner[name] = (slots[-1], kind)
+        outer, fills = self.node, []
+        if type(f) is LindSO:
+            self.node = (slots[0], frozenset(slots), f.arity, fills)
         args = []
         for a in f.args:
             args.append(self.compile(a, inner, depth + 1))
+        self.node = outer
 
         def quantifier(c, s):
             spec = _node_spec(c, f)
+            for fill in fills:
+                fill(c, s)
             return language_member(spec, _word(c, s, spec, args, slots,
                                                _instances(c, f)))
         return quantifier
@@ -1011,21 +1191,24 @@ class _Plan:
         if ty not in _TERMS and ty is not SetTimes:
             self.sound = False  # not a formula: the reference raises
             return None
-        fo, so = free_variables(f)
-        reads = {name: self.resolve(name, scope, _FO) for name in fo}
-        reads.update((name, self.resolve(name, scope, _SO)) for name in so)
-        ts = terms(f)
-        for t in ts:
-            if type(t) is ConstSym:
-                self.constants.add(t.name)
-            elif type(t) not in (Var, Min, Max):
-                self.sound = False  # not a term: the reference raises
+        if ty is InRel:
+            rels = (f.rel,)
+        elif ty is SetTimes:
+            rels = (f.x, f.y, f.z)
+        elif ty is ShuffleBit:
+            rels = f.set_vars
+        else:
+            rels = ()
+        pairs = [(name, self.resolve(name, scope, _SO)) for name in rels]
+        idx = [i for _, i in pairs]
+        for t in terms(f):
+            idx.append(self.term(t, scope))
+            if type(t) is Var:
+                pairs.append((t.name, idx[-1]))
         self.letters = self.letters or ty is Letter
-        if ty in _SLOT_ATOMS and all(type(t) is Var for t in ts):
-            names = [f.rel] if ty is InRel else []
-            return _slot_atom(f, [reads[name]
-                                  for name in names + [t.name for t in ts]])
-        pairs = tuple(reads.items())
+        if ty in _SLOT_ATOMS and None not in idx:
+            return _slot_atom(f, idx)
+        pairs = tuple(pairs)
 
         def reference_atom(c, s):
             return _eval(c, {name: s[i] for name, i in pairs}, f)

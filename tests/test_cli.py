@@ -288,6 +288,18 @@ def test_eval_bad_shuffle_bit_is_usage_error(capsys, formula):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("formula", [
+    "(exists x (in x x))",                      # a position read as a relation
+    "(existsSO X (letter a X))",                # a relation read as a position
+    "(existsSO X (exists y (plus X y y)))",
+])
+def test_eval_name_of_the_wrong_kind_is_usage_error(capsys, formula):
+    code, out, err = run(capsys, [
+        "eval", "--alphabet", "a,b", "--structure", "ab", "--formula", formula])
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_translate_failed_check_prints_no_target(capsys):
     code, out, err = run(capsys, [
         "translate", "--op", "exp", "--max-n", "6",

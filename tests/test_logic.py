@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import itertools
@@ -6,7 +7,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wordlogic import logic, sexpr
 from wordlogic.algebra import Dfa, LanguageSpec
@@ -18,6 +19,7 @@ from wordlogic.errors import (
     NestingCapExceeded,
     NonConstantSignature,
     RankOutOfRange,
+    SortMismatch,
     UnboundVariable,
     UnknownFragment,
     UnknownLanguage,
@@ -141,6 +143,29 @@ def test_instance_rank_out_of_range():
         instance_unrank(16, 2, 2, INTERLEAVED)
     with pytest.raises(RankOutOfRange):
         instance_unrank(-1, 2, 2, CONCATENATED)
+
+
+@given(n=st.integers(0, 3), m=st.integers(1, 2), k=st.integers(1, 3),
+       ordering=st.sampled_from((INTERLEAVED, CONCATENATED)), data=st.data())
+def test_instance_unrank_inverts_instance_rank(n, m, k, ordering, data):
+    """Round trip, and every bit read as the orderings define it: bit j of
+    variable i sits at j*k + i (interleaved) or i*n^m + j (concatenated),
+    most significant first."""
+    tuples = list(itertools.product(range(n), repeat=m))
+    bits = len(tuples) * k
+    r = data.draw(st.integers(0, (1 << bits) - 1))
+    sets = instance_unrank(r, n, k, ordering, m)
+    assert instance_rank(sets, n, ordering, m) == r
+    assert len(sets) == k
+    for i, s in enumerate(sets):
+        assert type(s) is frozenset and s <= set(tuples)
+        for j, t in enumerate(tuples):
+            at = j * k + i if ordering == INTERLEAVED else i * len(tuples) + j
+            assert (t in s) == bool(r >> (bits - 1 - at) & 1)
+    for bad in (-1, 1 << bits):
+        with pytest.raises(RankOutOfRange,
+                           match=re.escape(f"rank {bad} outside [0, 2^{bits})")):
+            instance_unrank(bad, n, k, ordering, m)
 
 
 def test_set_codes():
@@ -766,6 +791,9 @@ _x, _X = Var("x"), InRel("X", (Var("x"),))
     (S("ab"), ExistsFO("x", _X), {}, UnboundVariable),
     (S("ab"), LindSO("Lexists", INTERLEAVED, 3, ("X",), (_X,)), {},
      InstanceCapExceeded),
+    (S("ab"), Letter("a", _x), {"x": 5}, SortMismatch),
+    (S("ab"), Letter("a", _x), {"x": -1}, SortMismatch),
+    (S("ab"), InRel("X", (MIN,)), {"X": [(0,)]}, SortMismatch),
 ])
 def test_calls_that_miss_the_record_raise_the_reference_error(
         registry, struct, f, env, error):
@@ -817,6 +845,156 @@ def test_compiled_plan_runs_without_the_reference(registry, monkeypatch):
         raise AssertionError("the reference walk ran")
     monkeypatch.setattr(logic, "_eval", fail)
     assert [evaluate(st, f, registry=registry) for st, f in cases] == want
+
+
+# ---------------------------------------------------------------------------
+# Guarded blocks: one set test per instance, against the reference
+
+def _set_tests(f):
+    """How many blocks of f compile into a set test."""
+    made = []
+    real = logic._fill
+
+    def fill(*args):
+        made.append(args)
+        return real(*args)
+    logic._fill = fill
+    try:
+        logic._Plan(f)
+    finally:
+        logic._fill = real
+    return len(made)
+
+
+def _filler(rng, names, consts):
+    """A leaf over the positions names, u, min, max and, when consts,
+    the constant c; it reads letters only when not consts."""
+    pool = [Var(v) for v in names] + [Var("u"), MIN, MAX]
+    if consts:
+        pool.append(ConstSym("c"))
+    p, q = rng.choice(pool), rng.choice(pool)
+    leaf = rng.choice((Lt(p, q), Eq(p, q), PlusAtom(p, q, rng.choice(pool)),
+                       Lt(p, q) if consts else Letter(rng.choice(AB), p)))
+    return Not(leaf) if rng.random() < 0.3 else leaf
+
+
+# shape -> whether its block can be guarded
+_BLOCK_SHAPES = {
+    "guarded": True,
+    "unread-between": True,  # a name bound between N and the block, unread
+    "between": False,        # ... read by another leaf
+    "sibling": False,        # another leaf reads a relation of N
+    "shadowed": False,       # two quantifiers of the block bind one name
+    "foreign-term": False,   # a term of the leaf is no variable of the block
+    "too-wide": False,       # the leaf has more distinct terms than N's arity
+}
+
+
+def _block_case(rng, lang, ordering, m, k):
+    """A LindSO node whose argument holds one block of the given shape, and
+    the number of set tests it should compile into."""
+    shape = rng.choice(sorted(_BLOCK_SHAPES))
+    consts = rng.random() < 0.5
+    q, junction = rng.choice(((ExistsFO, And), (ForallFO, Or)))
+    names = rng.sample(("x", "y"), rng.randint(1, 2))
+    if shape == "shadowed":
+        names.insert(rng.randrange(len(names)), rng.choice(names))
+    terms = [Var(rng.choice(names)) for _ in range(rng.randint(1, 3))]
+    if shape == "too-wide":
+        names = rng.sample(("x", "y", "z"), m + 1)
+        terms = [Var(v) for v in names]
+    if shape == "foreign-term":
+        terms[rng.randrange(len(terms))] = rng.choice((MIN, MAX, Var("u")))
+    leaf = InRel("X", tuple(terms))
+    if rng.random() < 0.5:
+        leaf = Not(leaf)
+    inner = [leaf]
+    if shape == "sibling":
+        inner.append(InRel(rng.choice(("X", "Y")[:k]), (Var(names[-1]),)))
+    if shape == "between":
+        inner.append(Lt(Var("w"), Var(rng.choice(names))))
+    body = None
+    for depth in range(len(names) - 1, -1, -1):
+        parts = inner if body is None else [body]
+        inner = []
+        if rng.random() < 0.6:
+            parts.append(_filler(rng, names[:depth + 1], consts))
+        rng.shuffle(parts)
+        body = parts[0]
+        for part in parts[1:]:
+            body = junction(body, part)
+        body = q(names[depth], body)
+    if shape in ("between", "unread-between"):
+        # w is bound by a quantifier of the other kind, so the block stops
+        w = Lt(Var("w"), rng.choice((MAX, Var("u"))))
+        body = (ForallFO("w", Or(w, body)) if q is ExistsFO
+                else ExistsFO("w", And(w, body)))
+    f = LindSO(lang, ordering, m, ("X", "Y")[:k], (body,))
+    if rng.random() < 0.5:
+        f = ExistsFO("u", And(_filler(rng, (), consts), f))
+    return f, int(_BLOCK_SHAPES[shape]
+                  and len({t.name for t in terms}) <= m)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 2),
+       k=st.integers(1, 2), lang=st.sampled_from(LANGS),
+       ordering=st.sampled_from((INTERLEAVED, CONCATENATED)))
+def test_guarded_blocks_match_reference(registry, seed, m, k, lang, ordering):
+    """Both block kinds and leaf polarities, repeated terms and a leaf arity
+    other than N's, against shapes that must stay per instance; on string
+    and constant structures of 1-4 elements. Nodes over 2^8 instances are
+    refused by both evaluators alike."""
+    rng = random.Random(seed)
+    f, want = _block_case(rng, lang, ordering, m, k)
+    assert _set_tests(f) == want, f
+    for n in range(1, 5):
+        word = "".join(rng.choice(AB) for _ in range(n))
+        for struct in (S(word), ConstStructure.of(n, {"c": rng.randrange(n)})):
+            env = {"u": rng.randrange(n)}
+            assert _outcome(evaluate, struct, f, env, registry=registry,
+                            instance_cap=1 << 8) == \
+                _outcome(evaluate_reference, struct, f, env,
+                         registry=registry, instance_cap=1 << 8), (struct, f)
+
+
+def _long_word_templates():
+    """The argument formulas of perfbench's long-words workload, read from
+    its source."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "TEMPLATES":
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("no TEMPLATES in perfbench/workloads.py")
+
+
+@pytest.mark.parametrize("template", _long_word_templates())
+def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
+    # the block's letter atom runs n times per evaluation, in the fill,
+    # and not once per instance
+    calls = []
+    real = logic._slot_atom
+
+    def counting(f, idx):
+        fn = real(f, idx)
+        if type(f) is not Letter:
+            return fn
+
+        def letter(c, s):
+            calls.append(f)
+            return fn(c, s)
+        return letter
+    monkeypatch.setattr(logic, "_slot_atom", counting)
+    struct = S("abbab")
+    for quantifier in ("Qstar", "Q1"):
+        f = parse_formula(f"({quantifier} Lmod2 1 (X) {template})", registry)
+        calls.clear()
+        assert evaluate(struct, f, registry=registry) == \
+            evaluate_reference(struct, f, registry=registry)
+        assert len(calls) == struct.size
 
 
 # ---------------------------------------------------------------------------
