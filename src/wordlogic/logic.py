@@ -354,7 +354,8 @@ class ConstStructure:
 @functools.lru_cache(maxsize=16)
 def _code_layout(n: int, k: int, ordering: str, m: int):
     """(total bits, the format spec of a code, the m-tuples in lexicographic
-    order, per variable the slice of the code holding its bits).
+    order, per variable the slice of the code holding its bits and the
+    (weight, m-tuple) of each of those bits).
 
     A code is read most significant bit first; bit j of variable i sits at
     j*k + i (interleaved) or i*n^m + j (concatenated). Built once per shape:
@@ -369,7 +370,10 @@ def _code_layout(n: int, k: int, ordering: str, m: int):
     else:
         raise InvariantViolation(f"unknown ordering {ordering!r}")
     total_bits = npos * k
-    return total_bits, f"0{total_bits}b", tuples, parts
+    bits = tuple(tuple(zip([1 << (total_bits - 1 - at)
+                            for at in range(total_bits)[part]], tuples))
+                 for part in parts)
+    return total_bits, f"0{total_bits}b", tuples, parts, bits
 
 
 def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
@@ -378,13 +382,11 @@ def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
     Each relation is coded by the bit string over lexicographically ordered
     m-tuples; codes are read most significant bit first.
     """
-    total_bits, _, tuples, parts = _code_layout(n, len(sets), ordering, m)
-    top = total_bits - 1
     rank = 0
-    for s, part in zip(sets, parts):
-        for at, t in zip(range(total_bits)[part], tuples):
+    for s, bits in zip(sets, _code_layout(n, len(sets), ordering, m)[4]):
+        for weight, t in bits:
             if t in s:
-                rank |= 1 << (top - at)
+                rank |= weight
     return rank
 
 
@@ -394,7 +396,7 @@ _DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     """Inverse of instance_rank; returns a k-tuple of frozensets of tuples."""
-    total_bits, spec, tuples, parts = _code_layout(n, k, ordering, m)
+    total_bits, spec, tuples, parts, _ = _code_layout(n, k, ordering, m)
     if not 0 <= rank < (1 << total_bits):
         raise RankOutOfRange(f"rank {rank} outside [0, 2^{total_bits})")
     code = format(rank, spec).encode().translate(_DIGITS)
