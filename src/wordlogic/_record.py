@@ -1,0 +1,124 @@
+"""Record classes: `__init__`, `==`, `hash` and `repr` from annotations.
+
+`record` does for wordlogic's value classes what `dataclasses.dataclass`
+would, restricted to what they use: `frozen`, field defaults,
+`field(default_factory=..., repr=..., compare=...)` and a `__post_init__`
+hook. It compiles each class's `__init__`, `__eq__` and `__hash__` in one
+`exec` and shares one `__repr__` and the frozen `__setattr__`/`__delattr__`
+across classes, so importing the package loads neither `dataclasses` nor
+`inspect` and pays for no per-class signature. Equality, hash values and
+repr text are those `dataclass` gives the same class.
+"""
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+MISSING = object()  # no default given
+
+
+class Field:
+    """One field of a record; `record` fills in the name."""
+
+    __slots__ = ("name", "default", "default_factory", "repr", "compare")
+
+    def __init__(self, default=MISSING, default_factory=MISSING,
+                 repr=True, compare=True):
+        self.name = None
+        self.default = default
+        self.default_factory = default_factory
+        self.repr = repr
+        self.compare = compare
+
+
+def field(*, default=MISSING, default_factory=MISSING, repr=True,
+          compare=True):
+    """Options of one field, written as its default in the class body."""
+    return Field(default, default_factory, repr, compare)
+
+
+def fields(cls):
+    """The fields of a record class, in declaration order."""
+    return cls.__record_fields__
+
+
+def is_record(obj) -> bool:
+    """Whether obj is a class made by `record`."""
+    return isinstance(obj, type) and "__record_fields__" in vars(obj)
+
+
+def _repr(self):
+    cls = type(self)
+    shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                      for name in cls.__record_repr__)
+    return f"{cls.__qualname__}({shown})"
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def record(cls=None, /, *, frozen=False):
+    """Class decorator: `@record` or `@record(frozen=True)`."""
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    specs = []
+    for name in cls.__dict__.get("__annotations__", ()):
+        spec = cls.__dict__.get(name, MISSING)
+        if isinstance(spec, Field):
+            if spec.default is MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, spec.default)
+        else:
+            spec = Field(spec)
+        spec.name = name
+        specs.append(spec)
+    specs = tuple(specs)
+
+    # globals of the generated functions; a default factory goes by its field
+    scope = {"_setattr": object.__setattr__, "MISSING": MISSING}
+    params, body, defaults = [], [], []
+    for f in specs:
+        name = f.name
+        if f.default_factory is not MISSING:
+            scope["_factory_" + name] = f.default_factory
+            body.append(f"  if {name} is MISSING: {name} = _factory_{name}()")
+            defaults.append(MISSING)
+        elif f.default is not MISSING:
+            defaults.append(f.default)
+        elif defaults:
+            raise TypeError(f"non-default field {name!r} follows a default")
+        params.append(name)
+        body.append(f"  _setattr(self, {name!r}, {name})" if frozen
+                    else f"  self.{name} = {name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    compared = "".join(f"self.{f.name}," for f in specs if f.compare)
+    source = "\n".join((
+        f"def __init__(self, {', '.join(params)}):",
+        *(body or ["  pass"]),
+        "def __eq__(self, other):",
+        "  if other.__class__ is self.__class__:",
+        f"    return ({compared})==({compared.replace('self.', 'other.')})",
+        "  return NotImplemented",
+        "def __hash__(self):",
+        f"  return hash(({compared}))",
+    ))
+    exec(source, scope)
+    scope["__init__"].__defaults__ = tuple(defaults) or None
+    cls.__init__ = scope["__init__"]
+    cls.__eq__ = scope["__eq__"]
+    cls.__hash__ = scope["__hash__"] if frozen else None
+    cls.__repr__ = _repr
+    if frozen:
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    cls.__record_fields__ = specs
+    cls.__record_repr__ = tuple(f.name for f in specs if f.repr)
+    return cls

@@ -10,10 +10,10 @@ algorithm.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import and_, not_, or_, rshift
 
+from ._record import field, record
 from .errors import (
     EmptyWord,
     CapExceeded,
@@ -28,7 +28,7 @@ BRACKETING_CAP = 12
 TABLE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Magma:
     """Finite multiplication table with an identity element.
 
@@ -81,7 +81,7 @@ def check_associative(m: Magma) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WordProblem:
     """Accepting subset of a magma, defining the language W(accept, magma)."""
 
@@ -197,7 +197,7 @@ def word_problem_member(wp: WordProblem, word) -> bool:
 # DFAs and CNF grammars
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dfa:
     """Total deterministic automaton; `trans[q][a]` is the successor state."""
 
@@ -225,7 +225,7 @@ class Dfa:
         return state in self.finals
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cfg:
     """Chomsky-normal-form grammar.
 
@@ -512,7 +512,7 @@ def regular_to_monoid(d: Dfa):
 # Language specs
 
 
-@dataclass
+@record
 class LanguageSpec:
     """Named language with an explicit, ordered alphabet.
 

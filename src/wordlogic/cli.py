@@ -26,7 +26,7 @@ from .algebra import (
     regular_to_monoid,
     word_problem_member,
 )
-from .errors import WordlogicError
+from .errors import EmptyRange, WordlogicError
 from .formats import (
     load_toolbox,
     parse_algebra,
@@ -80,6 +80,15 @@ def _add_common(p):
     p.add_argument("--toolbox", action="append", default=[],
                    help="file or directory of language/automaton definitions")
     p.add_argument("--instance-cap", type=int, default=DEFAULT_INSTANCE_CAP)
+
+
+def _nonempty(cases, flags):
+    """cases, refused with EmptyRange when the range flags leave none: a
+    check over nothing would report agreement it never tested."""
+    cases = iter(cases)
+    for first in cases:
+        return itertools.chain((first,), cases)
+    raise EmptyRange(f"nothing to check under {flags}")
 
 
 def _read_formula(args, box):
@@ -173,6 +182,7 @@ def cmd_translate(args):
         print(target)
         return EXIT_OK
     # check before printing, so a failed check leaves no half report
+    structures = _nonempty(structures, f"--max-n {args.max_n}")
     report = check_equivalence(f, out, structures, registry=reg,
                                mapper=mapper, mapper_desc=mapper_desc,
                                instance_cap=args.instance_cap, notes=notes)
@@ -212,18 +222,21 @@ def cmd_equiv(args):
     box = load_toolbox(args.toolbox)
     f = parse_formula(args.formula, box.languages)
     g = parse_formula(args.formula2, box.languages)
-    report = check_equivalence(
-        f, g, string_structures(_alphabet(args.alphabet), args.max_n),
-        registry=box.languages, instance_cap=args.instance_cap)
+    structures = _nonempty(string_structures(_alphabet(args.alphabet),
+                                             args.max_n),
+                           f"--max-n {args.max_n}")
+    report = check_equivalence(f, g, structures, registry=box.languages,
+                               instance_cap=args.instance_cap)
     print(report.verdict_line())
     return EXIT_OK if report.verdict == "equivalent-on-range" \
         else EXIT_COUNTEREXAMPLE
 
 
-def _agree(cases, same, show):
+def _agree(cases, same, show, flags):
     """Exit status of an oracle: prints `disagree` and show(case) for the
-    first case where same(case) is false, else `agree`."""
-    for case in cases:
+    first case where same(case) is false, else `agree`. No case at all is
+    an EmptyRange naming the range flags."""
+    for case in _nonempty(cases, flags):
         if not same(case):
             print(f"disagree {show(case)}")
             return EXIT_COUNTEREXAMPLE
@@ -244,7 +257,8 @@ def _oracle_groupoid(args):
         _words(range(magma.size), 1, args.max_len),
         lambda w: (groupoid_reachable(magma, w)
                    == brute_force_bracketings(magma, w)),
-        lambda w: " ".join(magma.elements[i] for i in w))
+        lambda w: " ".join(magma.elements[i] for i in w),
+        f"--max-len {args.max_len}")
 
 
 def _oracle_cfg(args):
@@ -256,7 +270,8 @@ def _oracle_cfg(args):
         slow = cyk_member_reference(cfg, word)
         return (word_problem_member(wp, [hom[a] for a in word]) == slow
                 and cyk_member(cfg, word) == slow)
-    return _agree(_words(alphabet, 0, args.max_len), same, "".join)
+    return _agree(_words(alphabet, 0, args.max_len), same, "".join,
+                  f"--max-len {args.max_len}")
 
 
 def _oracle_dfa(args):
@@ -266,7 +281,7 @@ def _oracle_dfa(args):
     return _agree(
         _words(dfa.alphabet, 0, args.max_len),
         lambda w: word_problem_member(wp, [hom[a] for a in w]) == dfa.run(w),
-        "".join)
+        "".join, f"--max-len {args.max_len}")
 
 
 def _oracle_lind(args):
@@ -292,8 +307,10 @@ def _oracle_lind(args):
              for node in walk_formulas(f)
              if isinstance(node, (LindFO, LindSO))
              and not any(free_variables(node)))
+    flags = f"--max-n {args.max_n}" if args.formula \
+        else f"--count {args.count} with --max-n {args.max_n}"
     return _agree(cases, same,
-                  lambda case: f"{case[0]} {format_formula(case[1])}")
+                  lambda case: f"{case[0]} {format_formula(case[1])}", flags)
 
 
 _ORACLES = {

@@ -83,6 +83,10 @@ class EmptyDomain(WordlogicError):
     """Quantification or min/max over the empty structure."""
 
 
+class EmptyRange(WordlogicError):
+    """A range flag leaves a command nothing to check."""
+
+
 class UnknownFragment(WordlogicError):
     """fragment_check got an unrecognized fragment name."""
 

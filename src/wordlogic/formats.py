@@ -8,8 +8,8 @@ invariants at load time and report errors with file and line numbers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
+from ._record import field, record
 from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem
 from .builtins import builtin_registry
 from .errors import FormatError, InvariantViolation
@@ -286,7 +286,7 @@ def parse_signature(text: str, path=None):
 # ---------------------------------------------------------------------------
 # Toolbox
 
-@dataclass
+@record
 class Toolbox:
     languages: dict = field(default_factory=dict)
     leaf_automata: dict = field(default_factory=dict)

@@ -15,14 +15,13 @@ leaf languages test the materialized leaf string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import algebra
+from ._record import record
 from .algebra import Dfa, LanguageSpec, WordProblem, language_member
 from .errors import CapExceeded, InvariantViolation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LeafAutomaton:
     """states, input alphabet, delta as tuple-of-tuples of successor tuples
     (delta[state][letter] is a nonempty tuple of state indices), start state,

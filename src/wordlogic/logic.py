@@ -27,8 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, fields
 
+from ._record import fields, record
 from .algebra import LanguageSpec, language_member
 from .errors import (
     ArityMismatch,
@@ -54,22 +54,22 @@ DEFAULT_INSTANCE_CAP = 1 << 24
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Min:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Max:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstSym:
     """Constant symbol of a constant signature (not a string letter)."""
     name: str
@@ -84,62 +84,62 @@ Term = Var | Min | Max | ConstSym
 # ---------------------------------------------------------------------------
 # Formulas
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Lt:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Letter:
     letter: str
     term: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InRel:
     rel: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PlusAtom:
     a: Term
     b: Term
     c: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TimesAtom:
     a: Term
     b: Term
     c: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BitAtom:
     """bit(a, j): the weight-2^j bit of a is 1."""
     a: Term
     j: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HighBit:
     """Bit of val(value) with weight 2^(floor(log2 N) - (val(pos)+1)).
 
@@ -150,25 +150,25 @@ class HighBit:
     pos: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SizeBit:
     """Bit of the domain size N itself at the same msb-relative position."""
     pos: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LtLog:
     """val(term) < floor(log2 N)."""
     term: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LtPowLog:
     """val(term) < 2^floor(log2 N)."""
     term: Term
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SetTimes:
     """Product of set-coded integers: code(X) * code(Y) = code(Z).
 
@@ -180,7 +180,7 @@ class SetTimes:
     z: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ShuffleBit:
     """Membership in one component of the code permutation that aligns the
     interleaved and concatenated instance orderings (monadic case).
@@ -210,43 +210,43 @@ class ShuffleBit:
                 "set variables")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Not:
     body: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or:
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExistsFO:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ForallFO:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExistsSO:
     """Existential monadic second-order quantifier."""
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LindFO:
     """First-order generalized quantifier node over a named language."""
     lang: str
@@ -258,7 +258,7 @@ class LindFO:
             raise InvariantViolation("quantifier variables must be distinct")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LindSO:
     """Second-order generalized quantifier node.
 
@@ -291,7 +291,7 @@ def implies(a, b):
 # ---------------------------------------------------------------------------
 # Structures
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StringStructure:
     """Word as a first-order structure: one letter predicate per position."""
 
@@ -321,7 +321,7 @@ def structure_from_string(alphabet, text: str) -> StringStructure:
     return StringStructure(tuple(alphabet), tuple(text))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConstStructure:
     """Structure of a pure constant signature with numeric built-ins."""
 

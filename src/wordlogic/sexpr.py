@@ -24,9 +24,9 @@ operand kinds; the reader and the printer both read it.
 from __future__ import annotations
 
 import re
-from dataclasses import fields
 from operator import attrgetter
 
+from ._record import fields
 from .errors import (ArityMismatch, FormulaSyntaxError, InvariantViolation,
                      NestingCapExceeded, UnknownLanguage)
 from .logic import (CONCATENATED, INTERLEAVED, MAX, MAX_NESTING, MIN, And,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .algebra import LanguageSpec, is_neutral_letter_bounded, language_member
 from .errors import (
     FragmentViolation,
@@ -694,7 +694,7 @@ def exp_translate_rev(formula, alphabet):
 # ---------------------------------------------------------------------------
 # Equivalence validation
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TranslationReport:
     source: object
     target: object

@@ -388,3 +388,43 @@ def test_equiv_counterexample_prints_the_assignment(capsys):
 ])
 def test_translate_ops_without_a_golden(capsys, argv, want):
     assert run(capsys, ["translate"] + argv) == (EXIT_OK, want, "")
+
+
+_EMPTY_RANGES = [
+    (["equiv", "--alphabet", "a,b", "--max-n", "0", "--formula", "(true)",
+      "--formula2", "(false)"], "--max-n 0"),
+    (["equiv", "--alphabet", "a,b", "--max-n", "-3", "--formula", "(true)",
+      "--formula2", "(false)"], "--max-n -3"),
+    (["translate", "--op", "qstar-to-q1", "--max-n", "0",
+      "--formula", "(Qstar Lmod2 1 (X) (exists x (in X x)))"], "--max-n 0"),
+    # arity collapse is checked from n = 2 on
+    (["translate", "--op", "arity-collapse", "--max-n", "1", "--formula",
+      "(Qstar Lmod2 1 (X Y) (exists x (and (in X x) (in Y x))))"],
+     "--max-n 1"),
+    (["translate", "--op", "tally-bwd", "--max-n", "0",
+      "--formula", "(Q Lmod2 (x) (exists y (< y x)))"], "--max-n 0"),
+    (["translate", "--op", "const-rewrite", "--constants", "c1",
+      "--max-n", "0", "--formula", "(exists x (< $c1 x))"], "--max-n 0"),
+    (["oracle", "groupoid-reachable", "--algebra", "{data}/g4.alg",
+      "--max-len", "0"], "--max-len 0"),
+    (["oracle", "cfg-groupoid", "--grammar", "{data}/anbn.cfg",
+      "--max-len", "-1"], "--max-len -1"),
+    (["oracle", "dfa-monoid", "--dfa", "{data}/ends_a.dfa",
+      "--max-len", "-1"], "--max-len -1"),
+    (["oracle", "lind-eval", "--count", "0"], "--count 0 with --max-n 3"),
+    (["oracle", "lind-eval", "--max-n", "0"], "--count 20 with --max-n 0"),
+    (["oracle", "lind-eval", "--max-n", "0",
+      "--formula", "(Q Lexists (x) (letter a x))"], "--max-n 0"),
+]
+
+
+@pytest.mark.parametrize("argv, flags", _EMPTY_RANGES, ids=[
+    f"{argv[0]} {argv[2] if argv[1] == '--op' else argv[1]} {flags}"
+    for argv, flags in _EMPTY_RANGES])
+def test_range_with_nothing_to_check_is_usage_error(capsys, data_dir, argv,
+                                                    flags):
+    # a verdict over no structure or word would report what it never tested
+    argv = [a.replace("{data}", data_dir) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: nothing to check under {flags}\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import re
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from wordlogic.algebra import (
     Cfg,
     Dfa,
+    Magma,
     cyk_member,
     language_member,
     pad_language,
@@ -389,7 +389,7 @@ def test_data_files_parse_to_known_objects(data_dir, g4):
         return parser(read(data_dir, name), os.path.join(data_dir, name))
 
     assert parse(parse_algebra, "g4.alg") == (
-        dataclasses.replace(g4, name="g4"), frozenset({0, 2}))
+        Magma(g4.elements, g4.table, g4.identity, "g4"), frozenset({0, 2}))
     assert parse(parse_dfa, "ends_a.dfa") == (
         Dfa(("q0", "q1"), ("a", "b"), ((1, 0), (1, 0)), 0, frozenset({1})),
         None)

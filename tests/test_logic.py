@@ -1,6 +1,5 @@
 import ast
 import collections
-import dataclasses
 import itertools
 import os
 import random
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlogic import logic, sexpr
+from wordlogic._record import is_record
 from wordlogic.algebra import Dfa, LanguageSpec
 from wordlogic.errors import (
     ArityMismatch,
@@ -1001,11 +1001,11 @@ def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
 # Node tables and the traversals built on them
 
 def _formula_classes():
-    """Every dataclass logic defines, less terms and structures."""
+    """Every record class logic defines, less terms and structures."""
     skip = set(logic.Term.__args__) | {StringStructure, ConstStructure}
     return {c for c in vars(logic).values()
-            if isinstance(c, type) and dataclasses.is_dataclass(c)
-            and c.__module__ == logic.__name__ and c not in skip}
+            if is_record(c) and c.__module__ == logic.__name__
+            and c not in skip}
 
 
 def _one_of_each():
@@ -1029,6 +1029,7 @@ def _one_of_each():
 def test_node_tables_cover_every_formula_class():
     samples = _one_of_each()
     classes = _formula_classes()
+    assert len(classes) == 23
     assert {type(f) for f in samples} == classes
     for cls in classes:
         places = [cls in logic.SUBFORMULA_FIELDS, cls in logic.TERM_FIELDS,
