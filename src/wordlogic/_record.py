@@ -1,13 +1,13 @@
 """Record classes: `__init__`, `==`, `hash` and `repr` from annotations.
 
-`record` does for wordlogic's value classes what `dataclasses.dataclass`
-would, restricted to what they use: `frozen`, field defaults,
-`field(default_factory=..., repr=..., compare=...)` and a `__post_init__`
-hook. It compiles each class's `__init__`, `__eq__` and `__hash__` in one
-`exec` and shares one `__repr__` and the frozen `__setattr__`/`__delattr__`
-across classes, so importing the package loads neither `dataclasses` nor
-`inspect` and pays for no per-class signature. Equality, hash values and
-repr text are those `dataclass` gives the same class.
+`record` does for wordlogic's value classes what `dataclasses.dataclass` would,
+restricted to what they use: `frozen`, field defaults,
+`field(default_factory=..., repr=..., compare=...)` and a `__post_init__` hook,
+and field tests. It compiles each class's `__init__`, `__eq__` and `__hash__`
+in one `exec` and shares one `__repr__` and the frozen
+`__setattr__`/`__delattr__` across classes, so importing the package loads
+neither `dataclasses` nor `inspect` and pays for no per-class signature.
+Equality, hash values and repr text are those `dataclass` gives the same class.
 """
 
 
@@ -19,13 +19,14 @@ MISSING = object()  # no default given
 
 
 class Field:
-    """One field of a record; `record` fills in the name."""
+    """One field of a record; `record` fills in its name and its kind."""
 
-    __slots__ = ("name", "default", "default_factory", "repr", "compare")
+    __slots__ = ("name", "kind", "default", "default_factory", "repr",
+                 "compare")
 
     def __init__(self, default=MISSING, default_factory=MISSING,
                  repr=True, compare=True):
-        self.name = None
+        self.name = self.kind = None
         self.default = default
         self.default_factory = default_factory
         self.repr = repr
@@ -63,12 +64,15 @@ def _frozen_delattr(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, frozen=False):
-    """Class decorator: `@record` or `@record(frozen=True)`."""
+def record(cls=None, /, *, frozen=False, checks=None, scope=None):
+    """Class decorator: `@record` or `@record(frozen=True)`. `__init__`
+    runs checks[annotation], a test of the value `{0}`, on each field and
+    calls `refuse(self, name, value, annotation)` when one fails; scope
+    holds `refuse` and the names the tests read."""
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+        return lambda c: record(c, frozen=frozen, checks=checks, scope=scope)
     specs = []
-    for name in cls.__dict__.get("__annotations__", ()):
+    for name, kind in cls.__dict__.get("__annotations__", {}).items():
         spec = cls.__dict__.get(name, MISSING)
         if isinstance(spec, Field):
             if spec.default is MISSING:
@@ -77,12 +81,12 @@ def record(cls=None, /, *, frozen=False):
                 setattr(cls, name, spec.default)
         else:
             spec = Field(spec)
-        spec.name = name
+        spec.name, spec.kind = name, kind
         specs.append(spec)
     specs = tuple(specs)
 
     # globals of the generated functions; a default factory goes by its field
-    scope = {"_setattr": object.__setattr__, "MISSING": MISSING}
+    scope = dict(scope or {}, _setattr=object.__setattr__, MISSING=MISSING)
     params, body, defaults = [], [], []
     for f in specs:
         name = f.name
@@ -95,6 +99,9 @@ def record(cls=None, /, *, frozen=False):
         elif defaults:
             raise TypeError(f"non-default field {name!r} follows a default")
         params.append(name)
+        if checks and f.kind in checks:
+            body.append(f"  if not ({checks[f.kind].format(name)}): "
+                        f"refuse(self, {name!r}, {name}, {f.kind!r})")
         body.append(f"  _setattr(self, {name!r}, {name})" if frozen
                     else f"  self.{name} = {name}")
     if hasattr(cls, "__post_init__"):

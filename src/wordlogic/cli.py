@@ -313,16 +313,20 @@ def _oracle_lind(args):
                   lambda case: f"{case[0]} {format_formula(case[1])}", flags)
 
 
+# oracle -> (runner, the file flag it needs, if any)
 _ORACLES = {
-    "groupoid-reachable": _oracle_groupoid,
-    "cfg-groupoid": _oracle_cfg,
-    "dfa-monoid": _oracle_dfa,
-    "lind-eval": _oracle_lind,
+    "groupoid-reachable": (_oracle_groupoid, "algebra"),
+    "cfg-groupoid": (_oracle_cfg, "grammar"),
+    "dfa-monoid": (_oracle_dfa, "dfa"),
+    "lind-eval": (_oracle_lind, None),
 }
 
 
 def cmd_oracle(args):
-    return _ORACLES[args.what](args)
+    run, flag = _ORACLES[args.what]
+    if flag is not None and getattr(args, flag) is None:
+        raise WordlogicError(f"oracle {args.what} needs --{flag}")
+    return run(args)
 
 
 @functools.cache

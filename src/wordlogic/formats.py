@@ -81,7 +81,7 @@ class _Fields(dict):
                 raise self.error(f"unknown key {key!r}")
         self.line = None
 
-    def error(self, message):
+    def error(self, message) -> FormatError:
         return FormatError(message, path=self.path, line=self.line)
 
     def __missing__(self, key):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 
 from ._record import fields, record
 from .algebra import LanguageSpec, language_member
@@ -52,94 +53,146 @@ DEFAULT_INSTANCE_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
+# Field kinds
+#
+# Each field of a term or formula node is annotated with its kind, the
+# nodes' one schema: each node's __init__ tests its fields' kinds, and the
+# traversals below and the sexpr reader and printer read them. A name field
+# of a node with subformulas binds the name in them; one of an atom reads it.
+
+# What the sexpr reader reads as one atom, and as a variable: not as min,
+# max or a constant. Identifiers, the usual names, skip the expressions.
+ATOM = r"[^ \t\r\n();]+"
+_NAME = ("type({0}) is str and ({0}.isidentifier() and {0} not in "
+         "('min', 'max') or variable({0}) is not None)")
+
+# kind -> (test of a field's value {0}, what the field holds). Each of the
+# first four kinds K has a kind K + s: a nonempty tuple of what K holds.
+KINDS = {
+    "Formula": ("type({0}) in formulas", "a formula"),
+    "Term": ("type({0}) in terms", "a term"),
+    "PosName": (_NAME, "a variable"),
+    "RelName": (_NAME, "a relation variable"),
+    "Symbol": ("type({0}) is str and ({0}.isidentifier() or "
+               "symbol({0}) is not None)", "a name"),
+    "int": ("type({0}) is int", "an integer"),
+}
+KINDS.update({kind + "s": ("type({0}) is tuple and {0} and all(["
+                           + test.format("x") + " for x in {0}])",
+                           f"a nonempty tuple of {what[2:]}s")
+              for kind, (test, what) in list(KINDS.items())[:4]})
+
+
+def _refuse(node, name, value, kind):
+    raise InvariantViolation(f"{type(node).__name__}.{name} must be "
+                             f"{KINDS[kind][1]}, got {value!r}")
+
+
+# The term and formula node classes, filled in as they are defined
+TERM_CLASSES, FORMULA_CLASSES = set(), set()
+_CHECKS = {kind: test for kind, (test, _) in KINDS.items()}
+_SCOPE = {"refuse": _refuse, "formulas": FORMULA_CLASSES,
+          "terms": TERM_CLASSES, "symbol": re.compile(ATOM).fullmatch,
+          "variable": re.compile(r"(?!(?:min|max)\Z|\$)" + ATOM).fullmatch}
+
+
+def _formula(cls, classes=FORMULA_CLASSES):
+    """Decorator of node classes: a frozen record whose __init__ tests each
+    field against its kind, added to classes."""
+    classes.add(cls)
+    return record(cls, frozen=True, checks=_CHECKS, scope=_SCOPE)
+
+
+_term = functools.partial(_formula, classes=TERM_CLASSES)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
-@record(frozen=True)
+@_term
 class Var:
-    name: str
+    name: PosName
 
 
-@record(frozen=True)
+@_term
 class Min:
     pass
 
 
-@record(frozen=True)
+@_term
 class Max:
     pass
 
 
-@record(frozen=True)
+@_term
 class ConstSym:
     """Constant symbol of a constant signature (not a string letter)."""
-    name: str
+    name: Symbol
 
 
 MIN = Min()
 MAX = Max()
 
-Term = Var | Min | Max | ConstSym
-
 
 # ---------------------------------------------------------------------------
 # Formulas
 
-@record(frozen=True)
+@_formula
 class TrueF:
     pass
 
 
-@record(frozen=True)
+@_formula
 class FalseF:
     pass
 
 
-@record(frozen=True)
+@_formula
 class Eq:
     left: Term
     right: Term
 
 
-@record(frozen=True)
+@_formula
 class Lt:
     left: Term
     right: Term
 
 
-@record(frozen=True)
+@_formula
 class Letter:
-    letter: str
+    letter: Symbol
     term: Term
 
 
-@record(frozen=True)
+@_formula
 class InRel:
-    rel: str
-    args: tuple
+    rel: RelName
+    args: Terms
 
 
-@record(frozen=True)
+@_formula
 class PlusAtom:
     a: Term
     b: Term
     c: Term
 
 
-@record(frozen=True)
+@_formula
 class TimesAtom:
     a: Term
     b: Term
     c: Term
 
 
-@record(frozen=True)
+@_formula
 class BitAtom:
     """bit(a, j): the weight-2^j bit of a is 1."""
     a: Term
     j: Term
 
 
-@record(frozen=True)
+@_formula
 class HighBit:
     """Bit of val(value) with weight 2^(floor(log2 N) - (val(pos)+1)).
 
@@ -150,37 +203,37 @@ class HighBit:
     pos: Term
 
 
-@record(frozen=True)
+@_formula
 class SizeBit:
     """Bit of the domain size N itself at the same msb-relative position."""
     pos: Term
 
 
-@record(frozen=True)
+@_formula
 class LtLog:
     """val(term) < floor(log2 N)."""
     term: Term
 
 
-@record(frozen=True)
+@_formula
 class LtPowLog:
     """val(term) < 2^floor(log2 N)."""
     term: Term
 
 
-@record(frozen=True)
+@_formula
 class SetTimes:
     """Product of set-coded integers: code(X) * code(Y) = code(Z).
 
     Monadic relation variables are read as most-significant-first bit
     strings over the domain.
     """
-    x: str
-    y: str
-    z: str
+    x: RelName
+    y: RelName
+    z: RelName
 
 
-@record(frozen=True)
+@_formula
 class ShuffleBit:
     """Membership in one component of the code permutation that aligns the
     interleaved and concatenated instance orderings (monadic case).
@@ -189,11 +242,11 @@ class ShuffleBit:
     position, decodes the concatenated reading, and vice versa for
     'to_concatenated'.
     """
-    direction: str  # 'to_interleaved' | 'to_concatenated'
-    index: int      # which original variable (0-based)
-    width: int      # k, the number of bound variables
+    direction: Symbol  # 'to_interleaved' | 'to_concatenated'
+    index: int  # which original variable (0-based)
+    width: int  # k, the number of bound variables
     point: Term
-    set_vars: tuple
+    set_vars: RelNames
 
     def __post_init__(self):
         if self.direction not in ("to_interleaved", "to_concatenated"):
@@ -210,69 +263,69 @@ class ShuffleBit:
                 "set variables")
 
 
-@record(frozen=True)
+@_formula
 class Not:
-    body: object
+    body: Formula
 
 
-@record(frozen=True)
+@_formula
 class And:
-    left: object
-    right: object
+    left: Formula
+    right: Formula
 
 
-@record(frozen=True)
+@_formula
 class Or:
-    left: object
-    right: object
+    left: Formula
+    right: Formula
 
 
-@record(frozen=True)
+@_formula
 class ExistsFO:
-    var: str
-    body: object
+    var: PosName
+    body: Formula
 
 
-@record(frozen=True)
+@_formula
 class ForallFO:
-    var: str
-    body: object
+    var: PosName
+    body: Formula
 
 
-@record(frozen=True)
+@_formula
 class ExistsSO:
     """Existential monadic second-order quantifier."""
-    var: str
-    body: object
+    var: RelName
+    body: Formula
 
 
-@record(frozen=True)
+@_formula
 class LindFO:
     """First-order generalized quantifier node over a named language."""
-    lang: str
-    vars: tuple
-    args: tuple
+    lang: Symbol
+    vars: PosNames
+    args: Formulas
 
     def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars) or not self.vars:
+        if len(set(self.vars)) != len(self.vars):
             raise InvariantViolation("quantifier variables must be distinct")
 
 
-@record(frozen=True)
+@_formula
 class LindSO:
     """Second-order generalized quantifier node.
 
     `ordering` selects the instance serialization; `arity` is the common
     arity m of the bound relation variables.
     """
-    lang: str
-    ordering: str
+    lang: Symbol
+    ordering: Symbol
     arity: int
-    vars: tuple
-    args: tuple
+    vars: RelNames
+    args: Formulas
 
     def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars) or not self.vars:
+        if len(set(self.vars)) != len(self.vars):
             raise InvariantViolation("quantifier variables must be distinct")
         if self.ordering not in (INTERLEAVED, CONCATENATED):
             raise InvariantViolation(f"unknown ordering {self.ordering!r}")
@@ -461,12 +514,11 @@ def _term_value(ctx, env, t):
         if ctx.n == 0:
             raise EmptyDomain("max over the empty structure")
         return ctx.n - 1
-    if type(t) is ConstSym:
-        if not isinstance(ctx.struct, ConstStructure):
-            raise UnboundVariable(
-                f"constant ${t.name} evaluated on a string structure")
-        return ctx.struct.const(t.name)
-    raise InvariantViolation(f"not a term: {t!r}")
+    # a ConstSym: the constructors admit no other term
+    if not isinstance(ctx.struct, ConstStructure):
+        raise UnboundVariable(
+            f"constant ${t.name} evaluated on a string structure")
+    return ctx.struct.const(t.name)
 
 
 def _relation(env, name):
@@ -665,10 +717,9 @@ def _eval(ctx, env, f) -> bool:
             if _eval(ctx, env2, f.body):
                 return True
         return False
-    if ty is LindFO or ty is LindSO:
-        spec, word = _induced(ctx, env, f)
-        return language_member(spec, word)
-    raise InvariantViolation(f"not a formula: {f!r}")
+    # a LindFO or LindSO: the constructors admit no other node
+    spec, word = _induced(ctx, env, f)
+    return language_member(spec, word)
 
 
 def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
@@ -737,8 +788,6 @@ _PLAN_CACHE_SIZE = 8
 _FO, _SO = "fo", "so"
 # Atoms read straight from slots
 _SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
-# Terms whose value is fixed by the structure, each filled into one slot
-_FIXED_TERMS = (Min, Max, ConstSym)
 
 # id(formula) -> (formula, _Plan), oldest first
 _plans: dict = {}
@@ -890,11 +939,11 @@ class _Plan:
     """A compiled formula fn and its record. free maps each free name to
     its slot and kind (_FO if read as a position, _SO as a relation), and
     fixed each min, max and constant term to its slot. sound is false when
-    no call can meet the record: the formula holds a non-node or a term
-    that is not one, or reads a name in two kinds, or in another kind than
-    its binder gives."""
+    no call can meet the record: the formula reads a name in two kinds, or
+    in another kind than its binder gives."""
 
     def __init__(self, formula):
+        _check_root(formula)
         self.nslots = 0
         self.free = {}  # free name -> (slot, kind)
         self.fixed = {}  # min, max or constant term -> slot
@@ -961,12 +1010,9 @@ class _Plan:
 
     def term(self, t, scope):
         """Slot of a term: its variable's, or the one min, max or the
-        constant fills; None if t is no term."""
+        constant fills."""
         if type(t) is Var:
             return self.resolve(t.name, scope, _FO)
-        if type(t) not in _FIXED_TERMS:
-            self.sound = False  # not a term: the reference raises
-            return None
         slot = self.fixed.get(t)
         if slot is None:
             slot = self.fixed[t] = self.new_slot()
@@ -1142,9 +1188,9 @@ class _Plan:
         """Slot of an operand of a solved witness: min, max, a constant or
         a name bound outside the quantifier on v; None if t is no such
         operand."""
-        if type(t) in _FIXED_TERMS:
+        if type(t) is not Var:
             return self.term(t, scope)
-        if type(t) is not Var or t.name == v or t.name in inner:
+        if t.name == v or t.name in inner:
             return None
         return self.resolve(t.name, scope, _FO)
 
@@ -1190,25 +1236,15 @@ class _Plan:
             return _true
         if ty is FalseF:
             return _false
-        if ty not in _TERMS and ty is not SetTimes:
-            self.sound = False  # not a formula: the reference raises
-            return None
-        if ty is InRel:
-            rels = (f.rel,)
-        elif ty is SetTimes:
-            rels = (f.x, f.y, f.z)
-        elif ty is ShuffleBit:
-            rels = f.set_vars
-        else:
-            rels = ()
-        pairs = [(name, self.resolve(name, scope, _SO)) for name in rels]
+        pairs = [(name, self.resolve(name, scope, _SO))
+                 for name in relation_names(f)]
         idx = [i for _, i in pairs]
         for t in terms(f):
             idx.append(self.term(t, scope))
             if type(t) is Var:
                 pairs.append((t.name, idx[-1]))
         self.letters = self.letters or ty is Letter
-        if ty in _SLOT_ATOMS and None not in idx:
+        if ty in _SLOT_ATOMS:
             return _slot_atom(f, idx)
         pairs = tuple(pairs)
 
@@ -1279,53 +1315,44 @@ def define_language(sentence, alphabet, max_n: int, *, registry=None,
 # ---------------------------------------------------------------------------
 # Traversal
 #
-# Two tables name, per node class, the fields that hold subformulas and the
-# fields that hold terms; a field called args holds a tuple of them. Every
-# walker and rewriter reads them, so a node class is described once.
+# From the kinds of its fields, per node class: the fields that hold
+# subformulas, those that hold terms, and those that hold variable names.
+# Every walker and rewriter reads them, so a node class is described once.
 
-SUBFORMULA_FIELDS = {
-    Not: ("body",), And: ("left", "right"), Or: ("left", "right"),
-    ExistsFO: ("body",), ForallFO: ("body",), ExistsSO: ("body",),
-    LindFO: ("args",), LindSO: ("args",),
-}
-TERM_FIELDS = {
-    Eq: ("left", "right"), Lt: ("left", "right"), Letter: ("term",),
-    InRel: ("args",), PlusAtom: ("a", "b", "c"), TimesAtom: ("a", "b", "c"),
-    BitAtom: ("a", "j"), HighBit: ("value", "pos"), SizeBit: ("pos",),
-    LtLog: ("term",), LtPowLog: ("term",), ShuffleBit: ("point",),
-}
-# Formula classes with neither subformulas nor terms
-LEAF_FORMULAS = (TrueF, FalseF, SetTimes)
-
-
-def _accessors(cls, names):
-    """(get, put) for the fields `names` of cls: get(node) is the tuple of
-    their values, put(node, values) a copy of node holding values there."""
-    spread = names == ("args",)
-    if spread:
-        get = operator.attrgetter("args")
-    elif len(names) == 1:
-        one = operator.attrgetter(names[0])
+def _accessors(cls, kind):
+    """(get, put) for the fields of cls of the kind or of kind + s, None if
+    it has none: get(node) is the tuple of their values, with the items of
+    a kind + s field in its place, and put(node, values) a copy of node
+    holding values there. A class has one kind + s field or only ones of
+    the kind."""
+    group = [f for f in fields(cls) if f.kind in (kind, kind + "s")]
+    if not group:
+        return None
+    names = [f.name for f in group]
+    spread = group[0].kind != kind
+    if spread or len(names) > 1:
+        get = operator.attrgetter(*names)
+    else:
+        first = operator.attrgetter(names[0])
 
         def get(node):
-            return (one(node),)
-    else:
-        get = operator.attrgetter(*names)
-    keep = [f.name for f in fields(cls) if f.name not in names]
+            return (first(node),)
 
     def put(node, values):
-        kw = {name: getattr(node, name) for name in keep}
-        if spread:
-            kw["args"] = tuple(values)
-        else:
-            kw.update(zip(names, values))
+        kw = {f.name: getattr(node, f.name) for f in fields(cls)}
+        kw.update(zip(names, [tuple(values)] if spread else values))
         return cls(**kw)
     return get, put
 
 
-_SUBFORMULAS = {cls: _accessors(cls, names)
-                for cls, names in SUBFORMULA_FIELDS.items()}
-_TERMS = {cls: _accessors(cls, names) for cls, names in TERM_FIELDS.items()}
+_SUBFORMULAS = {cls: acc for cls in FORMULA_CLASSES
+                if (acc := _accessors(cls, "Formula"))}
+_TERMS = {cls: acc for cls in FORMULA_CLASSES
+          if (acc := _accessors(cls, "Term"))}
+# class -> get of the position names and of the relation names it holds
+_POSITIONS, _RELATIONS = ({cls: acc[0] for cls in FORMULA_CLASSES
+                           if (acc := _accessors(cls, kind))}
+                          for kind in ("PosName", "RelName"))
 
 
 def children(f) -> tuple:
@@ -1348,6 +1375,13 @@ def terms(f) -> tuple:
 def with_terms(f, new_terms):
     """The atom f with its terms replaced by new_terms, in terms order."""
     return _TERMS[type(f)][1](f, new_terms)
+
+
+def relation_names(f) -> tuple:
+    """The relation variable names f holds, left to right: those it binds
+    if it has subformulas, those it reads if it is an atom."""
+    get = _RELATIONS.get(type(f))
+    return () if get is None else get(f)
 
 
 def walk_formulas(node):
@@ -1386,12 +1420,19 @@ def rewrite(f, fn):
     return rw(f)
 
 
+def _check_root(f) -> None:
+    """Raise InvariantViolation unless f, a root, is a formula node."""
+    if type(f) not in FORMULA_CLASSES:
+        raise InvariantViolation(f"not a formula: {f!r}")
+
+
 def check_nesting(f) -> None:
-    """Raise NestingCapExceeded when a node of the formula tree lies more
-    than MAX_NESTING levels below the root (every And/Or counts, unlike in
-    compiled levels). Walks level by level without recursion, so it
-    measures any depth; a formula it passes keeps the recursive walkers
-    within Python's default recursion limit."""
+    """Raise NestingCapExceeded when a node of the formula f lies more than
+    MAX_NESTING levels below the root (every And/Or counts, unlike in
+    compiled levels), and InvariantViolation when f is no formula. Walks
+    level by level without recursion, so it measures any depth; a formula
+    it passes keeps the recursive walkers within Python's default limit."""
+    _check_root(f)
     level = [f]
     for _ in range(MAX_NESTING + 1):
         below = []
@@ -1410,6 +1451,7 @@ def check_nesting(f) -> None:
 
 def free_variables(f):
     """(free first-order names, free second-order names)."""
+    _check_root(f)
     fo: set = set()
     so: set = set()
     none = frozenset()
@@ -1418,49 +1460,30 @@ def free_variables(f):
         g, bound_fo, bound_so = stack.pop()
         ty = type(g)
         acc = _SUBFORMULAS.get(ty)
-        if acc is not None:
-            if ty is ExistsFO or ty is ForallFO:
-                bound_fo = bound_fo | {g.var}
-            elif ty is ExistsSO:
-                bound_so = bound_so | {g.var}
-            elif ty is LindFO:
-                bound_fo = bound_fo.union(g.vars)
-            elif ty is LindSO:
-                bound_so = bound_so.union(g.vars)
+        if acc is not None:  # g binds its names in its subformulas
+            if ty in _POSITIONS:
+                bound_fo = bound_fo.union(_POSITIONS[ty](g))
+            if ty in _RELATIONS:
+                bound_so = bound_so.union(_RELATIONS[ty](g))
             for sub in acc[0](g):
                 stack.append((sub, bound_fo, bound_so))
             continue
-        acc = _TERMS.get(ty)
-        if acc is not None:
-            for t in acc[0](g):
-                if type(t) is Var and t.name not in bound_fo:
-                    fo.add(t.name)
-        if ty is InRel:
-            rels = (g.rel,)
-        elif ty is SetTimes:
-            rels = (g.x, g.y, g.z)
-        elif ty is ShuffleBit:
-            rels = g.set_vars
-        elif acc is not None or ty is TrueF or ty is FalseF:
-            continue
-        else:
-            raise InvariantViolation(f"not a formula: {g!r}")
-        for name in rels:
-            if name not in bound_so:
-                so.add(name)
+        for t in terms(g):
+            if type(t) is Var and t.name not in bound_fo:
+                fo.add(t.name)
+        so.update(name for name in relation_names(g) if name not in bound_so)
     return fo, so
 
 
 def all_names(f) -> set:
     """Every variable name occurring anywhere in the formula: the free
-    names and the names of every binder."""
-    fo, so = free_variables(f)
+    names and the names every node holds."""
+    names = set().union(*free_variables(f))
     for sub in walk_formulas(f):
-        if type(sub) in (ExistsFO, ForallFO, ExistsSO):
-            fo.add(sub.var)
-        elif type(sub) in (LindFO, LindSO):
-            fo.update(sub.vars)
-    return fo | so
+        for table in (_POSITIONS, _RELATIONS):
+            if type(sub) in table:
+                names.update(table[type(sub)](sub))
+    return names
 
 
 def eliminate_min_max(f):

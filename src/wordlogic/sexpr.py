@@ -17,20 +17,21 @@ plus the arithmetic-view atoms used by translation outputs:
     (shuffle-bit dir i k t (X ...))
 
 Terms are `min`, `max`, `$name` for a constant symbol, or a variable name.
-One table, `_SYNTAX`, gives each of these 24 heads its node class and
-operand kinds; the reader and the printer both read it.
+One table, `_SYNTAX`, gives each of these 24 heads its node class. A
+node's operands are its fields, of the kinds their annotations declare
+(`logic.KINDS`), in field order; the reader and the printer both read
+them, and each node's constructor checks what the reader built.
 """
 
 from __future__ import annotations
 
 import re
-from operator import attrgetter
 
 from ._record import fields
 from .errors import (ArityMismatch, FormulaSyntaxError, InvariantViolation,
                      NestingCapExceeded, UnknownLanguage)
-from .logic import (CONCATENATED, INTERLEAVED, MAX, MAX_NESTING, MIN, And,
-                    BitAtom, ConstSym, Eq, ExistsFO, ExistsSO, FalseF,
+from .logic import (ATOM, CONCATENATED, INTERLEAVED, KINDS, MAX, MAX_NESTING,
+                    MIN, And, BitAtom, ConstSym, Eq, ExistsFO, ExistsSO, FalseF,
                     ForallFO, HighBit, InRel, Letter, LindFO, LindSO, Lt,
                     LtLog, LtPowLog, Max, Min, Not, Or, PlusAtom, SetTimes,
                     ShuffleBit, SizeBit, TimesAtom, TrueF, Var, check_nesting)
@@ -38,45 +39,32 @@ from .logic import (CONCATENATED, INTERLEAVED, MAX, MAX_NESTING, MIN, And,
 # ---------------------------------------------------------------------------
 # Syntax table
 
-# Operand kinds. TERMS and FORMULAS take all remaining operands.
-_NAME, _INT, _TERM, _TERMS = "name", "integer", "term", "terms"
-_NAMES, _FORMULA, _FORMULAS = "name list", "formula", "formulas"
-
-# Operands are (kind, noun); the noun names the operand in error messages.
-_F, _FS, _T = (_FORMULA, "formula"), (_FORMULAS, "formula"), (_TERM, "term")
-_VAR, _REL = (_NAME, "variable"), (_NAME, "relation variable")
-_SO = ((_NAME, "language name"), (_INT, "arity"),
-       (_NAMES, "relation variable"), _FS)
-
-# head -> (node class, its operands in field order)
+# head -> node class
 _SYNTAX = {
-    "true": (TrueF, ()),
-    "false": (FalseF, ()),
-    "not": (Not, (_F,)),
-    "and": (And, (_F, _F)),
-    "or": (Or, (_F, _F)),
-    "=": (Eq, (_T, _T)),
-    "<": (Lt, (_T, _T)),
-    "letter": (Letter, ((_NAME, "letter"), _T)),
-    "in": (InRel, (_REL, (_TERMS, "term"))),
-    "plus": (PlusAtom, (_T, _T, _T)),
-    "times": (TimesAtom, (_T, _T, _T)),
-    "bit": (BitAtom, (_T, _T)),
-    "msb-bit": (HighBit, (_T, _T)),
-    "size-bit": (SizeBit, (_T,)),
-    "lt-log": (LtLog, (_T,)),
-    "lt-pow2": (LtPowLog, (_T,)),
-    "set-times": (SetTimes, (_REL, _REL, _REL)),
-    "shuffle-bit": (ShuffleBit, ((_NAME, "direction"), (_INT, "index"),
-                                 (_INT, "width"), _T,
-                                 (_NAMES, "relation variable"))),
-    "exists": (ExistsFO, (_VAR, _F)),
-    "forall": (ForallFO, (_VAR, _F)),
-    "existsSO": (ExistsSO, (_VAR, _F)),
-    "Q": (LindFO, ((_NAME, "language name"), (_NAMES, "variable"), _FS)),
-    "Q1": (LindSO, _SO),
-    "Qstar": (LindSO, _SO),
+    "true": TrueF, "false": FalseF, "not": Not, "and": And, "or": Or,
+    "=": Eq, "<": Lt, "letter": Letter, "in": InRel, "plus": PlusAtom,
+    "times": TimesAtom, "bit": BitAtom, "msb-bit": HighBit,
+    "size-bit": SizeBit, "lt-log": LtLog, "lt-pow2": LtPowLog,
+    "set-times": SetTimes, "shuffle-bit": ShuffleBit, "exists": ExistsFO,
+    "forall": ForallFO, "existsSO": ExistsSO, "Q": LindFO, "Q1": LindSO,
+    "Qstar": LindSO,
 }
+
+
+def _noun(f):
+    """What error messages call the operand of field f."""
+    if f.kind in ("Symbol", "int"):
+        return "language name" if f.name == "lang" else f.name
+    return KINDS[f.kind.rstrip("s")][1][2:]
+
+
+# class -> (field name, kind, noun) of each operand: the class's fields in
+# order, less the ordering of a LindSO, which its head gives
+_OPERANDS = {cls: tuple((f.name, f.kind, _noun(f)) for f in fields(cls)
+                        if f.name != "ordering")
+             for cls in _SYNTAX.values()}
+_HEADS = {cls: head for head, cls in _SYNTAX.items()}
+
 
 # The rules the table leaves out:
 # - and/or take two or more operands and read left-nested, (and A B C) as
@@ -87,19 +75,11 @@ _ORDERING = {"Q1": INTERLEAVED, "Qstar": CONCATENATED}
 _SO_HEAD = {ordering: head for head, ordering in _ORDERING.items()}
 # - min, max and $name are terms; any other atom is a variable (_term).
 
-# What the other variadic heads take, for their too-few-operands error
-_USAGE = {
-    "in": "a relation variable and at least one term",
-    "Q": "a language, a variable list, and argument formulas",
-    "Q1": "a language, an arity, a variable list, and argument formulas",
-}
-_USAGE["Qstar"] = _USAGE["Q1"]
-
 # ---------------------------------------------------------------------------
 # Reader
 
 # An atom, a paren, a newline (columns restart after it) or a comment
-_TOKEN = re.compile(r"[^ \t\r\n();]+|[()\n]|;[^\n]*")
+_TOKEN = re.compile(ATOM + r"|[()\n]|;[^\n]*")
 
 
 class _List(list):
@@ -214,10 +194,10 @@ def _build(form, registry):
         _fail(form, "expected a formula, got an atom")
     head = _head(form)
     op, rest = head[0], form[1:]
-    entry = _SYNTAX.get(op)
-    if entry is None:
+    cls = _SYNTAX.get(op)
+    if cls is None:
         _fail(head, f"unknown operator {op!r}")
-    cls, operands = entry
+    operands = _OPERANDS[cls]
     if op in _JUNCTIONS:
         if len(rest) < 2:
             _fail(head, f"{op} takes at least 2 operands, got {len(rest)}")
@@ -226,31 +206,31 @@ def _build(form, registry):
             out = cls(out, _build(item, registry))
         return out
     k = len(operands)
-    if op in _USAGE:
+    if k and operands[-1][1] in ("Formulas", "Terms"):  # takes the rest
         if len(rest) < k:
-            _fail(head, f"{op} takes {_USAGE[op]}")
+            _fail(head, f"{op} takes at least {k} operands, got {len(rest)}")
         rest = rest[:k - 1] + [rest[k - 1:]]
     elif len(rest) != k:
         _fail(head, f"{op} takes {k} operands, got {len(rest)}")
     values = []
-    for (kind, noun), item in zip(operands, rest):
-        if kind is _FORMULA:
+    for (_, kind, noun), item in zip(operands, rest):
+        if kind == "Formula":
             values.append(_build(item, registry))
-        elif kind is _TERM:
+        elif kind == "Term":
             values.append(_term(item))
-        elif kind is _NAME:
+        elif kind in ("PosName", "RelName", "Symbol"):
             values.append(_atom(item, noun))
-        elif kind is _NAMES:
-            values.append(_names(item, noun))
-        elif kind is _FORMULAS:
+        elif kind == "Formulas":
             values.append(tuple([_build(x, registry) for x in item]))
-        elif kind is _TERMS:
+        elif kind == "Terms":
             values.append(tuple([_term(x) for x in item]))
-        else:
+        elif kind == "int":
             try:
                 values.append(int(_atom(item, noun)))
             except ValueError:
                 _fail(head, f"{op} {noun} must be an integer")
+        else:  # a list of names
+            values.append(_names(item, noun))
     if cls is LindFO or cls is LindSO:
         _check_lang(registry, head, values[0], len(values[-1]))
     if op in _ORDERING:
@@ -258,7 +238,7 @@ def _build(form, registry):
     try:
         return cls(*values)
     except InvariantViolation as e:
-        raise type(e)(f"{head[1]}:{head[2]}: {e}") from None
+        raise InvariantViolation(f"{head[1]}:{head[2]}: {e}") from None
 
 
 def parse_formula(text: str, registry=None):
@@ -286,26 +266,12 @@ def _fmt_term(t):
     return t.name
 
 
-def _printers():
-    """class -> (head, ((show, field getter) per operand)), from _SYNTAX."""
-    show = {_NAME: str, _INT: str, _TERM: _fmt_term,
-            _TERMS: lambda ts: " ".join(map(_fmt_term, ts)),
-            _NAMES: lambda names: "(" + " ".join(names) + ")",
-            _FORMULA: _format,
-            _FORMULAS: lambda fs: " ".join(map(_format, fs))}
-    out = {}
-    for head, (cls, operands) in _SYNTAX.items():
-        names = [f.name for f in fields(cls) if f.name != "ordering"]
-        out[cls] = (head, tuple((show[kind], attrgetter(name))
-                                for (kind, _), name in zip(operands, names)))
-    return out
-
-
 def format_formula(f) -> str:
     """Render a formula as a parseable s-expression.
 
     Formulas nested more than MAX_NESTING levels deep raise
-    NestingCapExceeded instead of exhausting Python's recursion limit.
+    NestingCapExceeded instead of exhausting Python's recursion limit; a
+    root that is not a formula raises InvariantViolation.
     """
     check_nesting(f)
     return _format(f)
@@ -313,16 +279,15 @@ def format_formula(f) -> str:
 
 def _format(f) -> str:
     ty = type(f)
-    try:
-        head, parts = _PRINTERS[ty]
-    except KeyError:
-        raise TypeError(f"not a formula: {f!r}") from None
-    if ty is LindSO:
-        head = _SO_HEAD[f.ordering]
-    out = [head]
-    for show, get in parts:
-        out.append(show(get(f)))
+    out = [_SO_HEAD[f.ordering] if ty is LindSO else _HEADS[ty]]
+    for name, kind, _ in _OPERANDS[ty]:
+        out.append(_SHOW[kind](getattr(f, name)))
     return "(" + " ".join(out) + ")"
 
 
-_PRINTERS = _printers()
+# kind -> how an operand of the kind prints
+_SHOW = {"Symbol": str, "PosName": str, "RelName": str, "int": str,
+         "PosNames": lambda names: "(" + " ".join(names) + ")",
+         "Term": _fmt_term, "Terms": lambda ts: " ".join(map(_fmt_term, ts)),
+         "Formula": _format, "Formulas": lambda fs: " ".join(map(_format, fs))}
+_SHOW["RelNames"] = _SHOW["PosNames"]

@@ -67,6 +67,7 @@ from .logic import (
     iff,
     implies,
     rebuild,
+    relation_names,
     resolve_language,
     rewrite,
     subsets,
@@ -129,24 +130,21 @@ def _subst_rel_refs(g, bound, replace, permuted=None):
     them, or a ShuffleBit atom when permuted is None, raises
     NestedUnsupported."""
     def fn(node, rw):
-        ty = type(node)
-        if ty is InRel and node.rel in bound:
+        names = bound.intersection(relation_names(node))
+        if not names:
+            return None
+        if children(node):  # a binder of names
+            return rebuild(node, tuple(
+                _subst_rel_refs(a, bound - names, replace, permuted)
+                for a in children(node)))
+        if type(node) is InRel:
             return replace(node)
-        if ty is ShuffleBit and bound & set(node.set_vars):
-            if permuted is None:
-                raise NestedUnsupported(
-                    "bound variables feed a permutation atom")
-            return permuted(node)
-        if ty is SetTimes and bound & {node.x, node.y, node.z}:
+        if type(node) is SetTimes:
             raise NestedUnsupported(
                 "bound variables feed a set-arithmetic atom")
-        if ty is ExistsSO or ty is LindSO:
-            names = {node.var} if ty is ExistsSO else set(node.vars)
-            if bound & names:
-                return rebuild(node, tuple(
-                    _subst_rel_refs(a, bound - names, replace, permuted)
-                    for a in children(node)))
-        return None
+        if permuted is None:
+            raise NestedUnsupported("bound variables feed a permutation atom")
+        return permuted(node)
     return rewrite(g, fn)
 
 

@@ -123,6 +123,17 @@ def test_oracle_cfg_and_dfa(capsys, data_dir):
     assert code == EXIT_OK and out == "agree\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "groupoid-reachable", "--max-len", "3"], "--algebra"),
+    (["oracle", "cfg-groupoid", "--max-len", "3"], "--grammar"),
+    (["oracle", "dfa-monoid", "--max-len", "3"], "--dfa"),
+])
+def test_oracle_without_its_file_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: oracle {argv[1]} needs {flag}\n"
+
+
 def test_missing_formula_is_usage_error(capsys):
     code, out, err = run(capsys, [
         "eval", "--alphabet", "a,b", "--structure", "ab"])

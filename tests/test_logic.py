@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlogic import logic, sexpr
-from wordlogic._record import is_record
+from wordlogic._record import fields, is_record
 from wordlogic.algebra import Dfa, LanguageSpec
 from wordlogic.errors import (
     ArityMismatch,
@@ -74,6 +74,7 @@ from wordlogic.logic import (
     structure_from_string,
 )
 from wordlogic.sexpr import format_formula, parse_formula
+from wordlogic.translate import q_star_to_q1
 
 AB = ("a", "b")
 
@@ -635,7 +636,7 @@ def _arith_atoms(cls):
     if cls is SetTimes:
         return [SetTimes("X", "Y", "X")]
     return [cls(*ts) for ts in itertools.product(
-        _ARITH_TERMS, repeat=len(logic.TERM_FIELDS[cls]))]
+        _ARITH_TERMS, repeat=sum(f.kind == "Term" for f in fields(cls)))]
 
 
 def _so_arith(rng, cls):
@@ -1002,7 +1003,7 @@ def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
 
 def _formula_classes():
     """Every record class logic defines, less terms and structures."""
-    skip = set(logic.Term.__args__) | {StringStructure, ConstStructure}
+    skip = logic.TERM_CLASSES | {StringStructure, ConstStructure}
     return {c for c in vars(logic).values()
             if is_record(c) and c.__module__ == logic.__name__
             and c not in skip}
@@ -1026,32 +1027,181 @@ def _one_of_each():
     ]
 
 
-def test_node_tables_cover_every_formula_class():
+_GROUPS = (("Formula", "Formulas"), ("Term", "Terms"),
+           ("PosName", "PosNames"), ("RelName", "RelNames"))
+
+
+def test_schema_gives_every_field_one_kind():
     samples = _one_of_each()
     classes = _formula_classes()
-    assert len(classes) == 23
+    assert len(classes) == 23 and classes == logic.FORMULA_CLASSES
+    assert {c.__name__ for c in logic.TERM_CLASSES} == {
+        "Var", "Min", "Max", "ConstSym"}
     assert {type(f) for f in samples} == classes
-    for cls in classes:
-        places = [cls in logic.SUBFORMULA_FIELDS, cls in logic.TERM_FIELDS,
-                  cls in logic.LEAF_FORMULAS]
-        assert places.count(True) == 1, cls
+    for cls in classes | logic.TERM_CLASSES:
+        kinds = [f.kind for f in fields(cls)]
+        assert set(kinds) <= set(logic.KINDS), cls
+        # one tuple field of a group, or only single ones
+        for one, many in _GROUPS:
+            assert kinds.count(many) == 0 or (
+                kinds.count(many) == 1 and one not in kinds), cls
+        # a node holds subformulas or terms, not both
+        assert not ({"Formula", "Formulas"} & set(kinds)
+                    and {"Term", "Terms"} & set(kinds)), cls
     for f in samples:
-        if type(f) in logic.SUBFORMULA_FIELDS:
+        kinds = {field.kind for field in fields(type(f))}
+        if kinds & {"Formula", "Formulas"}:
+            assert logic.children(f)
             assert logic.rebuild(f, logic.children(f)) == f
         else:
             assert logic.children(f) == ()
-        if type(f) in logic.TERM_FIELDS:
+        if kinds & {"Term", "Terms"}:
+            assert logic.terms(f)
             assert logic.with_terms(f, logic.terms(f)) == f
         else:
             assert logic.terms(f) == ()
 
 
-def test_syntax_table_covers_every_formula_class():
-    heads = collections.Counter(cls for cls, _ in sexpr._SYNTAX.values())
+def test_relation_names_are_the_relation_fields():
+    got = {type(f): logic.relation_names(f) for f in _one_of_each()
+           if logic.relation_names(f)}
+    assert got == {InRel: ("X",), SetTimes: ("X", "Y", "Z"),
+                   ShuffleBit: ("A", "B"), ExistsSO: ("X",),
+                   LindSO: ("X", "Y")}
+
+
+def test_every_head_round_trips():
+    heads = collections.Counter(sexpr._SYNTAX.values())
     assert heads == {cls: 2 if cls is LindSO else 1
                      for cls in _formula_classes()}
+    seen = set()
     for f in _one_of_each():
-        assert parse_formula(format_formula(f)) == f
+        text = format_formula(f)
+        assert parse_formula(text) == f
+        seen.add(text[1:].split(" ", 1)[0].rstrip(")"))
+    assert seen == set(sexpr._SYNTAX)
+
+
+# Constructions the field checks refuse; each was accepted before them
+_MALFORMED = [
+    'And(TrueF(), "x")',
+    'Letter("a", 5)',
+    'Eq(Var("x"), 3)',
+    'ExistsFO("", TrueF())',
+    'InRel("X", ())',
+    'Var("min")',
+    'Var("a b")',
+    'LindSO("Lexists", "interleaved", 1, ("X",), ())',
+    'LindFO("Lexists", ["x"], (TrueF(),))',
+    'Not(Letter(5, Var("x")))',
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
+def test_malformed_construction_is_refused(text):
+    with pytest.raises(InvariantViolation) as ei:
+        eval(text, vars(logic))
+    assert type(ei.value) is InvariantViolation
+
+
+def test_refusal_names_the_field_and_its_kind():
+    with pytest.raises(InvariantViolation) as ei:
+        Var("min")
+    assert str(ei.value) == "Var.name must be a variable, got 'min'"
+
+
+_NAMES = st.sampled_from(["x", "Y", "_z0", "x'", "1", "a-b", "\u00e9"])
+_SYMBOLS = st.sampled_from(["a", "#", "min", "$c", "Lexists",
+                            "to_interleaved", "to_concatenated",
+                            INTERLEAVED, CONCATENATED])
+_TERM_VALUES = st.one_of(st.just(MIN), st.just(MAX), _NAMES.map(Var),
+                         _SYMBOLS.map(ConstSym))
+# Wrong types, and names the reader cannot read back as the same kind
+_WRONG = [None, 5, True, 2.5, (), Var("x"), TrueF(), TrueF]
+_BAD_SYMBOLS = ["", " ", "a b", "x(", "x)", "x;", "\n"]
+_BAD = {"Formula": _WRONG + ["x"], "Term": _WRONG + ["x"],
+        "Symbol": _WRONG + _BAD_SYMBOLS, "int": _WRONG + ["1", 1.0],
+        "PosName": _WRONG + _BAD_SYMBOLS + ["min", "max", "$c", "$"]}
+_BAD["RelName"] = _BAD["PosName"]
+
+
+def _good(kind, formulas):
+    """Values of the kind."""
+    return {
+        "Formula": formulas,
+        "Formulas": st.lists(formulas, min_size=1, max_size=2).map(tuple),
+        "Term": _TERM_VALUES,
+        "Terms": st.lists(_TERM_VALUES, min_size=1, max_size=3).map(tuple),
+        "PosName": _NAMES, "RelName": _NAMES,
+        "PosNames": st.lists(_NAMES, min_size=1, max_size=3,
+                             unique=True).map(tuple),
+        "RelNames": st.lists(_NAMES, min_size=1, max_size=3,
+                             unique=True).map(tuple),
+        "Symbol": _SYMBOLS,
+        "int": st.integers(-1, 3),
+    }[kind]
+
+
+@st.composite
+def _constructions(draw, classes, formulas):
+    """(class, field values) for a class drawn from classes: values of the
+    fields' kinds, or all but one. That one holds a wrong value: for a tuple
+    field, a list in its place, an empty tuple or one with a wrong item."""
+    cls = draw(st.sampled_from(sorted(classes, key=lambda c: c.__name__)))
+    specs = fields(cls)
+    values = [draw(_good(f.kind, formulas)) for f in specs]
+    if specs and draw(st.booleans()):
+        i = draw(st.integers(0, len(specs) - 1))
+        kind = specs[i].kind
+        if kind in _BAD:
+            values[i] = draw(st.sampled_from(_BAD[kind]))
+        else:
+            item = draw(st.sampled_from(_BAD[kind[:-1]]))
+            values[i] = draw(st.sampled_from([
+                list(values[i]), (), values[i] + (item,), (item,)]))
+    return cls, tuple(values)
+
+
+def _built(case):
+    cls, values = case
+    try:
+        return cls(*values)
+    except InvariantViolation:
+        return logic.TrueF()
+
+
+_ACCEPTED = st.recursive(
+    st.sampled_from(_one_of_each()),
+    lambda inner: _constructions(logic.FORMULA_CLASSES, inner).map(_built),
+    max_leaves=6)
+
+
+@settings(max_examples=400)
+@given(case=_constructions(logic.FORMULA_CLASSES | logic.TERM_CLASSES,
+                           _ACCEPTED))
+def test_constructors_raise_only_invariant_violations(case):
+    cls, values = case
+    try:
+        f = cls(*values)
+    except InvariantViolation as e:
+        assert type(e) is InvariantViolation
+        return
+    if cls in logic.TERM_CLASSES:
+        f = Eq(f, f)
+    # every node a constructor accepts prints as text that reads back
+    assert parse_formula(format_formula(f)) == f
+
+
+def test_a_non_formula_root_is_refused():
+    for root in ("x", Var("x"), None, (logic.TrueF(),)):
+        for walk in (format_formula, free_variables, logic.check_nesting,
+                     logic.all_names, eliminate_min_max, q_star_to_q1,
+                     lambda f: logic.rewrite(f, lambda node, rw: None),
+                     lambda f: evaluate(S("a"), f),
+                     lambda f: evaluate_reference(S("a"), f)):
+            with pytest.raises(InvariantViolation) as ei:
+                walk(root)
+            assert str(ei.value) == f"not a formula: {root!r}"
 
 
 @given(f=_formulas())

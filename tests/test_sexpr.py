@@ -254,6 +254,10 @@ def test_error_table(text, exc, where):
     ("(shuffle-bit to_interleaved 0 0 x (A))", "1:2: shuffle width must be"),
     ("(shuffle-bit to_interleaved 2 2 x (A B))", "1:2: shuffle index 2"),
     ("(shuffle-bit to_interleaved 0 3 x (A B))", "1:2: shuffle width 3 but 2"),
+    # names that would read back as min, max or a constant
+    ("(exists min (true))", "1:2: ExistsFO.var must be a variable, got"),
+    ("(not (in $X x))", "1:7: InRel.rel must be a relation variable"),
+    ("(Q Lexists (x max) (true))", "1:2: LindFO.vars must be a nonempty"),
 ])
 def test_node_errors_carry_the_head_position(text, msg):
     with pytest.raises(InvariantViolation) as ei:
