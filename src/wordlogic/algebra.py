@@ -21,9 +21,14 @@ from .errors import (
     LetterOutOfAlphabet,
     NotAssociative,
     NotCnf,
+    UnknownLanguage,
 )
 
 BRACKETING_CAP = 12
+# A language's membership cache is cleared once it holds more words than
+# this, and before its words would hold more characters than this
+MEMBER_CACHE_WORDS = 4096
+MEMBER_CACHE_CHARS = 1 << 18
 # largest number of words of one length a bounded property check tabulates
 TABLE_CAP = 1 << 20
 
@@ -526,6 +531,7 @@ class LanguageSpec:
     declared_neutral: str | None = None
     letter_map: dict | None = None
     _member_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _member_chars: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
@@ -565,6 +571,14 @@ class LanguageSpec:
         return len(self.alphabet)
 
 
+def resolve_language(registry, name: str) -> LanguageSpec:
+    """The language `name` of a registry, which may be None."""
+    try:
+        return registry[name]
+    except (KeyError, TypeError):
+        raise UnknownLanguage(f"language {name!r} not registered") from None
+
+
 def language_member(spec: LanguageSpec, word) -> bool:
     """Membership of `word` (an iterable of letters) in the named language."""
     word = "".join(word)
@@ -583,9 +597,12 @@ def language_member(spec: LanguageSpec, word) -> bool:
         result = cyk_member(body, word)
     else:
         result = word_problem_member(body, [spec.letter_map[a] for a in word])
-    if len(spec._member_cache) > 4096:
+    if (len(spec._member_cache) > MEMBER_CACHE_WORDS
+            or spec._member_chars + len(word) > MEMBER_CACHE_CHARS):
         spec._member_cache.clear()
+        spec._member_chars = 0
     spec._member_cache[word] = result
+    spec._member_chars += len(word)
     return result
 
 

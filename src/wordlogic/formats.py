@@ -10,11 +10,10 @@ from __future__ import annotations
 import os
 
 from ._record import field, record
-from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem
+from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem, resolve_language
 from .builtins import builtin_registry
 from .errors import FormatError, InvariantViolation
 from .leafauto import LeafAutomaton
-from .logic import resolve_language
 
 
 def _words(value):

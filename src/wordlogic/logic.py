@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
+import sys
 
 from ._record import fields, record
-from .algebra import LanguageSpec, language_member
+from .algebra import LanguageSpec, language_member, resolve_language
 from .errors import (
     ArityMismatch,
     EmptyDomain,
@@ -66,6 +68,10 @@ ATOM = r"[^ \t\r\n();]+"
 _NAME = ("type({0}) is str and ({0}.isidentifier() and {0} not in "
          "('min', 'max') or variable({0}) is not None)")
 
+# str() prints integers of at most this many digits (0: any), as set when
+# the module is imported; an int field holds no other, so every node prints
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 # kind -> (test of a field's value {0}, what the field holds). Each of the
 # first four kinds K has a kind K + s: a nonempty tuple of what K holds.
 KINDS = {
@@ -75,7 +81,9 @@ KINDS = {
     "RelName": (_NAME, "a relation variable"),
     "Symbol": ("type({0}) is str and ({0}.isidentifier() or "
                "symbol({0}) is not None)", "a name"),
-    "int": ("type({0}) is int", "an integer"),
+    "int": ("type({0}) is int and -int_bound < {0} < int_bound",
+            f"an integer of at most {_INT_DIGITS} digits" if _INT_DIGITS
+            else "an integer"),
 }
 KINDS.update({kind + "s": ("type({0}) is tuple and {0} and all(["
                            + test.format("x") + " for x in {0}])",
@@ -84,14 +92,19 @@ KINDS.update({kind + "s": ("type({0}) is tuple and {0} and all(["
 
 
 def _refuse(node, name, value, kind):
+    try:
+        got = repr(value)
+    except ValueError:  # it holds an integer too long to print
+        got = f"an unprintable {type(value).__name__}"
     raise InvariantViolation(f"{type(node).__name__}.{name} must be "
-                             f"{KINDS[kind][1]}, got {value!r}")
+                             f"{KINDS[kind][1]}, got {got}")
 
 
 # The term and formula node classes, filled in as they are defined
 TERM_CLASSES, FORMULA_CLASSES = set(), set()
 _CHECKS = {kind: test for kind, (test, _) in KINDS.items()}
 _SCOPE = {"refuse": _refuse, "formulas": FORMULA_CLASSES,
+          "int_bound": 10 ** _INT_DIGITS if _INT_DIGITS else math.inf,
           "terms": TERM_CLASSES, "symbol": re.compile(ATOM).fullmatch,
           "variable": re.compile(r"(?!(?:min|max)\Z|\$)" + ATOM).fullmatch}
 
@@ -532,14 +545,6 @@ def _relation(env, name):
             f"{name!r} holds a value of type {type(v).__name__}, "
             "not a relation")
     return v
-
-
-def resolve_language(registry, name: str) -> LanguageSpec:
-    """The language `name` of a registry, which may be None."""
-    try:
-        return registry[name]
-    except (KeyError, TypeError):
-        raise UnknownLanguage(f"language {name!r} not registered") from None
 
 
 def _node_spec(ctx, node) -> LanguageSpec:
@@ -1385,7 +1390,9 @@ def relation_names(f) -> tuple:
 
 
 def walk_formulas(node):
-    """Yield every subformula, root first, left to right."""
+    """Yield every subformula, root first, left to right. Raises
+    InvariantViolation when node is no formula."""
+    _check_root(node)
     stack = [node]
     while stack:
         g = stack.pop()
@@ -1582,7 +1589,9 @@ def fragment_check(formula, fragment: str):
 
     Walks the formula once, root first, and reports the first node that
     the fragment's row in FRAGMENT_TABLE refuses; the "outer" rule is
-    checked after the walk."""
+    checked after the walk. Raises InvariantViolation when formula is no
+    formula node."""
+    _check_root(formula)
     try:
         outer, allowed, ordering, relations = FRAGMENT_TABLE[fragment]
     except KeyError:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlogic.algebra import (
+    MEMBER_CACHE_CHARS,
     TABLE_CAP,
     Cfg,
     Dfa,
@@ -505,3 +506,23 @@ def test_property_check_table_cap():
     with pytest.raises(CapExceeded) as exc:
         is_neutral_letter_bounded(reg["Lexists"], "0", 40)
     assert exc.value.required == 2 ** 21 > TABLE_CAP
+
+
+def test_member_cache_is_bounded_by_characters(monkeypatch):
+    runs = []
+    run = Dfa.run
+    monkeypatch.setattr(Dfa, "run",
+                        lambda dfa, word: runs.append(word) or run(dfa, word))
+    even_a = Dfa(("e", "o"), ("a", "b"), ((1, 0), (0, 1)), 0, frozenset({0}))
+    spec = LanguageSpec("EvenA", ("a", "b"), even_a)
+    length = MEMBER_CACHE_CHARS // 10
+    for i in range(40):  # four budgets of distinct words
+        word = "a" * i + "b" * (length - i)
+        assert language_member(spec, word) == (i % 2 == 0)
+        held = sum(map(len, spec._member_cache))
+        assert word in spec._member_cache
+        assert held == spec._member_chars <= MEMBER_CACHE_CHARS
+    assert len(runs) == 40
+    # a repeated short word is answered from the cache
+    assert language_member(spec, "aba") and language_member(spec, "aba")
+    assert runs[40:] == ["aba"]

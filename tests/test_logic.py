@@ -1094,6 +1094,7 @@ _MALFORMED = [
     'LindSO("Lexists", "interleaved", 1, ("X",), ())',
     'LindFO("Lexists", ["x"], (TrueF(),))',
     'Not(Letter(5, Var("x")))',
+    'LindSO("L", "interleaved", 10 ** 5000, ("X",), (TrueF(),))',
 ]
 
 
@@ -1108,6 +1109,14 @@ def test_refusal_names_the_field_and_its_kind():
     with pytest.raises(InvariantViolation) as ei:
         Var("min")
     assert str(ei.value) == "Var.name must be a variable, got 'min'"
+    assert logic._INT_DIGITS == 4300  # Python's default limit
+    with pytest.raises(InvariantViolation) as ei:
+        LindSO("L", INTERLEAVED, -10 ** 4300, ("X",), (TrueF(),))
+    assert str(ei.value) == ("LindSO.arity must be an integer of at most "
+                             "4300 digits, got an unprintable int")
+    # the longest integer str() prints is accepted, and prints
+    f = LindSO("L", INTERLEAVED, 10 ** 4300 - 1, ("X",), (TrueF(),))
+    assert parse_formula(format_formula(f)) == f
 
 
 _NAMES = st.sampled_from(["x", "Y", "_z0", "x'", "1", "a-b", "\u00e9"])
@@ -1120,7 +1129,7 @@ _TERM_VALUES = st.one_of(st.just(MIN), st.just(MAX), _NAMES.map(Var),
 _WRONG = [None, 5, True, 2.5, (), Var("x"), TrueF(), TrueF]
 _BAD_SYMBOLS = ["", " ", "a b", "x(", "x)", "x;", "\n"]
 _BAD = {"Formula": _WRONG + ["x"], "Term": _WRONG + ["x"],
-        "Symbol": _WRONG + _BAD_SYMBOLS, "int": _WRONG + ["1", 1.0],
+        "Symbol": _WRONG + _BAD_SYMBOLS, "int": _WRONG + ["1", 1.0, 10 ** 4300, -10 ** 4300],
         "PosName": _WRONG + _BAD_SYMBOLS + ["min", "max", "$c", "$"]}
 _BAD["RelName"] = _BAD["PosName"]
 
@@ -1197,6 +1206,8 @@ def test_a_non_formula_root_is_refused():
         for walk in (format_formula, free_variables, logic.check_nesting,
                      logic.all_names, eliminate_min_max, q_star_to_q1,
                      lambda f: logic.rewrite(f, lambda node, rw: None),
+                     lambda f: list(logic.walk_formulas(f)),
+                     lambda f: fragment_check(f, "FO"),
                      lambda f: evaluate(S("a"), f),
                      lambda f: evaluate_reference(S("a"), f)):
             with pytest.raises(InvariantViolation) as ei:

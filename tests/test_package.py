@@ -1,11 +1,129 @@
 import ast
 import glob
+import importlib
 import os
 import subprocess
 import sys
 
+import pytest
+
 import wordlogic
 from wordlogic import errors
+
+SRC = os.path.dirname(os.path.dirname(wordlogic.__file__))
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# submodule -> the names the package exports from it
+EXPORTS = {
+    "algebra": """Cfg Dfa LanguageSpec Magma WordProblem
+        brute_force_bracketings cfg_to_groupoid check_associative cyk_member
+        groupoid_reachable is_neutral_letter_bounded is_symmetric_bounded
+        language_member monoid_word_eval pad_language regular_to_monoid
+        word_problem_member""",
+    "builtins": "builtin_registry",
+    "errors": "WordlogicError",
+    "formats": "Toolbox load_toolbox",
+    "leafauto": "LeafAutomaton leaf_count leaf_string leaffa_member",
+    "logic": """CONCATENATED INTERLEAVED ConstStructure StringStructure
+        define_language evaluate fragment_check induced_word instance_rank
+        instance_unrank structure_from_string""",
+    "sexpr": "format_formula parse_formula",
+    "translate": """TranslationReport arity_collapse check_equivalence
+        const_rewrite const_unrewrite exp_translate exp_translate_rev
+        pad_translate q1_to_q_star q_star_to_q1 tally_member
+        tally_translate_bwd tally_translate_fwd""",
+}
+EXPORTS = {module: names.split() for module, names in EXPORTS.items()}
+# every exported name and every submodule name
+PUBLIC = {name for module, names in EXPORTS.items()
+          for name in (module, *names)}
+
+# What loading a toolbox and building a registry imports, and what it may not
+SET_UP_MODULES = ("_record", "errors", "algebra", "builtins", "leafauto",
+                  "formats")
+FORMULA_MODULES = ("logic", "sexpr", "translate", "cli", "generate")
+
+
+def _fresh(code):
+    """The output of code run by a fresh interpreter; -S keeps site hooks
+    from importing modules first."""
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    return out.stdout.strip()
+
+
+# prints the submodules loaded
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('wordlogic.')))"
+
+
+def test_import_loads_no_submodule():
+    assert _fresh("import sys, wordlogic; " + _LOADED) == "[]"
+
+
+def test_loading_a_toolbox_leaves_out_the_formula_modules():
+    # the steps of perfbench/run.py's set_up
+    code = f"""
+import sys
+from wordlogic import algebra, builtins, formats
+reg = formats.load_toolbox([{DATA!r}]).languages
+reg["MajPad"] = algebra.pad_language(reg["Maj"], "#", name="MajPad")
+reg["LmodOdd"] = algebra.LanguageSpec(
+    "LmodOdd", ("1", "0"), algebra.WordProblem.of(builtins.Z2, {{1}}),
+    declared_neutral="0", letter_map={{"1": 1, "0": 0}})
+reg["Lmod3"] = builtins.mod_counting_language(3)
+{_LOADED}"""
+    loaded = eval(_fresh(code))
+    assert loaded == sorted("wordlogic." + m for m in SET_UP_MODULES)
+
+
+def test_every_export_is_its_submodules_object():
+    assert set(wordlogic.__all__) == PUBLIC and len(PUBLIC) == 59
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module("wordlogic." + module)
+        assert getattr(wordlogic, module) is sub
+        for name in names:
+            assert getattr(wordlogic, name) is getattr(sub, name), name
+    assert PUBLIC <= set(dir(wordlogic))
+
+
+def test_star_import_binds_the_exports():
+    scope = {}
+    exec("from wordlogic import *", scope)
+    del scope["__builtins__"]
+    assert set(scope) == PUBLIC
+    for name, value in scope.items():
+        assert value is getattr(wordlogic, name)
+
+
+def test_an_unknown_name_is_refused():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        wordlogic.nope
+    with pytest.raises(ImportError):
+        from wordlogic import nope  # noqa: F401
+
+
+def test_set_up_modules_import_no_formula_module():
+    # so loading a toolbox never compiles the evaluator or the syntax
+    package = os.path.dirname(wordlogic.__file__)
+    for module in SET_UP_MODULES:
+        path = os.path.join(package, module + ".py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [
+                    alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            for name in names:
+                name = name.removeprefix("wordlogic.")
+                assert name.split(".")[0] not in FORMULA_MODULES, \
+                    (module, node.lineno, name)
 
 
 def test_package_imports_only_the_standard_library():
@@ -33,14 +151,11 @@ def test_package_imports_only_the_standard_library():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # the record classes are built without them, so import stays cheap;
-    # -S keeps site hooks from importing them first
-    src = os.path.dirname(os.path.dirname(wordlogic.__file__))
+    # every export is read, since a bare import loads no submodule
     code = ("import sys, wordlogic; "
+            "[getattr(wordlogic, name) for name in wordlogic.__all__]; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
 
 
 class _Raises(ast.NodeVisitor):
@@ -70,6 +185,8 @@ _UNTYPED_RAISES = {
     ("_record.py", "record", "TypeError"),
     # caught by _Fields, which raises a FormatError in its place
     ("formats.py", "_flag", "ValueError"),
+    # what a module's __getattr__ raises for a name it lacks (PEP 562)
+    ("__init__.py", "__getattr__", "AttributeError"),
 }
 
 
