@@ -71,6 +71,12 @@ class Magma:
         return len(self.elements)
 
     @cached_property
+    def _rows(self) -> tuple:
+        """The table's rows as maps from an element's index to the product,
+        so that a fold refuses any other letter."""
+        return tuple(dict(enumerate(row)) for row in self.table)
+
+    @cached_property
     def _layout(self) -> "_RuleLayout":
         g = range(len(self.elements))
         return _RuleLayout([(self.table[x][y], x, y) for x in g for y in g],
@@ -109,11 +115,19 @@ def monoid_word_eval(wp: WordProblem, word) -> int:
     """Left fold of the table over `word`, starting at the identity."""
     if not wp.associative:
         raise NotAssociative("monoid_word_eval needs an associative word problem")
-    table = wp.magma.table
+    rows = wp.magma._rows
     acc = wp.magma.identity
     for x in word:
-        acc = table[acc][x]
+        try:
+            acc = rows[acc][x]
+        except (KeyError, TypeError):
+            raise LetterOutOfAlphabet(_outside(wp.magma, x)) from None
     return acc
+
+
+def _outside(m: Magma, x) -> str:
+    return (f"element index {x!r} not in magma {m.name!r} of "
+            f"{len(m.elements)} elements")
 
 
 def groupoid_reachable(m: Magma, word) -> frozenset[int]:
@@ -123,6 +137,9 @@ def groupoid_reachable(m: Magma, word) -> frozenset[int]:
     `x*y -> x y` of the table.
     """
     word = tuple(word)
+    outside = set(word) - set(range(m.size))
+    if outside:
+        raise LetterOutOfAlphabet(_outside(m, outside.pop()))
     if not word:
         raise EmptyWord("groupoid_reachable needs a nonempty word")
     if len(word) == 1:
@@ -223,10 +240,20 @@ class Dfa:
         if any(not 0 <= f < q for f in self.finals):
             raise InvariantViolation("DFA final state out of range")
 
+    @cached_property
+    def _columns(self) -> dict:
+        """Each letter's column in `trans`."""
+        return {a: i for i, a in enumerate(self.alphabet)}
+
     def run(self, word) -> bool:
+        columns, trans = self._columns, self.trans
         state = self.start
         for a in word:
-            state = self.trans[state][self.alphabet.index(a)]
+            try:
+                state = trans[state][columns[a]]
+            except (KeyError, TypeError):
+                raise LetterOutOfAlphabet(
+                    f"letter {a!r} not in the DFA's alphabet") from None
         return state in self.finals
 
 

@@ -417,59 +417,118 @@ class ConstStructure:
 # ---------------------------------------------------------------------------
 # Instance codes
 
+# A code is decoded a byte at a time: per variable, each byte of the code
+# has a table from the byte's value to the tuples its set bits add
+_PIECE_BITS = 8
+_PIECE_MASK = (1 << _PIECE_BITS) - 1
+
+
+class _Piece(dict):
+    """One variable's table for one byte of a code: maps the byte's value
+    to the frozenset of tuples its set bits put in the variable's set.
+    Entries are made on first use, so a wide code costs only the values
+    its ranks hold."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells):
+        self.cells = cells  # per bit, lowest first: its tuple or None
+
+    def __missing__(self, value: int) -> frozenset:
+        entry = self[value] = frozenset(
+            [t for q, t in enumerate(self.cells)
+             if value >> q & 1 and t is not None])
+        return entry
+
+
+def _pieces(column) -> tuple:
+    """(first table, later tables) of one variable: the tables of the bytes
+    of a code, lowest first, where the bit of weight 2^b puts column[b] in
+    the variable's set, or nothing if column[b] is None. A code has at least
+    one byte, so the empty code decodes to the empty set."""
+    first, *later = [_Piece(column[b:b + _PIECE_BITS])
+                     for b in range(0, max(len(column), 1), _PIECE_BITS)]
+    return first, later
+
+
+def _decode(pieces, rank: int) -> tuple:
+    """The k frozensets a rank codes: per variable the union of what each
+    byte of the rank adds."""
+    sets = []
+    for first, later in pieces:
+        s = first[rank & _PIECE_MASK]
+        code = rank
+        for table in later:
+            code >>= _PIECE_BITS
+            s = s | table[code & _PIECE_MASK]
+        sets.append(s)
+    return tuple(sets)
+
+
 @functools.lru_cache(maxsize=16)
 def _code_layout(n: int, k: int, ordering: str, m: int):
-    """(total bits, the format spec of a code, the m-tuples in lexicographic
-    order, per variable the slice of the code holding its bits and the
-    (weight, m-tuple) of each of those bits).
+    """(2^bits, per variable the byte tables of a code and the weight of
+    each m-tuple).
 
     A code is read most significant bit first; bit j of variable i sits at
-    j*k + i (interleaved) or i*n^m + j (concatenated). Built once per shape:
-    every rank of a quantifier node reuses it.
+    j*k + i (interleaved) or i*n^m + j (concatenated), over the m-tuples in
+    lexicographic order. For one variable the two orderings give the same
+    code and share one layout. Built once per shape: every rank of a
+    quantifier node reuses it.
     """
+    if ordering not in (INTERLEAVED, CONCATENATED):
+        raise InvariantViolation(f"unknown ordering {ordering!r}")
+    if k == 1 and ordering == INTERLEAVED:
+        return _code_layout(n, k, CONCATENATED, m)
     tuples = tuple(itertools.product(range(n), repeat=m))
     npos = len(tuples)
     if ordering == INTERLEAVED:
-        parts = tuple(slice(i, None, k) for i in range(k))
-    elif ordering == CONCATENATED:
-        parts = tuple(slice(i * npos, (i + 1) * npos) for i in range(k))
+        parts = [slice(i, None, k) for i in range(k)]
     else:
-        raise InvariantViolation(f"unknown ordering {ordering!r}")
+        parts = [slice(i * npos, (i + 1) * npos) for i in range(k)]
     total_bits = npos * k
-    bits = tuple(tuple(zip([1 << (total_bits - 1 - at)
-                            for at in range(total_bits)[part]], tuples))
-                 for part in parts)
-    return total_bits, f"0{total_bits}b", tuples, parts, bits
+    pieces, weights = [], []
+    for part in parts:
+        weights.append(dict(zip(tuples, [
+            1 << (total_bits - 1 - at) for at in range(total_bits)[part]])))
+        column = [None] * total_bits
+        column[part] = tuples
+        column.reverse()
+        pieces.append(_pieces(column))
+    return 1 << total_bits, pieces, weights
 
 
 def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
     """Rank of a k-tuple of m-ary relations under the given ordering.
 
     Each relation is coded by the bit string over lexicographically ordered
-    m-tuples; codes are read most significant bit first.
+    m-tuples; codes are read most significant bit first. A member that is
+    no m-tuple over n positions adds nothing.
     """
     rank = 0
-    for s, bits in zip(sets, _code_layout(n, len(sets), ordering, m)[4]):
-        for weight, t in bits:
-            if t in s:
-                rank |= weight
+    for s, weight in zip(sets, _code_layout(n, len(sets), ordering, m)[2]):
+        for t in s:
+            try:
+                rank |= weight.get(t, 0)
+            except TypeError:  # unhashable, so no m-tuple either
+                pass
     return rank
-
-
-# code digits '0' and '1' -> selector bytes 0 and 1
-_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     """Inverse of instance_rank; returns a k-tuple of frozensets of tuples."""
-    total_bits, spec, tuples, parts, _ = _code_layout(n, k, ordering, m)
-    if not 0 <= rank < (1 << total_bits):
-        raise RankOutOfRange(f"rank {rank} outside [0, 2^{total_bits})")
-    code = format(rank, spec).encode().translate(_DIGITS)
-    if k == 1:  # the one variable's bits are the whole code
-        return (frozenset(itertools.compress(tuples, code)),)
-    return tuple([frozenset(itertools.compress(tuples, code[part]))
-                  for part in parts])
+    limit, pieces, _ = _code_layout(n, k, ordering, m)
+    if type(rank) is not int:  # such as a bool
+        try:
+            rank = operator.index(rank)
+        except TypeError:
+            raise RankOutOfRange(
+                f"rank {rank!r} is not an integer in "
+                f"[0, 2^{limit.bit_length() - 1})") from None
+    if not 0 <= rank < limit:
+        raise RankOutOfRange(
+            f"rank {rank} outside [0, 2^{limit.bit_length() - 1})")
+    return _decode(pieces, rank)
 
 
 def set_code_value(s, n: int) -> int:
@@ -587,8 +646,14 @@ def _instance_bits(ctx, node: LindSO) -> int:
 def subsets(n: int):
     """Every monadic relation over n positions, lazily: the relation of
     mask r holds position j when bit j of r is set, for r = 0 .. 2^n - 1."""
-    for mask in range(1 << n):
-        yield frozenset([(j,) for j in range(n) if (mask >> j) & 1])
+    pieces = _subset_pieces(n)
+    return (_decode(pieces, mask)[0] for mask in range(1 << n))
+
+
+@functools.lru_cache(maxsize=16)
+def _subset_pieces(n: int) -> list:
+    """The byte tables of subsets(n), kept, as a call reads every entry."""
+    return [_pieces([(j,) for j in range(n)])]
 
 
 def _instances(ctx, node):
@@ -600,9 +665,11 @@ def _instances(ctx, node):
     if type(node) is LindFO:
         return itertools.product(range(n), repeat=k)
     bits = _instance_bits(ctx, node)
-    ordering, m = node.ordering, node.arity
-    return (instance_unrank(rank, n, k, ordering, m)
-            for rank in range(1 << bits))
+    repeat = itertools.repeat
+    # one call per instance of the module's instance_unrank, read here from
+    # the globals: perfbench/spans.py wraps it to count instances
+    return map(instance_unrank, range(1 << bits), repeat(n), repeat(k),
+               repeat(node.ordering), repeat(node.arity))
 
 
 def _floor_log2(n: int) -> int:

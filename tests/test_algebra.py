@@ -32,7 +32,12 @@ from wordlogic.algebra import (
     word_problem_member,
 )
 from wordlogic.builtins import Z2, builtin_registry, majority_grammar
-from wordlogic.errors import CapExceeded, InvariantViolation, NotCnf
+from wordlogic.errors import (
+    CapExceeded,
+    InvariantViolation,
+    LetterOutOfAlphabet,
+    NotCnf,
+)
 from wordlogic.formats import load_toolbox, parse_cfg
 
 
@@ -153,6 +158,25 @@ def test_language_member_letter_validation():
     from wordlogic.errors import LetterOutOfAlphabet
     with pytest.raises(LetterOutOfAlphabet):
         language_member(reg["Lexists"], "1x0")
+
+
+@pytest.mark.parametrize("call", [
+    lambda reg, g4: reg["Lexists"].body.run("1c"),
+    lambda reg, g4: monoid_word_eval(reg["Lmod2"].body, [1, -1]),
+    lambda reg, g4: monoid_word_eval(reg["Lmod2"].body, [0, 7]),
+    lambda reg, g4: monoid_word_eval(reg["Lmod2"].body, [0, "a"]),
+    lambda reg, g4: word_problem_member(reg["Lmod2"].body, [0, 7]),
+    lambda reg, g4: groupoid_reachable(g4, [9]),
+    lambda reg, g4: groupoid_reachable(g4, [0, 9]),
+    lambda reg, g4: groupoid_reachable(g4, [-1, 0]),
+    lambda reg, g4: word_problem_member(WordProblem.of(g4, {0}), [0, 9]),
+], ids=["dfa-letter", "monoid-negative", "monoid-past-end",
+        "monoid-not-an-index", "monoid-member",
+        "groupoid-one", "groupoid-past-end", "groupoid-negative",
+        "groupoid-member"])
+def test_letters_outside_the_body_are_refused(call, g4):
+    with pytest.raises(LetterOutOfAlphabet):
+        call(builtin_registry(), g4)
 
 
 def test_neutral_letters():

@@ -72,6 +72,7 @@ from wordlogic.logic import (
     resolve_language,
     set_code_value,
     structure_from_string,
+    subsets,
 )
 from wordlogic.sexpr import format_formula, parse_formula
 from wordlogic.translate import q_star_to_q1
@@ -125,6 +126,17 @@ def test_instance_rank_worked_example():
     assert instance_rank(sets, 2, CONCATENATED) == 4
     assert instance_unrank(2, 2, 2, INTERLEAVED) == sets
     assert instance_unrank(4, 2, 2, CONCATENATED) == sets
+    # a member outside the layout adds nothing
+    assert instance_rank([frozenset({(0,), (9,)})], 3, CONCATENATED) == 4
+    assert instance_rank([[[0], (1,)]], 3, CONCATENATED) == 2
+
+
+def test_unknown_ordering_is_refused():
+    for k in (1, 2):
+        with pytest.raises(InvariantViolation, match="unknown ordering"):
+            instance_unrank(0, 2, k, "diagonal")
+        with pytest.raises(InvariantViolation, match="unknown ordering"):
+            instance_rank((frozenset(),) * k, 2, "diagonal")
 
 
 def test_instance_rank_bijection_small():
@@ -144,6 +156,10 @@ def test_instance_rank_out_of_range():
         instance_unrank(16, 2, 2, INTERLEAVED)
     with pytest.raises(RankOutOfRange):
         instance_unrank(-1, 2, 2, CONCATENATED)
+    for bad in (1.0, "1", None):
+        with pytest.raises(RankOutOfRange, match="is not an integer"):
+            instance_unrank(bad, 2, 1, CONCATENATED)
+    assert instance_unrank(True, 2, 1, CONCATENATED) == ({(1,)},)
 
 
 @given(n=st.integers(0, 3), m=st.integers(1, 2), k=st.integers(1, 3),
@@ -167,6 +183,37 @@ def test_instance_unrank_inverts_instance_rank(n, m, k, ordering, data):
         with pytest.raises(RankOutOfRange,
                            match=re.escape(f"rank {bad} outside [0, 2^{bits})")):
             instance_unrank(bad, n, k, ordering, m)
+
+
+def test_subsets_follow_the_mask_definition():
+    for n in range(11):
+        assert list(subsets(n)) == [
+            frozenset((j,) for j in range(n) if mask >> j & 1)
+            for mask in range(1 << n)]
+
+
+@pytest.mark.parametrize("text,n,bits", [
+    ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4),
+    ("(Qstar Lexists 2 (X) (exists x (in X x x)))", 2, 4),
+    ("(Q1 Lexists 1 (X Y) (exists x (and (in X x) (not (in Y x)))))", 3, 6),
+])
+def test_each_instance_is_one_unrank_call(monkeypatch, registry, text, n,
+                                          bits):
+    """A node's instances come from one call each of the module global
+    instance_unrank, which the benchmark's tracer wraps to count them."""
+    calls = []
+    unrank = logic.instance_unrank
+
+    def counting(*args):
+        calls.append(args)
+        return unrank(*args)
+
+    monkeypatch.setattr(logic, "instance_unrank", counting)
+    f = parse_formula(text)
+    for ev in (evaluate, evaluate_reference):
+        calls.clear()
+        ev(S("a" * n), f, registry=registry)
+        assert len(calls) == 1 << bits
 
 
 def test_set_codes():
