@@ -98,17 +98,18 @@ class WordProblem:
 
     magma: Magma
     accept: frozenset[int]
-    associative: bool
 
     def __post_init__(self):
         if any(not 0 <= x < self.magma.size for x in self.accept):
             raise InvariantViolation("accept set contains out-of-range elements")
-        if self.associative != check_associative(self.magma):
-            raise InvariantViolation("associative flag does not match the table")
+
+    @cached_property
+    def associative(self) -> bool:
+        return check_associative(self.magma)
 
     @classmethod
     def of(cls, magma: Magma, accept) -> "WordProblem":
-        return cls(magma, frozenset(accept), check_associative(magma))
+        return cls(magma, frozenset(accept))
 
 
 def monoid_word_eval(wp: WordProblem, word) -> int:
@@ -503,7 +504,7 @@ def regular_to_monoid(d: Dfa):
 
     Elements are the state transformations generated by the letters, closed
     under composition, with the identity transformation adjoined. Returns
-    (WordProblem with associative=True, homomorphism letter -> element index).
+    (an associative WordProblem, homomorphism letter -> element index).
     """
     q = len(d.states)
     ident = tuple(range(q))
@@ -535,7 +536,7 @@ def regular_to_monoid(d: Dfa):
 
     magma = Magma(tuple(tname(f) for f in ordered), table, 0, name="transition")
     accept = frozenset(i for f, i in index.items() if f[d.start] in d.finals)
-    wp = WordProblem(magma, accept, True)
+    wp = WordProblem(magma, accept)
     hom = {a: index[tr] for a, tr in gens.items()}
     return wp, hom
 

@@ -167,20 +167,18 @@ def cmd_translate(args):
         structures = const_structures(consts, args.max_n)
     elif args.op == "const-unrewrite":
         out = const_unrewrite(f, consts)
-        structures = []
     elif args.op == "exp":
         out, mapper = exp_translate(f, alphabet)
         mapper_desc = "string -> constant structure on 2^n points"
     elif args.op == "exp-rev":
         out = exp_translate_rev(f, alphabet)
-        structures = []
     target = format_formula(out)
-    if structures is None:
-        structures = string_structures(alphabet, args.max_n, min_n)
     if args.op in ("exp-rev", "const-unrewrite"):
         # reverse directions are validated by their forward twins
         print(target)
         return EXIT_OK
+    if structures is None:
+        structures = string_structures(alphabet, args.max_n, min_n)
     # check before printing, so a failed check leaves no half report
     structures = _nonempty(structures, f"--max-n {args.max_n}")
     report = check_equivalence(f, out, structures, registry=reg,

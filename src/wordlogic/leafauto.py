@@ -10,7 +10,8 @@ a monoid, and the leaf string under a state is the concatenation of the
 leaf strings under its successors. So membership for those languages
 folds per-state values from the end of the word, in time linear in the
 word, however many leaves the tree has. Grammar and non-associative
-leaf languages test the materialized leaf string.
+leaf languages test the materialized leaf string, spelled a level of the
+tree at a time under a cap on its length.
 """
 
 from __future__ import annotations
@@ -84,26 +85,6 @@ def leaf_count(M: LeafAutomaton, w: str) -> int:
     return _fold(M, w, dict.fromkeys(M.leaf_alphabet, 1), sum)
 
 
-def _leaf_letters(M: LeafAutomaton, w: str):
-    """Leaf letters in left-to-right order via iterative depth-first walk."""
-    letters = [M.letter_index(a) for a in w]
-    n = len(letters)
-    # stack frames: (state, depth, next child index)
-    stack = [[M.start, 0, 0]]
-    while stack:
-        state, depth, child = stack[-1]
-        if depth == n:
-            yield M.beta[state]
-            stack.pop()
-            continue
-        succ = M.delta[state][letters[depth]]
-        if child == len(succ):
-            stack.pop()
-            continue
-        stack[-1][2] += 1
-        stack.append([succ[child], depth + 1, 0])
-
-
 def _check_cap(M: LeafAutomaton, w: str, cap: int) -> None:
     total = leaf_count(M, w)
     if total > cap:
@@ -113,9 +94,16 @@ def _check_cap(M: LeafAutomaton, w: str, cap: int) -> None:
 
 
 def leaf_string(M: LeafAutomaton, w: str, cap: int = 1 << 16) -> str:
-    """The concatenated beta values over the computation tree's leaves."""
+    """The concatenated beta values over the computation tree's leaves,
+    spelled a level of the tree at a time: each letter replaces every
+    state of the level by its successors in order. Successor tuples are
+    nonempty, so no level is longer than the last, which the cap bounds."""
     _check_cap(M, w, cap)
-    return "".join(_leaf_letters(M, w))
+    level = [M.start]
+    for a in w:
+        ai = M.letter_index(a)
+        level = [q for s in level for q in M.delta[s][ai]]
+    return "".join([M.beta[s] for s in level])
 
 
 def _check_leaf_alphabet(M: LeafAutomaton, leaf_spec: LanguageSpec) -> None:

@@ -467,8 +467,8 @@ def _decode(pieces, rank: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _code_layout(n: int, k: int, ordering: str, m: int):
-    """(2^bits, per variable the byte tables of a code and the weight of
-    each m-tuple).
+    """(2^bits, per variable the byte tables of a code and the bit index
+    of each m-tuple).
 
     A code is read most significant bit first; bit j of variable i sits at
     j*k + i (interleaved) or i*n^m + j (concatenated), over the m-tuples in
@@ -487,15 +487,15 @@ def _code_layout(n: int, k: int, ordering: str, m: int):
     else:
         parts = [slice(i * npos, (i + 1) * npos) for i in range(k)]
     total_bits = npos * k
-    pieces, weights = [], []
+    pieces, bits = [], []
     for part in parts:
-        weights.append(dict(zip(tuples, [
-            1 << (total_bits - 1 - at) for at in range(total_bits)[part]])))
+        bits.append(dict(zip(tuples, [
+            total_bits - 1 - at for at in range(total_bits)[part]])))
         column = [None] * total_bits
         column[part] = tuples
         column.reverse()
         pieces.append(_pieces(column))
-    return 1 << total_bits, pieces, weights
+    return 1 << total_bits, pieces, bits
 
 
 def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
@@ -506,10 +506,11 @@ def instance_rank(sets, n: int, ordering: str, m: int = 1) -> int:
     no m-tuple over n positions adds nothing.
     """
     rank = 0
-    for s, weight in zip(sets, _code_layout(n, len(sets), ordering, m)[2]):
+    for s, bits in zip(sets, _code_layout(n, len(sets), ordering, m)[2]):
         for t in s:
             try:
-                rank |= weight.get(t, 0)
+                if t in bits:
+                    rank |= 1 << bits[t]
             except TypeError:  # unhashable, so no m-tuple either
                 pass
     return rank
@@ -799,8 +800,6 @@ def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
     k = f.width
     x = _term_value(ctx, env, f.point)
     sets = [_relation(env, v) for v in f.set_vars]
-    if n == 1:
-        return (x,) in sets[f.index]
     if f.direction == "to_interleaved":
         # sets follow the interleaved enumeration; recover the concatenated
         # reading of flat bit position index*n + x

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlogic.algebra import (
+    BRACKETING_CAP,
     MEMBER_CACHE_CHARS,
     TABLE_CAP,
     Cfg,
@@ -34,8 +35,10 @@ from wordlogic.algebra import (
 from wordlogic.builtins import Z2, builtin_registry, majority_grammar
 from wordlogic.errors import (
     CapExceeded,
+    EmptyWord,
     InvariantViolation,
     LetterOutOfAlphabet,
+    NotAssociative,
     NotCnf,
 )
 from wordlogic.formats import load_toolbox, parse_cfg
@@ -177,6 +180,93 @@ def test_language_member_letter_validation():
 def test_letters_outside_the_body_are_refused(call, g4):
     with pytest.raises(LetterOutOfAlphabet):
         call(builtin_registry(), g4)
+
+
+_DFA_A = Dfa(("q",), ("a",), ((0,),), 0, frozenset({0}))
+_CFG_A = Cfg(("S",), ("a",), (), ((0, "a"),), 0)
+
+
+def _lexists():
+    return builtin_registry()["Lexists"]
+
+
+# (id, call on the G4 groupoid, error class, message)
+_REFUSALS = [
+    ("magma-entry", lambda g4: Magma(("e", "a"), ((0, 1), (1, 2)), 0, "m"),
+     InvariantViolation, "magma 'm': table entry 2 out of range"),
+    ("magma-identity", lambda g4: Magma(("e",), ((0,),), 1, "m"),
+     InvariantViolation, "magma 'm': identity index out of range"),
+    ("accept", lambda g4: WordProblem.of(Z2, {2}),
+     InvariantViolation, "accept set contains out-of-range elements"),
+    ("monoid-eval-groupoid",
+     lambda g4: monoid_word_eval(WordProblem.of(g4, {0}), [0]),
+     NotAssociative, "monoid_word_eval needs an associative word problem"),
+    ("groupoid-empty", lambda g4: groupoid_reachable(g4, []),
+     EmptyWord, "groupoid_reachable needs a nonempty word"),
+    ("groupoid-reference-empty",
+     lambda g4: groupoid_reachable_reference(g4, ()),
+     EmptyWord, "groupoid_reachable needs a nonempty word"),
+    ("bracketings-empty", lambda g4: brute_force_bracketings(g4, ""),
+     EmptyWord, "brute_force_bracketings needs a nonempty word"),
+    ("bracketings-cap",
+     lambda g4: brute_force_bracketings(g4, [0] * (BRACKETING_CAP + 1)),
+     CapExceeded, f"word length {BRACKETING_CAP + 1} exceeds bracketing "
+                  f"cap {BRACKETING_CAP}"),
+    ("dfa-not-total",
+     lambda g4: Dfa(("q",), ("a", "b"), ((0,),), 0, frozenset()),
+     InvariantViolation, "DFA transition table is not total"),
+    ("dfa-target", lambda g4: Dfa(("q",), ("a",), ((1,),), 0, frozenset()),
+     InvariantViolation, "DFA transition target out of range"),
+    ("dfa-start", lambda g4: Dfa(("q",), ("a",), ((0,),), 1, frozenset()),
+     InvariantViolation, "DFA start state out of range"),
+    ("dfa-final", lambda g4: Dfa(("q",), ("a",), ((0,),), 0, frozenset({1})),
+     InvariantViolation, "DFA final state out of range"),
+    ("cfg-binary", lambda g4: Cfg(("S",), ("a",), ((0, 0, 1),), (), 0),
+     NotCnf, "binary production index out of range"),
+    ("cfg-lexical", lambda g4: Cfg(("S",), ("a",), (), ((1, "a"),), 0),
+     NotCnf, "lexical production index out of range"),
+    ("cfg-terminal", lambda g4: Cfg(("S",), ("a",), (), ((0, "b"),), 0),
+     NotCnf, "lexical production uses unknown terminal 'b'"),
+    ("cfg-start", lambda g4: Cfg(("S",), ("a",), (), ((0, "a"),), 1),
+     InvariantViolation, "grammar start symbol out of range"),
+    ("spec-duplicate", lambda g4: LanguageSpec("L", ("a", "a"), _DFA_A),
+     InvariantViolation, "language 'L': duplicate letters"),
+    ("spec-neutral",
+     lambda g4: LanguageSpec("L", ("a",), _DFA_A, declared_neutral="b"),
+     InvariantViolation, "language 'L': neutral letter not in alphabet"),
+    ("spec-letter-map",
+     lambda g4: LanguageSpec("L", ("a", "b"), WordProblem.of(Z2, {0}),
+                             letter_map={"a": 0, "b": 0}),
+     InvariantViolation,
+     "language 'L': letters must map bijectively to elements"),
+    ("spec-dfa-alphabet", lambda g4: LanguageSpec("L", ("a", "b"), _DFA_A),
+     InvariantViolation, "language 'L': alphabet disagrees with DFA alphabet"),
+    ("spec-cfg-terminals", lambda g4: LanguageSpec("L", ("b",), _CFG_A),
+     InvariantViolation,
+     "language 'L': alphabet disagrees with grammar terminals"),
+    ("spec-body", lambda g4: LanguageSpec("L", ("a",), "a*"),
+     InvariantViolation, "language 'L': unsupported body str"),
+    ("neutral-letter",
+     lambda g4: is_neutral_letter_bounded(_lexists(), "x", 3),
+     LetterOutOfAlphabet, "'x' not in alphabet of 'Lexists'"),
+    ("neutral-letter-reference",
+     lambda g4: is_neutral_letter_bounded_reference(_lexists(), "x", 3),
+     LetterOutOfAlphabet, "'x' not in alphabet of 'Lexists'"),
+    ("pad-letter", lambda g4: pad_language(_lexists(), "0"),
+     InvariantViolation, "pad letter '0' already in alphabet"),
+    ("pad-word-problem",
+     lambda g4: pad_language(builtin_registry()["Lmod2"], "#"),
+     InvariantViolation,
+     "pad_language supports DFA and CNF grammar bodies only"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_refusals_are_typed(g4, call, error, message):
+    with pytest.raises(error) as exc:
+        call(g4)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_neutral_letters():

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from wordlogic import cli
 from wordlogic.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 from wordlogic.logic import MAX_NESTING
 
@@ -132,6 +133,27 @@ def test_oracle_without_its_file_is_usage_error(capsys, argv, flag):
     code, out, err = run(capsys, argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: oracle {argv[1]} needs {flag}\n"
+
+
+def test_oracle_reports_the_first_disagreement(capsys, data_dir,
+                                               monkeypatch):
+    monkeypatch.setattr(cli, "groupoid_reachable", lambda m, w: frozenset())
+    code, out, err = run(capsys, [
+        "oracle", "groupoid-reachable",
+        "--algebra", os.path.join(data_dir, "g4.alg"), "--max-len", "3"])
+    assert (code, out, err) == (EXIT_COUNTEREXAMPLE, "disagree e\n", "")
+
+
+@pytest.mark.parametrize("structure,want", [
+    ("ba", (EXIT_OK, "true\n", "")),
+    ("aa", (EXIT_OK, "false\n", "")),
+    ("abc", (EXIT_USAGE, "", "error: letter 'c' not in alphabet ('a', 'b')\n")),
+])
+def test_alphabet_without_commas_is_one_letter_a_character(capsys, structure,
+                                                           want):
+    assert run(capsys, [
+        "eval", "--alphabet", "ab", "--structure", structure,
+        "--formula", "(exists x (letter b x))"]) == want
 
 
 def test_missing_formula_is_usage_error(capsys):

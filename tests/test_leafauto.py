@@ -43,6 +43,33 @@ def test_validation():
         LeafAutomaton(("p",), ("a",), (((0,),),), 0, ("0",), ("x",))
 
 
+_MAJ = builtin_registry()["Maj"]
+
+# (id, call, error class, message)
+_REFUSALS = [
+    ("delta-width", lambda: LeafAutomaton(
+        ("p",), ("a",), (((0,), (0,)),), 0, ("0",), ("0",)),
+     InvariantViolation, "delta row width must match the alphabet"),
+    ("beta-length", lambda: LeafAutomaton(
+        ("p",), ("a",), (((0,),),), 0, ("0",), ("0", "0")),
+     InvariantViolation, "beta must be total on states"),
+    ("count-letter", lambda: leaf_count(spawn(), "ab"),
+     InvariantViolation, "letter 'b' outside the input alphabet"),
+    ("string-letter", lambda: leaf_string(spawn(), "ab"),
+     InvariantViolation, "letter 'b' outside the input alphabet"),
+    ("member-letter", lambda: leaffa_member(spawn(), _MAJ, "ab"),
+     InvariantViolation, "letter 'b' outside the input alphabet"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_refusals_are_typed(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_empty_word_single_leaf():
     M = spawn()
     assert leaf_count(M, "") == 1
@@ -86,11 +113,11 @@ def brute_leaves(M, w, depth=0, state=None):
 def test_leaf_string_matches_recursive_oracle():
     rng = random.Random(17)
     for _ in range(60):
-        nq = rng.randint(1, 3)
+        nq = rng.randint(1, 4)
         na = rng.randint(1, 2)
         delta = tuple(
             tuple(tuple(rng.randrange(nq)
-                        for _ in range(rng.randint(1, 2)))
+                        for _ in range(rng.randint(1, 3)))
                   for _ in range(na))
             for _ in range(nq))
         M = LeafAutomaton(tuple(f"q{i}" for i in range(nq)),
@@ -100,7 +127,7 @@ def test_leaf_string_matches_recursive_oracle():
                           tuple(rng.choice("01") for _ in range(nq)))
         for _ in range(4):
             w = "".join(rng.choice("ab"[:na])
-                        for _ in range(rng.randint(0, 5)))
+                        for _ in range(rng.randint(0, 8)))
             assert leaf_string(M, w) == brute_leaves(M, w)
 
 

@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,42 @@ def test_basic_fo_eval():
     assert not evaluate(st, Eq(MIN, MAX))
 
 
+def _nest(wrap, depth):
+    f = TrueF()
+    for i in range(depth):
+        f = wrap(i, f)
+    return f
+
+
+_TOO_DEEP = f"formula nests deeper than {logic.MAX_NESTING} levels"
+
+# (id, call, error class, message); the nests are 400 levels deep, over
+# MAX_NESTING, and the compiled plan refuses them before any reference walk
+_REFUSALS = [
+    ("duplicate-letters", lambda: StringStructure(("a", "a"), ()),
+     InvariantViolation, "alphabet letters must be distinct"),
+    ("constant-outside", lambda: ConstStructure.of(2, {"c": 2}),
+     InvariantViolation, "constant c = 2 outside domain"),
+    ("max-on-empty", lambda: evaluate(S(""), Lt(MAX, MIN)),
+     EmptyDomain, "max over the empty structure"),
+    ("induced-word-non-node", lambda: induced_word(S("a"), {}, TrueF()),
+     InvariantViolation, "induced_word needs a generalized quantifier node"),
+    ("plan-deep-not", lambda: evaluate(S("a"), _nest(
+        lambda i, f: Not(f), 400)), NestingCapExceeded, _TOO_DEEP),
+    ("plan-deep-exists", lambda: evaluate(S("a"), _nest(
+        lambda i, f: ExistsFO(f"x{i}", f), 400)), NestingCapExceeded,
+     _TOO_DEEP),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_refusals_are_typed(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         evaluate(S("a"), Letter("a", Var("x")))
@@ -160,6 +197,20 @@ def test_instance_rank_out_of_range():
         with pytest.raises(RankOutOfRange, match="is not an integer"):
             instance_unrank(bad, 2, 1, CONCATENATED)
     assert instance_unrank(True, 2, 1, CONCATENATED) == ({(1,)},)
+
+
+def test_code_layout_memory_is_linear_in_the_bits():
+    # the layout keeps each m-tuple's bit index, not its weight 1 << bit,
+    # so a wide code does not hold memory quadratic in its bits
+    tracemalloc.start()
+    try:
+        sets = instance_unrank(1, 20000, 1, CONCATENATED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets == (frozenset({(19999,)}),)
+    assert peak < 10_000_000
+    assert instance_rank(sets, 20000, CONCATENATED) == 1
 
 
 @given(n=st.integers(0, 3), m=st.integers(1, 2), k=st.integers(1, 3),
@@ -387,19 +438,20 @@ def test_unknown_language_has_one_message(registry):
 
 
 def test_shuffle_bit_permutation(registry):
-    n, k = 3, 2
-    st = S("a" * n)
-    for r in range(1 << (n * k)):
-        inter = instance_unrank(r, n, k, INTERLEAVED)
-        conc = instance_unrank(r, n, k, CONCATENATED)
-        for i in range(k):
-            for x in range(n):
-                env = {"A": conc[0], "B": conc[1], "x": x}
-                f = ShuffleBit("to_concatenated", i, k, Var("x"), ("A", "B"))
-                assert evaluate(st, f, env) == ((x,) in inter[i])
-                env = {"A": inter[0], "B": inter[1], "x": x}
-                f = ShuffleBit("to_interleaved", i, k, Var("x"), ("A", "B"))
-                assert evaluate(st, f, env) == ((x,) in conc[i])
+    for n, k in itertools.product((1, 2, 3), repeat=2):
+        st = S("a" * n)
+        names = ("A", "B", "C")[:k]
+        for r in range(1 << (n * k)):
+            inter = instance_unrank(r, n, k, INTERLEAVED)
+            conc = instance_unrank(r, n, k, CONCATENATED)
+            for i in range(k):
+                for x in range(n):
+                    env = dict(zip(names, conc), x=x)
+                    f = ShuffleBit("to_concatenated", i, k, Var("x"), names)
+                    assert evaluate(st, f, env) == ((x,) in inter[i])
+                    env = dict(zip(names, inter), x=x)
+                    f = ShuffleBit("to_interleaved", i, k, Var("x"), names)
+                    assert evaluate(st, f, env) == ((x,) in conc[i])
 
 
 @pytest.mark.parametrize("direction,index,width,msg", [

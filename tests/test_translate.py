@@ -1,5 +1,6 @@
 import pytest
 
+from wordlogic.algebra import Dfa, LanguageSpec
 from wordlogic.errors import (
     ExponentCapExceeded,
     FragmentViolation,
@@ -21,6 +22,7 @@ from wordlogic.logic import (
     ConstSym,
     Eq,
     ExistsFO,
+    FalseF,
     ForallFO,
     InRel,
     Letter,
@@ -28,6 +30,7 @@ from wordlogic.logic import (
     LindSO,
     Lt,
     Not,
+    Or,
     PlusAtom,
     SetTimes,
     TrueF,
@@ -38,6 +41,7 @@ from wordlogic.logic import (
     string_structures,
     structure_from_string,
 )
+from wordlogic.sexpr import parse_formula
 from wordlogic.translate import (
     arity_collapse,
     check_equivalence,
@@ -391,6 +395,79 @@ def test_tally_fwd_mapper_refuses_foreign_letters(registry):
     assert mapper(structure_from_string(("1", "0"), "10")).size == 6
     with pytest.raises(UnknownLetter):
         mapper(structure_from_string(AB, "ab"))
+
+
+# declares 0 neutral, though it accepts the words of even length
+_EVEN = LanguageSpec("Leven", ("1", "0"), Dfa(
+    ("e", "o"), ("1", "0"), ((1, 1), (0, 0)), 0, frozenset({0})),
+    declared_neutral="0")
+_SHUFFLED = "(Qstar Lmod2 1 (X) (shuffle-bit to_interleaved 0 1 min (X)))"
+_BINARY = "(Qstar Lmod2 1 (X) (exists x (in X x x)))"
+
+# (id, call on the registry, error class, message)
+_REFUSALS = [
+    ("arity-collapse-permutation",
+     lambda reg: arity_collapse(parse_formula(_SHUFFLED), reg),
+     NestedUnsupported, "bound variables feed a permutation atom"),
+    ("swap-relation-arity", lambda reg: q_star_to_q1(parse_formula(_BINARY)),
+     NonMonadicNode, "relation 'X' used with arity 2"),
+    ("swap-incompatible-permutation",
+     lambda reg: q_star_to_q1(parse_formula(_SHUFFLED)),
+     NestedUnsupported, "bound variables feed an incompatible permutation atom"),
+    ("arity-collapse-not-neutral", lambda reg: arity_collapse(
+        LindSO("Leven", CONCATENATED, 1, ("X",), (x_in("X"),)),
+        {"Leven": _EVEN}),
+     NoNeutralLetter, "Leven: letter '0' fails the bounded neutrality check"),
+    ("arity-collapse-relation-arity",
+     lambda reg: arity_collapse(parse_formula(_BINARY), reg),
+     InvariantViolation, "relation 'X' used with arity 2, expected 1"),
+    ("pad-letter-in-alphabet", lambda reg: pad_translate(
+        LindSO("Lmod2", CONCATENATED, 1, ("X",), (x_in("X"),)), ("a", "#")),
+     InvariantViolation, "pad letter must be outside the base alphabet"),
+    ("tally-fwd-fragment", lambda reg: tally_translate_fwd(
+        parse_formula("(exists x (plus x x x))"), reg),
+     FragmentViolation, "PlusAtom is not allowed in SOM(Qstar)"),
+    ("tally-bwd-fragment", lambda reg: tally_translate_bwd(
+        parse_formula("(existsSO X (exists x (in X x)))"), reg),
+     FragmentViolation, "ExistsSO is not allowed in FO(QL)+arith"),
+    ("tally-bwd-letter", lambda reg: tally_translate_bwd(
+        parse_formula("(exists x (letter a x))"), reg),
+     FragmentViolation, "letter 'a' outside the unary alphabet"),
+    ("tally-bwd-term", lambda reg: tally_translate_bwd(
+        parse_formula("(exists x (< $c x))"), reg),
+     FragmentViolation, "unsupported term ConstSym(name='c')"),
+    ("exp-fragment", lambda reg: exp_translate(
+        parse_formula("(exists x (plus x x x))"), AB),
+     FragmentViolation, "PlusAtom is not allowed in SOM(Qstar)"),
+    ("exp-letter", lambda reg: exp_translate(
+        parse_formula("(exists x (letter c x))"), AB),
+     FragmentViolation, "letter 'c' outside the alphabet ('a', 'b')"),
+    ("exp-rev-constant", lambda reg: exp_translate_rev(
+        parse_formula("(= $c_z max)"), AB),
+     FragmentViolation, "unknown constant 'c_z'"),
+    ("exp-rev-construct", lambda reg: exp_translate_rev(
+        parse_formula("(letter a x)"), AB),
+     FragmentViolation, "unsupported construct Letter"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in _REFUSALS],
+                         ids=[r[0] for r in _REFUSALS])
+def test_refusals_are_typed(registry, call, error, message):
+    with pytest.raises(error) as exc:
+        call(registry)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_exp_translate_rev_reads_min_and_the_connectives(registry):
+    # min is the empty set; (= min $c_a) says no position carries an a
+    f = Or(Not(Eq(MIN, ConstSym("c_a"))),
+           And(TrueF(), Or(FalseF(), Lt(ConstSym("c_b"), MAX))))
+    g = exp_translate_rev(f, AB)
+    rep = check_equivalence(g, f, string_structures(AB, 4),
+                            registry=registry, mapper=exp_structure,
+                            mapper_desc="w -> <2^n; characteristic codes>")
+    assert rep.verdict == "equivalent-on-range", rep.render()
 
 
 def _deep(kind):
