@@ -33,6 +33,7 @@ from .formats import (
     parse_cfg,
     parse_dfa,
     parse_leaf_automaton,
+    read_text,
 )
 from .generate import random_lindfo
 from .leafauto import leaffa_member, leaf_string
@@ -93,8 +94,7 @@ def _nonempty(cases, flags):
 
 def _read_formula(args, box):
     if args.formula_file:
-        with open(args.formula_file, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(args.formula_file)
     elif args.formula:
         text = args.formula
     else:
@@ -195,8 +195,7 @@ def cmd_leaffa(args):
     if args.automaton in box.leaf_automata:
         M = box.leaf_automata[args.automaton]
     else:
-        with open(args.automaton, encoding="utf-8") as fh:
-            M = parse_leaf_automaton(fh.read(), args.automaton)
+        M = parse_leaf_automaton(read_text(args.automaton), args.automaton)
     spec = box.language(args.language)
     value = leaffa_member(M, spec, args.structure or "", cap=args.leaf_cap)
     print("true" if value else "false")
@@ -204,8 +203,7 @@ def cmd_leaffa(args):
 
 
 def cmd_algebra_check(args):
-    with open(args.algebra, encoding="utf-8") as fh:
-        magma, accept = parse_algebra(fh.read(), args.algebra)
+    magma, accept = parse_algebra(read_text(args.algebra), args.algebra)
     assoc = check_associative(magma)
     print(f"elements: {len(magma.elements)}")
     print(f"identity: {magma.elements[magma.identity]}")
@@ -249,8 +247,7 @@ def _words(alphabet, min_len, max_len):
 
 
 def _oracle_groupoid(args):
-    with open(args.algebra, encoding="utf-8") as fh:
-        magma, _ = parse_algebra(fh.read(), args.algebra)
+    magma, _ = parse_algebra(read_text(args.algebra), args.algebra)
     return _agree(
         _words(range(magma.size), 1, args.max_len),
         lambda w: (groupoid_reachable(magma, w)
@@ -260,8 +257,7 @@ def _oracle_groupoid(args):
 
 
 def _oracle_cfg(args):
-    with open(args.grammar, encoding="utf-8") as fh:
-        cfg, alphabet, _ = parse_cfg(fh.read(), args.grammar)
+    cfg, alphabet, _ = parse_cfg(read_text(args.grammar), args.grammar)
     wp, hom = cfg_to_groupoid(cfg)
 
     def same(word):
@@ -273,8 +269,7 @@ def _oracle_cfg(args):
 
 
 def _oracle_dfa(args):
-    with open(args.dfa, encoding="utf-8") as fh:
-        dfa, _ = parse_dfa(fh.read(), args.dfa)
+    dfa, _ = parse_dfa(read_text(args.dfa), args.dfa)
     wp, hom = regular_to_monoid(dfa)
     return _agree(
         _words(dfa.alphabet, 0, args.max_len),

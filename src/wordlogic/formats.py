@@ -16,6 +16,16 @@ from .errors import FormatError, InvariantViolation
 from .leafauto import LeafAutomaton
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path. A file that cannot be opened,
+    read or decoded is a FormatError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(str(e), path=path) from None
+
+
 def _words(value):
     return tuple(value.split())
 
@@ -308,11 +318,7 @@ def load_toolbox(paths=()) -> Toolbox:
             files.append(p)
     for path in files:
         name, ext = os.path.splitext(os.path.basename(path))
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise FormatError(str(e), path=path) from None
+        text = read_text(path)
         if ext == ".alg":
             magma, accept = _add(box.algebras, "algebra", name,
                                  parse_algebra(text, path))

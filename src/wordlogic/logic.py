@@ -842,15 +842,16 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
 # block) entered at a quantifier; its leaves are the nodes where the nest
 # stops. An existential whose block fixes its variable by a plus, times or =
-# leaf over values bound outside it is solved instead of looped over; see
-# _Plan.witness. In an argument of a LindSO node N, a block is guarded by a
-# relation R of N when one leaf, (in R t...) or (not (in R t...)) with every
-# t a variable of the block above it, reads what N or the binders between N
-# and the block bind, and no other leaf does. Such a block compiles into one
-# set test per instance: before N's instance loop, N's closure evaluates the
-# block once per value of the t's, with that leaf replaced by the unit of
-# the junction, and stores the t-tuples where it holds (exists) or fails
-# (forall); see _Plan.block.
+# leaf over values bound outside it is solved instead of looped over; the
+# forms each such atom is solved in are declared in _SOLVED, and
+# _Plan.witness reads them. In an argument of a LindSO node N, a block is
+# guarded by a relation R of N when one leaf, (in R t...) or
+# (not (in R t...)) with every t a variable of the block above it, reads
+# what N or the binders between N and the block bind, and no other leaf
+# does. Such a block compiles into one set test per instance: before N's
+# instance loop, N's closure evaluates the block once per value of the t's,
+# with that leaf replaced by the unit of the junction, and stores the
+# t-tuples where it holds (exists) or fails (forall); see _Plan.block.
 
 # Compiled levels (And/Or spines count once). Deeper formulas are refused,
 # so compiling and running stay within Python's default recursion limit.
@@ -859,6 +860,15 @@ _PLAN_CACHE_SIZE = 8
 _FO, _SO = "fo", "so"
 # Atoms read straight from slots
 _SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
+# The forms in which an atom fixes a variable, tried in order: (field
+# holding the solved variable, operator over the operand fields, or None
+# for a copy of the one operand, operand fields...)
+_SOLVED = {
+    PlusAtom: (("c", operator.add, "a", "b"), ("a", operator.sub, "c", "b"),
+               ("b", operator.sub, "c", "a")),
+    TimesAtom: (("c", operator.mul, "a", "b"),),
+    Eq: (("left", None, "right"), ("right", None, "left")),
+}
 
 # id(formula) -> (formula, _Plan), oldest first
 _plans: dict = {}
@@ -937,16 +947,6 @@ def _slot_atom(f, idx):
     if ty is PlusAtom:
         return lambda c, s: s[a] + s[b] == s[d]
     return lambda c, s: s[a] * s[b] == s[d]
-
-
-def _solver(op, reads):
-    """Closure computing op over the values in slots reads (the one value
-    when op is None)."""
-    if op is None:
-        (i,) = reads
-        return lambda c, s: s[i]
-    i, j = reads
-    return lambda c, s: op(s[i], s[j])
 
 
 def _loop(ty, i, body, solve):
@@ -1216,54 +1216,33 @@ class _Plan:
     def witness(self, v, outer, leaves, level):
         """Solver of the first leaf below `exists v` (leaves, at the given
         level of its block) that fixes v from values bound outside it, or
-        None. Leaves below a deeper binder of v are skipped.
+        None. Leaves below a deeper binder of v are skipped. A leaf's first
+        form in _SOLVED whose solved field is v decides it: an operand that
+        is v or is bound below v leaves v unfixed by that leaf.
 
         No leaf raises when the plan runs, so the body is false at every
         value of v but the solved one, which alone decides the quantifier;
         a solved value outside the domain makes it false.
         """
+        target = Var(v)
         for g, _, above, _ in leaves:
             inner = above[level + 1:]
-            if v not in inner:
-                solve = self.solver(g, v, outer, inner)
-                if solve is not None:
-                    return solve
-        return None
-
-    def solver(self, g, v, scope, inner):
-        """Closure computing v from the atom g, if g fixes it, else None."""
-        ty = type(g)
-        if ty is PlusAtom:
-            forms = ((g.c, operator.add, g.a, g.b),
-                     (g.a, operator.sub, g.c, g.b),
-                     (g.b, operator.sub, g.c, g.a))
-        elif ty is TimesAtom:
-            forms = ((g.c, operator.mul, g.a, g.b),)
-        elif ty is Eq:
-            forms = ((g.left, None, g.right, None),
-                     (g.right, None, g.left, None))
-        else:
-            return None
-        target = Var(v)
-        for t, op, p, q in forms:
-            if t != target:
+            if v in inner:
                 continue
-            reads = [self.source(x, v, scope, inner)
-                     for x in ((p,) if op is None else (p, q))]
-            if None in reads:
-                return None
-            return _solver(op, reads)
+            for solved, op, *names in _SOLVED.get(type(g), ()):
+                if getattr(g, solved) != target:
+                    continue
+                operands = [getattr(g, x) for x in names]
+                if any(type(t) is Var and (t.name == v or t.name in inner)
+                       for t in operands):
+                    break
+                reads = [self.term(t, outer) for t in operands]
+                if op is None:
+                    (i,) = reads
+                    return lambda c, s: s[i]
+                i, j = reads
+                return lambda c, s: op(s[i], s[j])
         return None
-
-    def source(self, t, v, scope, inner):
-        """Slot of an operand of a solved witness: min, max, a constant or
-        a name bound outside the quantifier on v; None if t is no such
-        operand."""
-        if type(t) is not Var:
-            return self.term(t, scope)
-        if t.name == v or t.name in inner:
-            return None
-        return self.resolve(t.name, scope, _FO)
 
     def so_exists(self, f, scope, depth):
         i = self.new_slot()

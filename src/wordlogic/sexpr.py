@@ -255,7 +255,8 @@ def parse_formula(text: str, registry=None):
 # ---------------------------------------------------------------------------
 # Printer
 
-def _fmt_term(t):
+def format_term(t) -> str:
+    """Render a term as the reader reads it."""
     ty = type(t)
     if ty is Min:
         return "min"
@@ -288,6 +289,7 @@ def _format(f) -> str:
 # kind -> how an operand of the kind prints
 _SHOW = {"Symbol": str, "PosName": str, "RelName": str, "int": str,
          "PosNames": lambda names: "(" + " ".join(names) + ")",
-         "Term": _fmt_term, "Terms": lambda ts: " ".join(map(_fmt_term, ts)),
+         "Term": format_term,
+         "Terms": lambda ts: " ".join(map(format_term, ts)),
          "Formula": _format, "Formulas": lambda fs: " ".join(map(_format, fs))}
 _SHOW["RelNames"] = _SHOW["PosNames"]

@@ -75,6 +75,7 @@ from .logic import (
     walk_formulas,
     with_terms,
 )
+from .sexpr import format_formula, format_term
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -442,7 +443,7 @@ def tally_translate_bwd(formula, registry):
     for sub in walk_formulas(formula):
         if isinstance(sub, (BitAtom, HighBit, SizeBit, LtLog, LtPowLog)):
             raise FragmentViolation(
-                f"atom {type(sub).__name__} has no counterpart here")
+                f"{format_formula(sub)} has no counterpart here")
         if isinstance(sub, LindFO):
             _require_neutral_last(resolve_language(registry, sub.lang))
         if isinstance(sub, Letter) and sub.letter != "1":
@@ -451,9 +452,10 @@ def tally_translate_bwd(formula, registry):
     src = eliminate_min_max(formula)
     gensym = _Gensym(all_names(src))
 
-    def vname(t):
+    def vname(t, g):
         if type(t) is not Var:
-            raise FragmentViolation(f"unsupported term {t!r}")
+            raise FragmentViolation(f"unsupported term {format_term(t)} in "
+                                    f"{format_formula(g)}")
         return t.name
 
     def mem(name):
@@ -489,15 +491,17 @@ def tally_translate_bwd(formula, registry):
     def fn(g, rw):
         ty = type(g)
         if ty is Eq:
-            return _set_eq(gensym, mem(vname(g.left)), mem(vname(g.right)))
+            return _set_eq(gensym, mem(vname(g.left, g)),
+                           mem(vname(g.right, g)))
         if ty is Lt:
-            return _set_lt(gensym, mem(vname(g.left)), mem(vname(g.right)))
+            return _set_lt(gensym, mem(vname(g.left, g)),
+                           mem(vname(g.right, g)))
         if ty is Letter:
             return TrueF()
         if ty is PlusAtom:
-            return set_plus(vname(g.a), vname(g.b), vname(g.c))
+            return set_plus(vname(g.a, g), vname(g.b, g), vname(g.c, g))
         if ty is TimesAtom:
-            return SetTimes(vname(g.a), vname(g.b), vname(g.c))
+            return SetTimes(vname(g.a, g), vname(g.b, g), vname(g.c, g))
         if ty is ExistsFO:
             return ExistsSO(g.var, And(delta(g.var), rw(g.body)))
         if ty is ForallFO:
@@ -537,13 +541,26 @@ def const_string(struct: ConstStructure, const_names) -> StringStructure:
     return StringStructure(subset_alphabet(len(names)), tuple(letters))
 
 
+def _const_index(const_names) -> dict:
+    """Each constant name to its bit in a subset letter, in order; an empty
+    or repeated name is refused."""
+    index = {}
+    for c in const_names:
+        if not c:
+            raise InvariantViolation("empty constant name")
+        if c in index:
+            raise InvariantViolation(f"duplicate constant name {c!r}")
+        index[c] = len(index)
+    return index
+
+
 def const_rewrite(formula, const_names):
     """Formula over a pure constant signature to one over strings whose
     letters name the subset of constants sitting at each position.
 
     Returns (formula, mapper)."""
-    names = tuple(const_names)
-    index = {c: i for i, c in enumerate(names)}
+    index = _const_index(const_names)
+    names = tuple(index)
     for sub in walk_formulas(formula):
         if isinstance(sub, Letter):
             raise NonConstantSignature("letter atoms in a constant signature")
@@ -574,7 +591,7 @@ def const_rewrite(formula, const_names):
 
 def const_unrewrite(formula, const_names):
     """Inverse direction: subset-letter atoms back to constant equalities."""
-    names = tuple(const_names)
+    index = _const_index(const_names)
 
     def fn(g, rw):
         if type(g) is Letter:
@@ -584,7 +601,7 @@ def const_unrewrite(formula, const_names):
             mask = int(g.letter[1:])
             atoms = [Eq(ConstSym(c), g.term) if (mask >> i) & 1
                      else Not(Eq(ConstSym(c), g.term))
-                     for i, c in enumerate(names)]
+                     for c, i in index.items()]
             return functools.reduce(And, atoms) if atoms else TrueF()
         return None
 
@@ -684,7 +701,7 @@ def exp_translate_rev(formula, alphabet):
                           tuple(map(rw, g.args)))
         if ty in (Not, And, Or, TrueF, FalseF):
             return None
-        raise FragmentViolation(f"unsupported construct {type(g).__name__}")
+        raise FragmentViolation(f"unsupported construct {format_formula(g)}")
 
     return rewrite(formula, fn)
 
@@ -709,7 +726,6 @@ class TranslationReport:
         return f"verdict: counterexample {st} {asg}"
 
     def render(self) -> str:
-        from .sexpr import format_formula
         lines = [
             f"source: {format_formula(self.source)}",
             f"target: {format_formula(self.target)}",

@@ -191,6 +191,36 @@ def test_format_error_carries_path(capsys, tmp_path):
     assert code == EXIT_USAGE and "bad.alg" in err
 
 
+# each file flag -> argv reading {file}, or the directory {dir} holding it
+_FILE_FLAGS = {
+    "--formula-file": ["eval", "--alphabet", "a,b", "--structure", "ab",
+                       "--formula-file", "{file}"],
+    "--toolbox file": ["eval", "--alphabet", "a,b", "--structure", "ab",
+                       "--formula", "(true)", "--toolbox", "{file}"],
+    "--toolbox directory": ["eval", "--alphabet", "a,b", "--structure", "ab",
+                            "--formula", "(true)", "--toolbox", "{dir}"],
+    "leaffa --automaton": ["leaffa", "--automaton", "{file}",
+                           "--language", "Lmod2"],
+    "algebra-check --algebra": ["algebra-check", "--algebra", "{file}"],
+    "oracle --algebra": ["oracle", "groupoid-reachable", "--algebra",
+                         "{file}"],
+    "oracle --grammar": ["oracle", "cfg-groupoid", "--grammar", "{file}"],
+    "oracle --dfa": ["oracle", "dfa-monoid", "--dfa", "{file}"],
+}
+
+
+@pytest.mark.parametrize("flag", list(_FILE_FLAGS))
+def test_file_not_utf8_is_usage_error(capsys, tmp_path, flag):
+    bad = tmp_path / "bad.dfa"
+    bad.write_bytes(b"\xff\xfe(true)\n")
+    argv = [a.format(file=bad, dir=tmp_path) for a in _FILE_FLAGS[flag]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+                   f"position 0: invalid start byte\n")
+    assert "Traceback" not in err
+
+
 def test_translate_with_toolbox_language(capsys, tmp_path):
     # collapse against a language loaded from a toolbox directory
     (tmp_path / "ones.dfa").write_text(
@@ -421,6 +451,19 @@ def test_equiv_counterexample_prints_the_assignment(capsys):
 ])
 def test_translate_ops_without_a_golden(capsys, argv, want):
     assert run(capsys, ["translate"] + argv) == (EXIT_OK, want, "")
+
+
+@pytest.mark.parametrize("consts,message", [
+    ("c,c", "duplicate constant name 'c'"),
+    ("c,,d", "empty constant name"),
+])
+def test_translate_const_names_are_checked(capsys, consts, message):
+    # a repeated name would check structures twice, an empty one admit a
+    # constant no formula can name
+    assert run(capsys, [
+        "translate", "--op", "const-rewrite", "--constants", consts,
+        "--max-n", "2", "--formula", "(= $c $c)"]) == \
+        (EXIT_USAGE, "", f"error: {message}\n")
 
 
 _EMPTY_RANGES = [

@@ -382,6 +382,16 @@ def test_load_toolbox_file_errors(tmp_path):
     assert type(ei.value) is FormatError
     assert str(ei.value) == f"{other}: unrecognized extension '.txt'"
     assert (ei.value.path, ei.value.line) == (str(other), None)
+    # a file that is not UTF-8, given by name or found in a directory
+    bad = tmp_path / "bad.dfa"
+    bad.write_bytes(b"\xff\xfestates: q0\n")
+    for path in (str(bad), str(tmp_path)):
+        with pytest.raises(FormatError) as ei:
+            load_toolbox([path])
+        assert type(ei.value) is FormatError
+        assert str(ei.value) == (f"{bad}: 'utf-8' codec can't decode byte "
+                                 f"0xff in position 0: invalid start byte")
+        assert (ei.value.path, ei.value.line) == (str(bad), None)
 
 
 def test_data_files_parse_to_known_objects(data_dir, g4):

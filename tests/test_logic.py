@@ -76,7 +76,7 @@ from wordlogic.logic import (
     subsets,
 )
 from wordlogic.sexpr import format_formula, parse_formula
-from wordlogic.translate import q_star_to_q1
+from wordlogic.translate import pad_translate, q_star_to_q1
 
 AB = ("a", "b")
 
@@ -810,6 +810,62 @@ def test_witness_atoms_match_reference(shape, x_bound):
             for env in envs:
                 assert _outcome(evaluate, struct, f, env) == \
                     _outcome(evaluate_reference, struct, f, env), (f, env)
+
+
+def _solved(f):
+    """Per existential variable of f, whether compiling f solves it."""
+    out = {}
+    real = logic._Plan.witness
+
+    def witness(self, v, *args):
+        solve = real(self, v, *args)
+        out[v] = solve is not None
+        return solve
+    logic._Plan.witness = witness
+    try:
+        logic._Plan(f)
+    finally:
+        logic._Plan.witness = real
+    return out
+
+
+def _pad_links(f):
+    """The variables of the exists q r s steps and size-chain links of a
+    pad_translate target: three nested exists over
+    (and (and (times ...) ...) ...)."""
+    for g in logic.walk_formulas(f):
+        nest, body = [], g
+        while type(body) is ExistsFO and len(nest) < 3:
+            nest.append(body.var)
+            body = body.body
+        if len(nest) == 3 and type(body) is And and type(body.left) is And \
+                and type(body.left.left) is TimesAtom:
+            yield from nest
+
+
+def test_witnesses_are_solved():
+    """Verdicts alone would not notice a lost solved form: every witness
+    atom solves v from sources bound outside it, none that reads an x
+    bound below v does, and every link of a padding chain is solved."""
+    V = Var("v")
+    atoms = list(_witness_atoms())
+    probe = Letter("a", V)
+    for atom in atoms:
+        assert _solved(ExistsFO("v", And(atom, probe)))["v"], atom
+    shadowed = [_solved(ExistsFO("v", ExistsFO("x", And(atom, probe))))["v"]
+                for atom in atoms]
+    assert shadowed == [Var("x") not in logic.terms(atom) for atom in atoms]
+    assert (len(atoms), sum(shadowed)) == (72, 42)
+    for k, links in ((2, 6), (3, 12)):
+        arg = InRel("X", tuple(Var(v) for v in "xyz"[:k]))
+        for v in reversed("xyz"[:k]):
+            arg = ExistsFO(v, arg)
+        target, _, _ = pad_translate(LindSO("Maj", CONCATENATED, k, ("X",),
+                                            (arg,)), AB)
+        solved = _solved(target)
+        names = list(_pad_links(target))
+        assert len(names) == links and all(solved[v] for v in names), \
+            (k, solved)
 
 
 @pytest.mark.parametrize("cls", _ARITH)

@@ -158,9 +158,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert _fresh(code) == "[]"
 
 
-class _Raises(ast.NodeVisitor):
-    """(innermost enclosing function, raised expression, line) of every
-    raise with an exception."""
+class _InFunction(ast.NodeVisitor):
+    """Tracks in where the name of the innermost function being visited;
+    a subclass appends what it finds there to found."""
 
     def __init__(self):
         self.where, self.found = None, []
@@ -169,6 +169,11 @@ class _Raises(ast.NodeVisitor):
         outer, self.where = self.where, node.name
         self.generic_visit(node)
         self.where = outer
+
+
+class _Raises(_InFunction):
+    """(innermost enclosing function, raised expression, line) of every
+    raise with an exception."""
 
     def visit_Raise(self, node):
         if node.exc is not None:
@@ -219,3 +224,32 @@ def test_every_raise_raises_a_wordlogic_error():
                 assert (module, where, name) in _UNTYPED_RAISES, \
                     (module, line, ast.unparse(exc))
     assert seen == _UNTYPED_RAISES
+
+
+class _Opens(_InFunction):
+    """(innermost enclosing function, line) of every call of a function
+    or method named open."""
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        if name == "open":
+            self.found.append((self.where, node.lineno))
+        self.generic_visit(node)
+
+
+def test_files_are_opened_by_one_reader():
+    # formats.read_text turns a file that cannot be read or is not UTF-8
+    # into a FormatError naming it, so no file flag can end in a traceback
+    package = os.path.dirname(wordlogic.__file__)
+    opens = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        visitor = _Opens()
+        visitor.visit(tree)
+        opens += [(os.path.basename(path), where, line)
+                  for where, line in visitor.found]
+    assert [(module, where) for module, where, _ in opens] == \
+        [("formats.py", "read_text")], opens

@@ -435,7 +435,10 @@ _REFUSALS = [
      FragmentViolation, "letter 'a' outside the unary alphabet"),
     ("tally-bwd-term", lambda reg: tally_translate_bwd(
         parse_formula("(exists x (< $c x))"), reg),
-     FragmentViolation, "unsupported term ConstSym(name='c')"),
+     FragmentViolation, "unsupported term $c in (< $c x)"),
+    ("tally-bwd-atom", lambda reg: tally_translate_bwd(
+        parse_formula("(exists x (bit x x))"), reg),
+     FragmentViolation, "(bit x x) has no counterpart here"),
     ("exp-fragment", lambda reg: exp_translate(
         parse_formula("(exists x (plus x x x))"), AB),
      FragmentViolation, "PlusAtom is not allowed in SOM(Qstar)"),
@@ -447,7 +450,16 @@ _REFUSALS = [
      FragmentViolation, "unknown constant 'c_z'"),
     ("exp-rev-construct", lambda reg: exp_translate_rev(
         parse_formula("(letter a x)"), AB),
-     FragmentViolation, "unsupported construct Letter"),
+     FragmentViolation, "unsupported construct (letter a x)"),
+    ("const-repeated-name", lambda reg: const_rewrite(
+        parse_formula("(= $c $c)"), ("c", "c")),
+     InvariantViolation, "duplicate constant name 'c'"),
+    ("const-empty-name", lambda reg: const_rewrite(
+        parse_formula("(= $c $d)"), ("c", "", "d")),
+     InvariantViolation, "empty constant name"),
+    ("const-unrewrite-repeated-name", lambda reg: const_unrewrite(
+        parse_formula("(exists x (letter s1 x))"), ("c", "d", "c")),
+     InvariantViolation, "duplicate constant name 'c'"),
 ]
 
 
