@@ -565,6 +565,11 @@ class LanguageSpec:
         self.alphabet = tuple(self.alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvariantViolation(f"language {self.name!r}: duplicate letters")
+        for a in self.alphabet:
+            if type(a) is not str or len(a) != 1:
+                raise InvariantViolation(
+                    f"language {self.name!r}: letter {a!r} is not one character"
+                )
         if self.declared_neutral is not None and self.declared_neutral not in self.alphabet:
             raise InvariantViolation(
                 f"language {self.name!r}: neutral letter not in alphabet"

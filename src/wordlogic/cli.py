@@ -36,7 +36,7 @@ from .formats import (
     read_text,
 )
 from .generate import random_lindfo
-from .leafauto import leaffa_member, leaf_string
+from .leafauto import DEFAULT_LEAF_CAP, leaffa_member, leaf_string
 from .logic import (
     DEFAULT_INSTANCE_CAP,
     StringStructure,
@@ -366,7 +366,7 @@ def build_parser():
                    help="toolbox name or file path")
     p.add_argument("--language", required=True)
     p.add_argument("--structure", default="")
-    p.add_argument("--leaf-cap", type=int, default=1 << 16)
+    p.add_argument("--leaf-cap", type=int, default=DEFAULT_LEAF_CAP)
     p.set_defaults(fn=cmd_leaffa)
 
     p = sub.add_parser("algebra-check",

@@ -21,6 +21,8 @@ from ._record import record
 from .algebra import Dfa, LanguageSpec, WordProblem, language_member
 from .errors import CapExceeded, InvariantViolation
 
+DEFAULT_LEAF_CAP = 1 << 16  # the longest leaf string spelled out
+
 
 @record(frozen=True)
 class LeafAutomaton:
@@ -93,7 +95,7 @@ def _check_cap(M: LeafAutomaton, w: str, cap: int) -> None:
             required=total)
 
 
-def leaf_string(M: LeafAutomaton, w: str, cap: int = 1 << 16) -> str:
+def leaf_string(M: LeafAutomaton, w: str, cap: int = DEFAULT_LEAF_CAP) -> str:
     """The concatenated beta values over the computation tree's leaves,
     spelled a level of the tree at a time: each letter replaces every
     state of the level by its successors in order. Successor tuples are
@@ -122,7 +124,7 @@ def _compose(maps):
 
 
 def leaffa_member(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
-                  cap: int = 1 << 16) -> bool:
+                  cap: int = DEFAULT_LEAF_CAP) -> bool:
     """w is accepted when the leaf string lies in leaf_spec.
 
     DFA leaf languages fold each leaf letter's state map, and associative
@@ -147,7 +149,7 @@ def leaffa_member(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
 
 
 def leaffa_member_reference(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
-                            cap: int = 1 << 16) -> bool:
+                            cap: int = DEFAULT_LEAF_CAP) -> bool:
     """Membership by materializing the leaf string under the cap for every
     leaf language; the oracle tests hold leaffa_member against."""
     _check_leaf_alphabet(M, leaf_spec)

@@ -15,11 +15,12 @@ per instance, against a set of t-tuples computed before the node's
 instance loop. It runs the closures only when a call meets what the
 formula needs for no node to raise;
 the direct tree walk answers every other call. `evaluate_reference` is
-that walk, and tests and oracles hold `evaluate` against it. What a
-quantifier ranges over is defined once and both read it: `_instances`
-gives a quantifier node's instances in word order, `subsets` the
-relations an existsSO tries, and `string_structures` the words up to a
-length.
+that walk, and tests and oracles hold `evaluate` against it. In both, an
+existsSO is the existential loop of exists, over relations instead of
+positions. What a quantifier ranges over is defined once and both read
+it: `_instances` gives a quantifier node's instances in word order,
+`subsets` the relations an existsSO tries, and `string_structures` the
+words up to a length.
 """
 
 from __future__ import annotations
@@ -771,25 +772,16 @@ def _eval(ctx, env, f) -> bool:
             if bool(_eval(ctx, env, g)) is decisive:
                 return decisive
         return not decisive
-    if ty is ExistsFO or ty is ForallFO:
+    if ty is ExistsFO or ty is ForallFO or ty is ExistsSO:
         if ctx.n == 0:
             raise EmptyDomain("quantifier over the empty structure")
-        want = ty is ExistsFO
-        for v in range(ctx.n):
+        want = ty is not ForallFO
+        for v in (subsets if ty is ExistsSO else range)(ctx.n):
             env2 = dict(env)
             env2[f.var] = v
             if _eval(ctx, env2, f.body) == want:
                 return want
         return not want
-    if ty is ExistsSO:
-        if ctx.n == 0:
-            raise EmptyDomain("quantifier over the empty structure")
-        for rel in subsets(ctx.n):
-            env2 = dict(env)
-            env2[f.var] = rel
-            if _eval(ctx, env2, f.body):
-                return True
-        return False
     # a LindFO or LindSO: the constructors admit no other node
     spec, word = _induced(ctx, env, f)
     return language_member(spec, word)
@@ -852,6 +844,8 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # instance loop, N's closure evaluates the block once per value of the t's,
 # with that leaf replaced by the unit of the junction, and stores the
 # t-tuples where it holds (exists) or fails (forall); see _Plan.block.
+# An existsSO compiles alone, into the loop of an unsolved exists that
+# ranges over subsets instead of positions; see _loop.
 
 # Compiled levels (And/Or spines count once). Deeper formulas are refused,
 # so compiling and running stay within Python's default recursion limit.
@@ -950,8 +944,9 @@ def _slot_atom(f, idx):
 
 
 def _loop(ty, i, body, solve):
-    """Closure of a first-order quantifier of type ty over slot i; an
-    existential with a solver tries only the solved value."""
+    """Closure of a quantifier of type ty over slot i: a forall or exists
+    over the positions, or an existsSO over the relations subsets gives;
+    an existential with a solver tries only the solved value."""
     if ty is ForallFO:
         def forall(c, s):
             for v in range(c.n):
@@ -962,8 +957,10 @@ def _loop(ty, i, body, solve):
         return forall
 
     if solve is None:
+        domain = subsets if ty is ExistsSO else range
+
         def exists(c, s):
-            for v in range(c.n):
+            for v in domain(c.n):
                 s[i] = v
                 if body(c, s):
                     return True
@@ -1105,7 +1102,9 @@ class _Plan:
         if ty is ExistsFO or ty is ForallFO:
             return self.block(f, scope, depth)
         if ty is ExistsSO:
-            return self.so_exists(f, scope, depth)
+            i = self.new_slot()
+            body = self.compile(f.body, {**scope, f.var: (i, _SO)}, depth + 1)
+            return _loop(ExistsSO, i, body, None)
         if ty is LindFO or ty is LindSO:
             return self.lindstrom(f, scope, depth)
         return self.atom(f, scope)
@@ -1243,18 +1242,6 @@ class _Plan:
                 i, j = reads
                 return lambda c, s: op(s[i], s[j])
         return None
-
-    def so_exists(self, f, scope, depth):
-        i = self.new_slot()
-        body = self.compile(f.body, {**scope, f.var: (i, _SO)}, depth + 1)
-
-        def exists_so(c, s):
-            for rel in subsets(c.n):
-                s[i] = rel
-                if body(c, s):
-                    return True
-            return False
-        return exists_so
 
     def lindstrom(self, f, scope, depth):
         self.nodes.append(f)

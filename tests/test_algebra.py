@@ -231,6 +231,10 @@ _REFUSALS = [
      InvariantViolation, "grammar start symbol out of range"),
     ("spec-duplicate", lambda g4: LanguageSpec("L", ("a", "a"), _DFA_A),
      InvariantViolation, "language 'L': duplicate letters"),
+    ("spec-letter-length",
+     lambda g4: LanguageSpec("L", ("a", "aa"),
+                             Dfa(("q",), ("a", "aa"), ((0, 0),), 0, frozenset())),
+     InvariantViolation, "language 'L': letter 'aa' is not one character"),
     ("spec-neutral",
      lambda g4: LanguageSpec("L", ("a",), _DFA_A, declared_neutral="b"),
      InvariantViolation, "language 'L': neutral letter not in alphabet"),

@@ -235,6 +235,58 @@ def test_translate_with_toolbox_language(capsys, tmp_path):
     assert code == EXIT_OK and "verdict: equivalent" in out
 
 
+def test_translate_counterexample_exits_one(capsys, tmp_path):
+    # 0 is declared neutral but is not: a word ending in 0 is rejected.
+    # The tally translations take the declaration on trust, and the check
+    # finds the difference
+    (tmp_path / "Ends1.dfa").write_text(
+        "states: q0 q1\nalphabet: 1 0\nstart: q0\nfinals: q1\n"
+        "trans: q0 1 q1\ntrans: q0 0 q0\ntrans: q1 1 q1\ntrans: q1 0 q0\n"
+        "neutral: 0\n")
+    code, out, err = run(capsys, [
+        "translate", "--op", "tally-fwd", "--toolbox", str(tmp_path),
+        "--max-n", "3", "--formula", "(Qstar Ends1 1 (X) (in X min))"])
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+    lines = out.splitlines()
+    assert lines[1] == "source: (Qstar Ends1 1 (X) (in X min))"
+    assert lines[2] == "target: " + lines[0]
+    assert lines[-1] == "verdict: counterexample 1 {}"
+
+
+# a language file whose letters are not single characters
+_LONG_LETTERS = {
+    ".dfa alphabet": ("lastaa.dfa", "states: p q\nalphabet: a aa\nstart: p\n"
+                      "finals: q\ntrans: p a p\ntrans: p aa q\n"
+                      "trans: q a p\ntrans: q aa q\n", "'aa'"),
+    ".cfg terminal": ("two.cfg", "start: S\nS -> 'ab'\n", "'ab'"),
+    ".alg elements": ("z2.alg", "elements: id g\nidentity: id\ntable:\n"
+                      "id g\ng id\naccept: g\n", "'id'"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LONG_LETTERS))
+def test_language_letters_longer_than_one_character_are_refused(
+        capsys, tmp_path, kind):
+    # an induced word is read a character at a time, so a longer letter
+    # would give wrong verdicts
+    name, text, letter = _LONG_LETTERS[kind]
+    (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, [
+        "eval", "--toolbox", str(tmp_path / name), "--alphabet", "a,b",
+        "--structure", "ba", "--formula", "(Q lastaa (x) (letter b x))"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"letter {letter} is not one character" in err
+
+
+def test_algebra_check_accepts_element_names_of_any_length(capsys, tmp_path):
+    name, text, _ = _LONG_LETTERS[".alg elements"]
+    (tmp_path / name).write_text(text)
+    assert run(capsys, ["algebra-check", "--algebra", str(tmp_path / name)]) \
+        == (EXIT_OK, "elements: 2\nidentity: id\nassociative: true\n"
+                     "accept: g\n", "")
+
+
 def test_repeated_main_calls_share_no_state(capsys, tmp_path):
     # main reuses one parser: no call may see another's options
     (tmp_path / "ones.dfa").write_text(

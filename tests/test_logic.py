@@ -72,6 +72,7 @@ from wordlogic.logic import (
     instance_unrank,
     resolve_language,
     set_code_value,
+    string_structures,
     structure_from_string,
     subsets,
 )
@@ -1151,6 +1152,29 @@ def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
         assert evaluate(struct, f, registry=registry) == \
             evaluate_reference(struct, f, registry=registry)
         assert len(calls) == struct.size
+
+
+@pytest.mark.parametrize("text,want", [
+    ("(existsSO X (exists x (in X x)))", [ExistsFO, ExistsSO]),
+    ("(existsSO X (existsSO Y (forall x (or (in X x) (in Y x)))))",
+     [ForallFO, ExistsSO, ExistsSO]),
+])
+def test_existsso_compiles_through_loop(monkeypatch, text, want):
+    # existsSO is the existential loop over subsets: each node is one
+    # _loop call of its own type, and the closures agree with the walk
+    calls = []
+    real = logic._loop
+
+    def recording(ty, i, body, solve):
+        calls.append(ty)
+        return real(ty, i, body, solve)
+    monkeypatch.setattr(logic, "_loop", recording)
+    f = parse_formula(text)
+    logic._Plan(f)
+    assert calls == want
+    for struct in string_structures(AB, 4, min_n=0):
+        assert _outcome(evaluate, struct, f) == \
+            _outcome(evaluate_reference, struct, f), struct.word
 
 
 # ---------------------------------------------------------------------------

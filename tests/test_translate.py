@@ -264,6 +264,14 @@ def test_const_string_letters():
     assert s.word == "s1s0s2"
 
 
+def test_const_counterexample_prints_the_structure():
+    from wordlogic.logic import ConstStructure
+    rep = check_equivalence(parse_formula("(= $c min)"), parse_formula("(true)"),
+                            const_structures(("c",), 2))
+    assert rep.verdict_line() == "verdict: counterexample <n=2 c=1> {}"
+    assert str(ConstStructure.of(3, {"d": 0, "c": 2})) == "<n=3 c=2,d=0>"
+
+
 def test_const_rewrite_equivalent():
     names = ("c1", "c2")
     formulas = [
