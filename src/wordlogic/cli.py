@@ -77,10 +77,12 @@ def _alphabet(text: str):
     return tuple(text)
 
 
-def _add_common(p):
+def _add_common(p, instance_cap=True):
     p.add_argument("--toolbox", action="append", default=[],
                    help="file or directory of language/automaton definitions")
-    p.add_argument("--instance-cap", type=int, default=DEFAULT_INSTANCE_CAP)
+    if instance_cap:
+        p.add_argument("--instance-cap", type=int,
+                       default=DEFAULT_INSTANCE_CAP)
 
 
 def _nonempty(cases, flags):
@@ -295,13 +297,18 @@ def _oracle_lind(args):
         word = induced_word(st, {}, node, registry=reg, instance_cap=cap)
         return fast == language_member(reg[node.lang], word)
     # every closed quantifier node of every formula, on every structure
-    cases = ((st, node) for f in formulas
+    nodes = [[node for node in walk_formulas(f)
+              if isinstance(node, (LindFO, LindSO))
+              and not any(free_variables(node))] for f in formulas]
+    cases = ((st, node) for closed in nodes
              for st in string_structures(alphabet, args.max_n)
-             for node in walk_formulas(f)
-             if isinstance(node, (LindFO, LindSO))
-             and not any(free_variables(node)))
-    flags = f"--max-n {args.max_n}" if args.formula \
-        else f"--count {args.count} with --max-n {args.max_n}"
+             for node in closed)
+    if not alphabet:
+        flags = f"--alphabet {args.alphabet}"
+    elif args.formula:
+        flags = f"--max-n {args.max_n}" if nodes[0] else "--formula"
+    else:
+        flags = f"--count {args.count} with --max-n {args.max_n}"
     return _agree(cases, same,
                   lambda case: f"{case[0]} {format_formula(case[1])}", flags)
 
@@ -361,7 +368,7 @@ def build_parser():
 
     p = sub.add_parser("leaffa",
                        help="leaf-automaton membership against a language")
-    _add_common(p)
+    _add_common(p, instance_cap=False)
     p.add_argument("--automaton", required=True,
                    help="toolbox name or file path")
     p.add_argument("--language", required=True)

@@ -172,8 +172,7 @@ def parse_algebra(text: str, path=None):
 
 def algebra_language(magma: Magma, accept, name=None) -> LanguageSpec:
     wp = WordProblem.of(magma, accept)
-    return LanguageSpec(name or magma.name, magma.elements, wp,
-                        letter_map={e: i for i, e in enumerate(magma.elements)})
+    return LanguageSpec(name or magma.name, magma.elements, wp)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,9 @@ def random_fo_formula(rng: random.Random, fo_vars, so_vars, alphabet,
     def atom(fo):
         choices = ["true", "false"]
         if fo:
-            choices += ["letter", "letter", "eq", "lt"]
+            if alphabet:
+                choices += ["letter", "letter"]
+            choices += ["eq", "lt"]
             if so_vars:
                 choices += ["in", "in", "in"]
         pick = rng.choice(choices)

@@ -20,7 +20,8 @@ existsSO is the existential loop of exists, over relations instead of
 positions. What a quantifier ranges over is defined once and both read
 it: `_instances` gives a quantifier node's instances in word order,
 `subsets` the relations an existsSO tries, and `string_structures` the
-words up to a length.
+words up to a length. What an atom means is defined once too, in
+`_slot_atom`, and both run it.
 """
 
 from __future__ import annotations
@@ -717,53 +718,6 @@ def _induced(ctx, env, node):
 
 def _eval(ctx, env, f) -> bool:
     ty = type(f)
-    if ty is TrueF:
-        return True
-    if ty is FalseF:
-        return False
-    if ty is Eq:
-        return _term_value(ctx, env, f.left) == _term_value(ctx, env, f.right)
-    if ty is Lt:
-        return _term_value(ctx, env, f.left) < _term_value(ctx, env, f.right)
-    if ty is Letter:
-        pos = _term_value(ctx, env, f.term)
-        return ctx.letters[pos] == f.letter
-    if ty is InRel:
-        s = _relation(env, f.rel)
-        return tuple(_term_value(ctx, env, t) for t in f.args) in s
-    if ty is PlusAtom:
-        return (_term_value(ctx, env, f.a) + _term_value(ctx, env, f.b)
-                == _term_value(ctx, env, f.c))
-    if ty is TimesAtom:
-        return (_term_value(ctx, env, f.a) * _term_value(ctx, env, f.b)
-                == _term_value(ctx, env, f.c))
-    if ty is BitAtom:
-        a = _term_value(ctx, env, f.a)
-        j = _term_value(ctx, env, f.j)
-        return bool((a >> j) & 1)
-    if ty is HighBit:
-        m = _floor_log2(ctx.n)
-        v = _term_value(ctx, env, f.value)
-        p = _term_value(ctx, env, f.pos)
-        if p >= m:
-            return False
-        return bool((v >> (m - 1 - p)) & 1)
-    if ty is SizeBit:
-        m = _floor_log2(ctx.n)
-        p = _term_value(ctx, env, f.pos)
-        if p >= m:
-            return False
-        return bool((ctx.n >> (m - 1 - p)) & 1)
-    if ty is LtLog:
-        return _term_value(ctx, env, f.term) < _floor_log2(ctx.n)
-    if ty is LtPowLog:
-        return _term_value(ctx, env, f.term) < (1 << _floor_log2(ctx.n))
-    if ty is SetTimes:
-        xv, yv, zv = (set_code_value(_relation(env, name), ctx.n)
-                      for name in (f.x, f.y, f.z))
-        return xv * yv == zv
-    if ty is ShuffleBit:
-        return _eval_shuffle(ctx, env, f)
     if ty is Not:
         return not _eval(ctx, env, f.body)
     if ty is And or ty is Or:
@@ -782,24 +736,19 @@ def _eval(ctx, env, f) -> bool:
             if _eval(ctx, env2, f.body) == want:
                 return want
         return not want
-    # a LindFO or LindSO: the constructors admit no other node
-    spec, word = _induced(ctx, env, f)
-    return language_member(spec, word)
-
-
-def _eval_shuffle(ctx, env, f: ShuffleBit) -> bool:
-    n = ctx.n
-    k = f.width
-    x = _term_value(ctx, env, f.point)
-    sets = [_relation(env, v) for v in f.set_vars]
-    if f.direction == "to_interleaved":
-        # sets follow the interleaved enumeration; recover the concatenated
-        # reading of flat bit position index*n + x
-        p = f.index * n + x
-        return (p // k,) in sets[p % k]
-    # to_concatenated: the inverse permutation
-    p = x * k + f.index
-    return (p % n,) in sets[p // n]
+    if ty is LindFO or ty is LindSO:
+        spec, word = _induced(ctx, env, f)
+        return language_member(spec, word)
+    # an atom: its operands checked in field order, then listed as
+    # _Plan.atom gives them slots (relations, then terms) for _slot_atom
+    if ty is ShuffleBit:  # the one atom whose term comes first
+        point = _term_value(ctx, env, f.point)
+        values = [_relation(env, name) for name in f.set_vars]
+        values.append(point)
+    else:
+        values = [_relation(env, name) for name in relation_names(f)]
+        values += [_term_value(ctx, env, t) for t in terms(f)]
+    return _slot_atom(f, range(len(values)))(ctx, values)
 
 
 def evaluate_reference(struct, formula, assignment=None, *, registry=None,
@@ -825,10 +774,9 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 #
 # Every binder, every free name, min, max and every constant owns one index
 # of the list `slots`, fixed at compile time. So a binding is one list store
-# instead of an environment copy, every relation, order, letter and plus or
-# times atom reads its values straight from slots, and an And/Or spine is one
-# n-ary node. The other atoms run the reference code on an environment of
-# just the names they read.
+# instead of an environment copy, every atom reads its values straight from
+# slots, through the one definition of the atoms that the reference walk
+# runs too (_slot_atom), and an And/Or spine is one n-ary node.
 #
 # First-order quantifiers compile a block at a time: the maximal nest of
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
@@ -852,8 +800,6 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 MAX_NESTING = 300
 _PLAN_CACHE_SIZE = 8
 _FO, _SO = "fo", "so"
-# Atoms read straight from slots
-_SLOT_ATOMS = (Eq, Lt, PlusAtom, TimesAtom, Letter, InRel)
 # The forms in which an atom fixes a variable, tried in order: (field
 # holding the solved variable, operator over the operand fields, or None
 # for a copy of the one operand, operand fields...)
@@ -917,9 +863,18 @@ def _word(c, s, spec, args, slots, values):
     return "".join(out)
 
 
+def _msb_digit(v, p, n):
+    """Digit p, most significant first, of v written with floor(log2 n)
+    binary digits; false when p walks off them."""
+    m = _floor_log2(n)
+    return p < m and bool((v >> (m - 1 - p)) & 1)
+
+
 def _slot_atom(f, idx):
-    """Closure of an atom whose relation and terms are in slots idx
-    (relation first)."""
+    """What the atom f means, in both evaluators: its closure over the
+    slots idx that hold its relations and then its terms. The compiled
+    evaluator passes the slots of its plan, the reference walk the list of
+    operand values it has just checked."""
     ty = type(f)
     if ty is InRel:
         r, *args = idx
@@ -937,7 +892,45 @@ def _slot_atom(f, idx):
     if ty is Lt:
         a, b = idx
         return lambda c, s: s[a] < s[b]
+    if ty is TrueF:
+        return _true
+    if ty is FalseF:
+        return _false
+    if ty is BitAtom:
+        a, j = idx
+        return lambda c, s: bool((s[a] >> s[j]) & 1)
+    if ty is HighBit:
+        a, p = idx
+        return lambda c, s: _msb_digit(s[a], s[p], c.n)
+    if ty is SizeBit:
+        (p,) = idx
+        return lambda c, s: _msb_digit(c.n, s[p], c.n)
+    if ty is LtLog:
+        (a,) = idx
+        return lambda c, s: s[a] < _floor_log2(c.n)
+    if ty is LtPowLog:
+        (a,) = idx
+        return lambda c, s: s[a] < (1 << _floor_log2(c.n))
+    if ty is ShuffleBit:
+        # the sets are listed in one instance ordering; position x of set
+        # index in the other ordering is flat bit p of the instance code
+        *sets, x = idx
+        k, index = f.width, f.index
+        if f.direction == "to_interleaved":
+            def to_interleaved(c, s):
+                p = index * c.n + s[x]
+                return (p // k,) in s[sets[p % k]]
+            return to_interleaved
+
+        def to_concatenated(c, s):
+            p = s[x] * k + index
+            return (p % c.n,) in s[sets[p // c.n]]
+        return to_concatenated
     a, b, d = idx
+    if ty is SetTimes:
+        return lambda c, s: (set_code_value(s[a], c.n)
+                             * set_code_value(s[b], c.n)
+                             == set_code_value(s[d], c.n))
     if ty is PlusAtom:
         return lambda c, s: s[a] + s[b] == s[d]
     return lambda c, s: s[a] * s[b] == s[d]
@@ -1268,26 +1261,10 @@ class _Plan:
         return quantifier
 
     def atom(self, f, scope):
-        ty = type(f)
-        if ty is TrueF:
-            return _true
-        if ty is FalseF:
-            return _false
-        pairs = [(name, self.resolve(name, scope, _SO))
-                 for name in relation_names(f)]
-        idx = [i for _, i in pairs]
-        for t in terms(f):
-            idx.append(self.term(t, scope))
-            if type(t) is Var:
-                pairs.append((t.name, idx[-1]))
-        self.letters = self.letters or ty is Letter
-        if ty in _SLOT_ATOMS:
-            return _slot_atom(f, idx)
-        pairs = tuple(pairs)
-
-        def reference_atom(c, s):
-            return _eval(c, {name: s[i] for name, i in pairs}, f)
-        return reference_atom
+        idx = [self.resolve(name, scope, _SO) for name in relation_names(f)]
+        idx += [self.term(t, scope) for t in terms(f)]
+        self.letters = self.letters or type(f) is Letter
+        return _slot_atom(f, idx)
 
 
 def _plan(formula) -> _Plan:

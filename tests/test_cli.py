@@ -314,6 +314,16 @@ def test_repeated_main_calls_share_no_state(capsys, tmp_path):
         assert capsys.readouterr().out == usage
 
 
+def test_leaffa_takes_no_instance_cap(capsys, data_dir):
+    # leaffa bounds its work by --leaf-cap alone
+    with pytest.raises(SystemExit) as exc:
+        main(["leaffa", "--toolbox", data_dir, "--automaton", "spawn",
+              "--language", "Lmod2", "--structure", "aa",
+              "--instance-cap", "5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--instance-cap" in capsys.readouterr().err
+
+
 def test_eval_long_conjunction(capsys):
     # the parser nests (and ...) 3000 levels deep; evaluation flattens it
     code, out, err = run(capsys, [
@@ -543,6 +553,12 @@ _EMPTY_RANGES = [
     (["oracle", "lind-eval", "--max-n", "0"], "--count 20 with --max-n 0"),
     (["oracle", "lind-eval", "--max-n", "0",
       "--formula", "(Q Lexists (x) (letter a x))"], "--max-n 0"),
+    # no letter, so no structure: random formulas offer no letter atom
+    (["oracle", "lind-eval", "--count", "2", "--alphabet", ","],
+     "--alphabet ,"),
+    # no closed quantifier node, whatever the range
+    (["oracle", "lind-eval", "--formula", "(exists x (letter a x))"],
+     "--formula"),
 ]
 
 

@@ -40,6 +40,7 @@ from wordlogic.logic import (
     Eq,
     ExistsFO,
     ExistsSO,
+    FalseF,
     ForallFO,
     HighBit,
     InRel,
@@ -119,6 +120,19 @@ _REFUSALS = [
      InvariantViolation, "constant c = 2 outside domain"),
     ("max-on-empty", lambda: evaluate(S(""), Lt(MAX, MIN)),
      EmptyDomain, "max over the empty structure"),
+    # an atom checks its operands in field order
+    ("shuffle-point-first", lambda: evaluate_reference(
+        S("ab"), ShuffleBit("to_interleaved", 0, 1, Var("x"), ("A",))),
+     UnboundVariable, "unbound variable 'x'"),
+    ("shuffle-point-first-compiled", lambda: evaluate(
+        S("ab"), ShuffleBit("to_interleaved", 0, 1, Var("x"), ("A",))),
+     UnboundVariable, "unbound variable 'x'"),
+    ("in-relation-first", lambda: evaluate_reference(
+        S("ab"), InRel("A", (Var("x"),))),
+     UnboundVariable, "unbound relation variable 'A'"),
+    ("in-relation-first-compiled", lambda: evaluate(
+        S("ab"), InRel("A", (Var("x"),))),
+     UnboundVariable, "unbound relation variable 'A'"),
     ("induced-word-non-node", lambda: induced_word(S("a"), {}, TrueF()),
      InvariantViolation, "induced_word needs a generalized quantifier node"),
     ("plan-deep-not", lambda: evaluate(S("a"), _nest(
@@ -668,6 +682,100 @@ def test_settimes_atom():
     assert evaluate(st, SetTimes("X", "Y", "Z"), env)
 
 
+def _atom_cases(n):
+    """(atom, [(structure, assignment, verdict)]) for every atom class on
+    n positions, under every assignment of its operands, the verdicts
+    written out from the docstrings with Python integers. Relations range
+    over every monadic subset, and binary ones over their products, for
+    n <= 4."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+    pos = range(n)
+    m = len(f"{n:b}") - 1  # floor(log2 n)
+
+    def digit(v, p):
+        # digit p of v written msb first with m digits: the bit of weight
+        # 2^(m - (p+1)); false when p walks off the m digits
+        return p < m and v // 2 ** (m - (p + 1)) % 2 == 1
+
+    for a in AB:
+        yield Letter(a, x), [(S("".join(w)), {"x": i}, w[i] == a)
+                             for w in itertools.product(AB, repeat=n)
+                             for i in pos]
+    st = S("a" * n)
+    yield TrueF(), [(st, {}, True)]
+    yield FalseF(), [(st, {}, False)]
+    pairs = [{"x": i, "y": j} for i in pos for j in pos]
+    for f, means in [(Eq(x, y), lambda i, j: i == j),
+                     (Lt(x, y), lambda i, j: i < j),
+                     (BitAtom(x, y), lambda i, j: i // 2 ** j % 2 == 1),
+                     (HighBit(x, y), digit)]:
+        yield f, [(st, e, means(e["x"], e["y"])) for e in pairs]
+    triples = [{"x": i, "y": j, "z": k} for i in pos for j in pos for k in pos]
+    yield PlusAtom(x, y, z), [(st, e, e["x"] + e["y"] == e["z"])
+                              for e in triples]
+    yield TimesAtom(x, y, z), [(st, e, e["x"] * e["y"] == e["z"])
+                               for e in triples]
+    for f, means in [(SizeBit(x), lambda i: digit(n, i)),
+                     (LtLog(x), lambda i: i < m),
+                     (LtPowLog(x), lambda i: i < 2 ** m)]:
+        yield f, [(st, {"x": i}, means(i)) for i in pos]
+    if n > 4:
+        return
+    sets = [frozenset((j,) for j in pos if r >> j & 1) for r in range(2 ** n)]
+    yield InRel("X", (x,)), [(st, {"X": s, "x": i}, i in {j for (j,) in s})
+                             for s in sets for i in pos]
+    yield InRel("R", (x, y)), [
+        (st, {"R": frozenset((i, j) for (i,) in s for (j,) in t), **e},
+         (e["x"],) in s and (e["y"],) in t)
+        for s in sets for t in sets for e in pairs]
+
+    def code(s):
+        # the n-digit msb-first binary number whose digit j says j in s
+        return int("".join("1" if (j,) in s else "0" for j in pos), 2)
+    yield SetTimes("X", "Y", "Z"), [
+        (st, {"X": s, "Y": t, "Z": u}, code(s) * code(t) == code(u))
+        for s in sets for t in sets for u in sets]
+    for k in (1, 2):
+        names = ("A", "B")[:k]
+
+        def interleaved(i, j):  # flat code bit of variable i at position j
+            return j * k + i
+
+        def concatenated(i, j):
+            return i * n + j
+        for direction, given, read in [
+                ("to_interleaved", interleaved, concatenated),
+                ("to_concatenated", concatenated, interleaved)]:
+            for index in range(k):
+                # the sets, read in the given ordering, set the flat code
+                # bits; the atom reads variable index in the other one
+                yield ShuffleBit(direction, index, k, x, names), [
+                    (st, {**dict(zip(names, sets_)), "x": i},
+                     read(index, i) in {given(v, j) for v in range(k)
+                                        for (j,) in sets_[v]})
+                    for sets_ in itertools.product(sets, repeat=k)
+                    for i in pos]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_atom_means_its_definition(n):
+    # both evaluators run one definition of the atoms, so their differential
+    # cannot check it: pin it here
+    for f, rows in _atom_cases(n):
+        for struct, env, want in rows:
+            for evaluator in (evaluate, evaluate_reference):
+                assert evaluator(struct, f, env) == want, \
+                    (evaluator.__name__, str(struct), format_formula(f), env)
+
+
+def test_random_formulas_over_no_letters():
+    # an empty alphabet offers no letter atom to draw from
+    rng = random.Random(0)
+    for _ in range(50):
+        f = random_fo_formula(rng, ("x",), (), ())
+        assert Letter not in {type(g) for g in logic.walk_formulas(f)}
+
+
 @pytest.mark.parametrize("evaluator", [evaluate, evaluate_reference])
 def test_letter_atom_on_constant_structure(evaluator):
     st = ConstStructure.of(2, {"c1": 0})
@@ -1148,9 +1256,10 @@ def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
     struct = S("abbab")
     for quantifier in ("Qstar", "Q1"):
         f = parse_formula(f"({quantifier} Lmod2 1 (X) {template})", registry)
+        # the reference builds letter closures too: run it before counting
+        want = evaluate_reference(struct, f, registry=registry)
         calls.clear()
-        assert evaluate(struct, f, registry=registry) == \
-            evaluate_reference(struct, f, registry=registry)
+        assert evaluate(struct, f, registry=registry) == want
         assert len(calls) == struct.size
 
 
