@@ -615,14 +615,14 @@ def resolve_language(registry, name: str) -> LanguageSpec:
 def language_member(spec: LanguageSpec, word) -> bool:
     """Membership of `word` (an iterable of letters) in the named language."""
     word = "".join(word)
-    for a in word:
-        if a not in spec.alphabet:
-            raise LetterOutOfAlphabet(
-                f"letter {a!r} not in alphabet of language {spec.name!r}"
-            )
+    # the cache holds only words whose letters passed the test below
     cached = spec._member_cache.get(word)
     if cached is not None:
         return cached
+    if not set(word).issubset(spec.alphabet):
+        a = next(a for a in word if a not in spec.alphabet)
+        raise LetterOutOfAlphabet(
+            f"letter {a!r} not in alphabet of language {spec.name!r}")
     body = spec.body
     if isinstance(body, Dfa):
         result = body.run(word)

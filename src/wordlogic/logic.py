@@ -18,10 +18,11 @@ the direct tree walk answers every other call. `evaluate_reference` is
 that walk, and tests and oracles hold `evaluate` against it. In both, an
 existsSO is the existential loop of exists, over relations instead of
 positions. What a quantifier ranges over is defined once and both read
-it: `_instances` gives a quantifier node's instances in word order,
-`subsets` the relations an existsSO tries, and `string_structures` the
-words up to a length. What an atom means is defined once too, in
-`_slot_atom`, and both run it.
+it: `_node_range` gives a quantifier node's language and instances in word
+order, `subsets` the relations an existsSO tries, and `string_structures`
+the words up to a length. Both build a node's induced word in one function,
+`_induced`, and what an atom means is defined once too, in `_slot_atom`,
+and both run it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 import sys
 
 from ._record import fields, record
-from .algebra import LanguageSpec, language_member, resolve_language
+from .algebra import language_member, resolve_language
 from .errors import (
     ArityMismatch,
     EmptyDomain,
@@ -609,19 +610,6 @@ def _relation(env, name):
     return v
 
 
-def _node_spec(ctx, node) -> LanguageSpec:
-    """The language of a quantifier node, after the checks each evaluation
-    of the node makes before it builds a word."""
-    spec = resolve_language(ctx.registry, node.lang)
-    if len(node.args) != spec.size - 1:
-        raise ArityMismatch(
-            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
-        )
-    if ctx.n == 0:
-        raise EmptyDomain("generalized quantifier over the empty structure")
-    return spec
-
-
 def _instance_bits(ctx, node: LindSO) -> int:
     """Bits of an instance code of the node; 2^bits must be within the cap.
     The code layout, n^arity tuples of arity entries, is built in memory,
@@ -659,20 +647,50 @@ def _subset_pieces(n: int) -> list:
     return [_pieces([(j,) for j in range(n)])]
 
 
-def _instances(ctx, node):
-    """The value tuples the vars of a LindFO or LindSO node range over, in
-    the order of its induced word: position tuples lexicographically, or
-    relation tuples by instance rank. The instance cap is checked when this
-    is called, before any tuple is produced."""
+def _node_range(ctx, node):
+    """(language, instances) of a LindFO or LindSO node, after the checks
+    each evaluation of the node makes before it builds a word. The
+    instances are the value tuples its vars range over, lazily, in the
+    order of its induced word: position tuples lexicographically, or
+    relation tuples by instance rank."""
+    spec = resolve_language(ctx.registry, node.lang)
+    if len(node.args) != spec.size - 1:
+        raise ArityMismatch(
+            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
+        )
     n, k = ctx.n, len(node.vars)
+    if n == 0:
+        raise EmptyDomain("generalized quantifier over the empty structure")
     if type(node) is LindFO:
-        return itertools.product(range(n), repeat=k)
+        return spec, itertools.product(range(n), repeat=k)
     bits = _instance_bits(ctx, node)
     repeat = itertools.repeat
     # one call per instance of the module's instance_unrank, read here from
     # the globals: perfbench/spans.py wraps it to count instances
-    return map(instance_unrank, range(1 << bits), repeat(n), repeat(k),
-               repeat(node.ordering), repeat(node.arity))
+    return spec, map(instance_unrank, range(1 << bits), repeat(n),
+                     repeat(k), repeat(node.ordering), repeat(node.arity))
+
+
+def _induced(c, s, node, args, slots):
+    """(language, induced word) of a quantifier node, in both evaluators:
+    per instance, bound into s at slots, the letter of the first argument
+    closure that holds, else the alphabet's last letter. The compiled
+    evaluator passes its slot list and slots, the reference walk a copy of
+    its environment and the node's names."""
+    spec, instances = _node_range(c, node)
+    rules = tuple(zip(args, spec.alphabet))
+    last = spec.alphabet[-1]
+    out = []
+    for values in instances:
+        for i, v in zip(slots, values):
+            s[i] = v
+        for arg, letter in rules:
+            if arg(c, s):
+                out.append(letter)
+                break
+        else:
+            out.append(last)
+    return spec, "".join(out)
 
 
 def _floor_log2(n: int) -> int:
@@ -696,24 +714,10 @@ def _spine(f, ty):
 # Reference evaluation: a direct tree walk over a name -> value environment.
 # Tests and oracles compare the compiled evaluator against it.
 
-def _induced(ctx, env, node):
-    """(language, induced word) of a quantifier node: per instance, the
-    letter of the first argument formula true in env extended by the
-    instance, else the alphabet's last letter."""
-    spec = _node_spec(ctx, node)
-    rules = tuple(zip(node.args, spec.alphabet))
-    last = spec.alphabet[-1]
-    letters = []
-    for values in _instances(ctx, node):
-        sub = dict(env)
-        sub.update(zip(node.vars, values))
-        for arg, letter in rules:
-            if _eval(ctx, sub, arg):
-                letters.append(letter)
-                break
-        else:
-            letters.append(last)
-    return spec, "".join(letters)
+def _walks(node):
+    """The argument formulas of a quantifier node as closures over an
+    environment, for _induced."""
+    return [lambda c, env, a=a: _eval(c, env, a) for a in node.args]
 
 
 def _eval(ctx, env, f) -> bool:
@@ -737,8 +741,8 @@ def _eval(ctx, env, f) -> bool:
                 return want
         return not want
     if ty is LindFO or ty is LindSO:
-        spec, word = _induced(ctx, env, f)
-        return language_member(spec, word)
+        return language_member(*_induced(ctx, dict(env), f, _walks(f),
+                                         f.vars))
     # an atom: its operands checked in field order, then listed as
     # _Plan.atom gives them slots (relations, then terms) for _slot_atom
     if ty is ShuffleBit:  # the one atom whose term comes first
@@ -776,7 +780,10 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # of the list `slots`, fixed at compile time. So a binding is one list store
 # instead of an environment copy, every atom reads its values straight from
 # slots, through the one definition of the atoms that the reference walk
-# runs too (_slot_atom), and an And/Or spine is one n-ary node.
+# runs too (_slot_atom), and an And/Or spine is one n-ary node. A quantifier
+# node's word comes from the reference's word builder too (_induced), which
+# binds each instance into the node's slots, and the record admits a node
+# by the checks that builder makes (_node_range).
 #
 # First-order quantifiers compile a block at a time: the maximal nest of
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
@@ -843,24 +850,6 @@ def _junction(parts, ty):
                 return decisive
         return not decisive
     return junction
-
-
-def _word(c, s, spec, args, slots, values):
-    """Induced word: per tuple of values bound to slots, the letter of the
-    first argument that holds, else the alphabet's last letter."""
-    rules = tuple(zip(args, spec.alphabet))
-    last = spec.alphabet[-1]
-    out = []
-    for vals in values:
-        for i, v in zip(slots, vals):
-            s[i] = v
-        for arg, letter in rules:
-            if arg(c, s):
-                out.append(letter)
-                break
-        else:
-            out.append(last)
-    return "".join(out)
 
 
 def _msb_digit(v, p, n):
@@ -1046,9 +1035,7 @@ class _Plan:
             slots[i] = v
         try:
             for node in self.nodes:
-                _node_spec(ctx, node)
-                if type(node) is LindSO:
-                    _instance_bits(ctx, node)
+                _node_range(ctx, node)
         except (UnknownLanguage, ArityMismatch, InstanceCapExceeded):
             return None
         return slots
@@ -1253,11 +1240,9 @@ class _Plan:
         self.node = outer
 
         def quantifier(c, s):
-            spec = _node_spec(c, f)
             for fill in fills:
                 fill(c, s)
-            return language_member(spec, _word(c, s, spec, args, slots,
-                                               _instances(c, f)))
+            return language_member(*_induced(c, s, f, args, slots))
         return quantifier
 
     def atom(self, f, scope):
@@ -1306,7 +1291,8 @@ def induced_word(struct, assignment, node, *, registry=None,
     ctx = _Ctx(struct, registry, instance_cap)
     if type(node) not in (LindFO, LindSO):
         raise InvariantViolation("induced_word needs a generalized quantifier node")
-    return _induced(ctx, dict(assignment or {}), node)[1]
+    return _induced(ctx, dict(assignment or {}), node, _walks(node),
+                    node.vars)[1]
 
 
 def string_structures(alphabet, max_n: int, min_n: int = 1):

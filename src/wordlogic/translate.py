@@ -108,13 +108,24 @@ def _set_lt(gensym, ma, mb):
         u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
 
 
+# words up to this length are checked for the declared neutral letter
+NEUTRAL_CHECK_LEN = 8
+
+
 def _require_neutral_last(spec: LanguageSpec):
+    """The language declares a neutral letter, as its last letter, and the
+    letter passes the bounded neutrality check."""
     if spec.declared_neutral is None:
         raise NoNeutralLetter(f"{spec.name} has no declared neutral letter")
     if spec.declared_neutral != spec.alphabet[-1]:
         raise NoNeutralLetter(
             f"{spec.name}: neutral letter {spec.declared_neutral!r} must be "
             f"the last alphabet letter")
+    if not is_neutral_letter_bounded(spec, spec.declared_neutral,
+                                     NEUTRAL_CHECK_LEN):
+        raise NoNeutralLetter(
+            f"{spec.name}: letter {spec.declared_neutral!r} fails the "
+            f"bounded neutrality check")
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +212,6 @@ def q1_to_q_star(formula):
 # ---------------------------------------------------------------------------
 # Arity collapse
 
-# words up to this length are checked for the declared neutral letter
-NEUTRAL_CHECK_LEN = 8
-
-
 def arity_collapse(formula, registry):
     """Collapse a single outer concatenated quantifier binding k m-ary
     variables into one binding a single higher-arity variable.
@@ -219,11 +226,6 @@ def arity_collapse(formula, registry):
             "expected a single outer concatenated-ordering quantifier node")
     spec = resolve_language(registry, formula.lang)
     _require_neutral_last(spec)
-    if not is_neutral_letter_bounded(spec, spec.declared_neutral,
-                                     NEUTRAL_CHECK_LEN):
-        raise NoNeutralLetter(
-            f"{spec.name}: letter {spec.declared_neutral!r} fails the "
-            f"bounded neutrality check")
     k = len(formula.vars)
     m = formula.arity
     tag_bits = max(1, math.ceil(math.log2(k))) if k > 1 else 1

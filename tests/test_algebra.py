@@ -256,6 +256,9 @@ _REFUSALS = [
     ("neutral-letter-reference",
      lambda g4: is_neutral_letter_bounded_reference(_lexists(), "x", 3),
      LetterOutOfAlphabet, "'x' not in alphabet of 'Lexists'"),
+    ("member-first-foreign-letter",
+     lambda g4: language_member(_lexists(), "1yx0"),
+     LetterOutOfAlphabet, "letter 'y' not in alphabet of language 'Lexists'"),
     ("pad-letter", lambda g4: pad_language(_lexists(), "0"),
      InvariantViolation, "pad letter '0' already in alphabet"),
     ("pad-word-problem",

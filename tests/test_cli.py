@@ -5,6 +5,7 @@ import pytest
 from wordlogic import cli
 from wordlogic.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 from wordlogic.logic import MAX_NESTING
+from wordlogic.sexpr import parse_formula
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -235,10 +236,25 @@ def test_translate_with_toolbox_language(capsys, tmp_path):
     assert code == EXIT_OK and "verdict: equivalent" in out
 
 
-def test_translate_counterexample_exits_one(capsys, tmp_path):
+def test_translate_counterexample_exits_one(capsys, monkeypatch):
+    # a translation whose target differs from its source: the check finds
+    # the difference, and the report says where
+    monkeypatch.setattr(cli, "q_star_to_q1",
+                        lambda f: parse_formula("(exists x (letter a x))"))
+    code, out, err = run(capsys, [
+        "translate", "--op", "qstar-to-q1", "--max-n", "2",
+        "--formula", "(Qstar Lexists 1 (X) (in X min))"])
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+    lines = out.splitlines()
+    assert lines[0] == "(exists x (letter a x))"
+    assert lines[1] == "source: (Qstar Lexists 1 (X) (in X min))"
+    assert lines[2] == "target: " + lines[0]
+    assert lines[-1] == "verdict: counterexample b {}"
+
+
+def test_tally_translation_refuses_a_false_neutral_letter(capsys, tmp_path):
     # 0 is declared neutral but is not: a word ending in 0 is rejected.
-    # The tally translations take the declaration on trust, and the check
-    # finds the difference
+    # The tally translations check the declaration, as arity-collapse does
     (tmp_path / "Ends1.dfa").write_text(
         "states: q0 q1\nalphabet: 1 0\nstart: q0\nfinals: q1\n"
         "trans: q0 1 q1\ntrans: q0 0 q0\ntrans: q1 1 q1\ntrans: q1 0 q0\n"
@@ -246,11 +262,8 @@ def test_translate_counterexample_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, [
         "translate", "--op", "tally-fwd", "--toolbox", str(tmp_path),
         "--max-n", "3", "--formula", "(Qstar Ends1 1 (X) (in X min))"])
-    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
-    lines = out.splitlines()
-    assert lines[1] == "source: (Qstar Ends1 1 (X) (in X min))"
-    assert lines[2] == "target: " + lines[0]
-    assert lines[-1] == "verdict: counterexample 1 {}"
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: Ends1: letter '0' fails the bounded neutrality check\n"
 
 
 # a language file whose letters are not single characters

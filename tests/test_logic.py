@@ -287,20 +287,20 @@ def test_set_codes():
     assert set_code_value(s, 3) == 0b101
 
 
-def _only(word):
-    """The language over (1, 0) whose one member is word, as a DFA."""
+def _only(word, alphabet=("1", "0")):
+    """The language over alphabet whose one member is word, as a DFA."""
     dead = len(word) + 1
-    trans = [(i + 1, dead) if a == "1" else (dead, i + 1)
-             for i, a in enumerate(word)] + [(dead, dead)] * 2
-    dfa = Dfa(tuple(map(str, range(dead + 1))), ("1", "0"), tuple(trans), 0,
+    trans = [tuple(i + 1 if a == b else dead for b in alphabet)
+             for i, a in enumerate(word)] + [(dead,) * len(alphabet)] * 2
+    dfa = Dfa(tuple(map(str, range(dead + 1))), alphabet, tuple(trans), 0,
               frozenset({len(word)}))
-    return {"Only": LanguageSpec("Only", ("1", "0"), dfa)}
+    return {"Only": LanguageSpec("Only", alphabet, dfa)}
 
 
-def _assert_word(st, node, assignment, expected):
+def _assert_word(st, node, assignment, expected, alphabet=("1", "0")):
     """induced_word is expected, and so evaluate and evaluate_reference
     decide the node by it."""
-    registry = _only(expected)
+    registry = _only(expected, alphabet)
     assert induced_word(st, assignment, node, registry=registry) == expected
     assert evaluate(st, node, assignment, registry=registry)
     assert evaluate_reference(st, node, assignment, registry=registry)
@@ -343,6 +343,44 @@ def test_lindfo_word_follows_position_order():
             word = "".join("1" if tup[i] == v else "0" for tup in order)
             node = LindFO("Only", names, (Eq(Var(names[i]), Var("p")),))
             _assert_word(S("a" * n), node, {"p": v}, word)
+
+
+# The letter rule over three letters and two arguments, with the words
+# written out: p where the first argument holds, q where only the second
+# does, r where neither does. On "ab", the LindSO rank bits are, most
+# significant first, X0 Y0 X1 Y1 (interleaved) or X0 X1 Y0 Y1
+# (concatenated), where X0 says X holds position 0.
+@pytest.mark.parametrize("node,word", [
+    (LindFO("Only", ("x", "y"), (Lt(Var("x"), Var("y")),
+                                 Letter("b", Var("y")))), "rprq"),
+    (LindSO("Only", INTERLEAVED, 1, ("X", "Y"),
+            (InRel("X", (MIN,)), InRel("Y", (MIN,)))), "rrrrqqqqpppppppp"),
+    (LindSO("Only", CONCATENATED, 1, ("X", "Y"),
+            (InRel("X", (MIN,)), InRel("Y", (MIN,)))), "rrqqrrqqpppppppp"),
+], ids=["lindfo", "lindso-interleaved", "lindso-concatenated"])
+def test_word_has_the_letter_of_the_first_argument_that_holds(node, word):
+    _assert_word(S("ab"), node, {}, word, ("p", "q", "r"))
+
+
+@pytest.mark.parametrize("run,want", [
+    (evaluate, 3), (evaluate_reference, 3),
+    (lambda st, f, registry: induced_word(
+        st, {"y": 0}, f.body, registry=registry) == "111", 1),
+], ids=["evaluate", "evaluate_reference", "induced_word"])
+def test_every_word_is_built_by_induced(registry, monkeypatch, run, want):
+    # one _induced call per evaluation of a quantifier node, in each
+    # evaluator: here the node under forall y, at each of 3 positions
+    calls = []
+    real = logic._induced
+
+    def recording(c, s, node, args, slots):
+        calls.append(node)
+        return real(c, s, node, args, slots)
+    monkeypatch.setattr(logic, "_induced", recording)
+    node = LindFO("Lexists", ("x",), (Not(Lt(Var("x"), Var("y"))),))
+    f = ForallFO("y", node)
+    assert run(S("aba"), f, registry=registry)
+    assert calls == [node] * want
 
 
 def test_lindfo_exists(registry):

@@ -253,3 +253,45 @@ def test_files_are_opened_by_one_reader():
                   for where, line in visitor.found]
     assert [(module, where) for module, where, _ in opens] == \
         [("formats.py", "read_text")], opens
+
+
+def _wrapped_names():
+    """(module, name) of every name perfbench/spans.py wraps on a wordlogic
+    module, read from its source: such a name stays imported where the
+    tracer looks it up, though the module itself may not read it."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {(node.elts[0].id, node.elts[1].value) for node in ast.walk(tree)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Name)
+            and isinstance(node.elts[1], ast.Constant)}
+
+
+def test_every_import_is_used():
+    # no linter runs on the package, so an import left behind when the
+    # code that read it goes would stay unseen
+    package = os.path.dirname(wordlogic.__file__)
+    wrapped = _wrapped_names()
+    assert ("cli", "monoid_word_eval") in wrapped
+    unused = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(module, name, line) for name, line in imported.items()
+                   if name not in read and (module, name) not in wrapped]
+    assert unused == []

@@ -447,6 +447,10 @@ _REFUSALS = [
     ("tally-bwd-atom", lambda reg: tally_translate_bwd(
         parse_formula("(exists x (bit x x))"), reg),
      FragmentViolation, "(bit x x) has no counterpart here"),
+    ("tally-bwd-not-neutral", lambda reg: tally_translate_bwd(
+        LindFO("Leven", ("x",), (Eq(Var("x"), Var("x")),)),
+        {"Leven": _EVEN}),
+     NoNeutralLetter, "Leven: letter '0' fails the bounded neutrality check"),
     ("exp-fragment", lambda reg: exp_translate(
         parse_formula("(exists x (plus x x x))"), AB),
      FragmentViolation, "PlusAtom is not allowed in SOM(Qstar)"),
