@@ -15,9 +15,10 @@ per instance, against a set of t-tuples computed before the node's
 instance loop. It runs the closures only when a call meets what the
 formula needs for no node to raise;
 the direct tree walk answers every other call. `evaluate_reference` is
-that walk, and tests and oracles hold `evaluate` against it. In both, an
-existsSO is the existential loop of exists, over relations instead of
-positions. What a quantifier ranges over is defined once and both read
+that walk, and tests and oracles hold `evaluate` against it. Both run
+exists, forall and existsSO through one loop, `_loop`; an existsSO is the
+existential loop of exists, over relations instead of positions. What a
+quantifier ranges over is defined once and both read
 it: `_node_range` gives a quantifier node's language and instances in word
 order, `subsets` the relations an existsSO tries, and `string_structures`
 the words up to a length. Both build a node's induced word in one function,
@@ -733,13 +734,9 @@ def _eval(ctx, env, f) -> bool:
     if ty is ExistsFO or ty is ForallFO or ty is ExistsSO:
         if ctx.n == 0:
             raise EmptyDomain("quantifier over the empty structure")
-        want = ty is not ForallFO
-        for v in (subsets if ty is ExistsSO else range)(ctx.n):
-            env2 = dict(env)
-            env2[f.var] = v
-            if _eval(ctx, env2, f.body) == want:
-                return want
-        return not want
+        body = f.body  # the loop binds f.var in one copy of env
+        return _loop(ty, f.var, lambda c, e: _eval(c, e, body), None)(
+            ctx, dict(env))
     if ty is LindFO or ty is LindSO:
         return language_member(*_induced(ctx, dict(env), f, _walks(f),
                                          f.vars))
@@ -926,9 +923,10 @@ def _slot_atom(f, idx):
 
 
 def _loop(ty, i, body, solve):
-    """Closure of a quantifier of type ty over slot i: a forall or exists
-    over the positions, or an existsSO over the relations subsets gives;
-    an existential with a solver tries only the solved value."""
+    """Closure of a quantifier of type ty binding i, a slot of the compiled
+    evaluator or a name of the reference walk's environment: a forall or
+    exists over the positions, or an existsSO over the relations subsets
+    gives; an existential with a solver tries only the solved value."""
     if ty is ForallFO:
         def forall(c, s):
             for v in range(c.n):

@@ -14,7 +14,8 @@ import itertools
 import math
 
 from ._record import record
-from .algebra import LanguageSpec, is_neutral_letter_bounded, language_member
+from .algebra import (TABLE_CAP, LanguageSpec, is_neutral_letter_bounded,
+                      language_member)
 from .errors import (
     FragmentViolation,
     InvariantViolation,
@@ -94,6 +95,48 @@ class _Gensym:
                 return name
 
 
+def _require_fragment(formula, name):
+    ok, why = fragment_check(formula, name)
+    if not ok:
+        raise FragmentViolation(why)
+
+
+def _relativize(g, rw, guard):
+    """g, an exists or a forall, with its variable ranging over the
+    positions where guard(variable name) holds; None for any other node."""
+    if type(g) is ExistsFO:
+        return ExistsFO(g.var, And(guard(g.var), rw(g.body)))
+    if type(g) is ForallFO:
+        return ForallFO(g.var, implies(guard(g.var), rw(g.body)))
+    return None
+
+
+def _as_numbers(formula, letter, bounded):
+    """Monadic second-order formula to a first-order one over positions
+    below log2 of the size, reading a set as the number whose bit x, most
+    significant first, says whether x is in it; letter(atom) rewrites a
+    letter atom. With bounded, every set is below 2^floor(log2 size)."""
+    def sets(names, body):
+        if not bounded:
+            return body
+        return And(functools.reduce(And, (LtPowLog(Var(v)) for v in names)),
+                   body)
+
+    def fn(g, rw):
+        ty = type(g)
+        if ty is Letter:
+            return letter(g)
+        if ty is InRel:
+            return HighBit(Var(g.rel), g.args[0])
+        if ty is ExistsSO:
+            return ExistsFO(g.var, sets((g.var,), rw(g.body)))
+        if ty is LindSO:
+            return LindFO(g.lang, g.vars,
+                          tuple(sets(g.vars, rw(a)) for a in g.args))
+        return _relativize(g, rw, lambda v: LtLog(Var(v)))
+    return rewrite(eliminate_min_max(formula), fn)
+
+
 def _set_eq(gensym, ma, mb):
     """The sets whose membership formulas are ma and mb are equal."""
     z = gensym("z")
@@ -121,8 +164,11 @@ def _require_neutral_last(spec: LanguageSpec):
         raise NoNeutralLetter(
             f"{spec.name}: neutral letter {spec.declared_neutral!r} must be "
             f"the last alphabet letter")
-    if not is_neutral_letter_bounded(spec, spec.declared_neutral,
-                                     NEUTRAL_CHECK_LEN):
+    # the longest length up to it whose words one letter longer, all
+    # size^(length+1) of them, fit the table cap
+    length = next((n for n in range(NEUTRAL_CHECK_LEN, 0, -1)
+                   if spec.size ** (n + 1) <= TABLE_CAP), 0)
+    if not is_neutral_letter_bounded(spec, spec.declared_neutral, length):
         raise NoNeutralLetter(
             f"{spec.name}: letter {spec.declared_neutral!r} fails the "
             f"bounded neutrality check")
@@ -277,20 +323,20 @@ def pad_string(w: str, k: int, pad: str) -> str:
     return w + pad * (len(w) ** k - len(w))
 
 
-def _size_chain(gensym, mp, k, tail):
-    """Exists-chain pinning c_j = (mp+1)^j - 1 for j = 1..k; tail sees c_k."""
-    c = mp
-    holes = []
-    for _ in range(k - 1):
-        t, r, cn = gensym("t"), gensym("r"), gensym("c")
-        holes.append((c, t, r, cn))
-        c = cn
-    out = tail(c)
-    for prev, t, r, cn in reversed(holes):
-        step = And(TimesAtom(Var(prev), Var(mp), Var(t)),
-                   And(PlusAtom(Var(t), Var(prev), Var(r)),
-                       PlusAtom(Var(r), Var(mp), Var(cn))))
-        out = ExistsFO(t, ExistsFO(r, ExistsFO(cn, And(step, out))))
+def _horner(gensym, mp, digits, tail, bases):
+    """Exists-chain reading the terms digits, most significant first, as a
+    number in base mp+1; tail sees the term holding it. Each step names
+    acc*mp, acc*(mp+1) and that plus the next digit after bases."""
+    acc, steps = digits[0], []
+    for d in digits[1:]:
+        p, s, nxt = map(gensym, bases)
+        steps.append((p, s, nxt, And(TimesAtom(acc, Var(mp), Var(p)),
+                                     And(PlusAtom(Var(p), acc, Var(s)),
+                                         PlusAtom(Var(s), d, Var(nxt))))))
+        acc = Var(nxt)
+    out = tail(acc)
+    for p, s, nxt, step in reversed(steps):
+        out = ExistsFO(p, ExistsFO(s, ExistsFO(nxt, And(step, out))))
     return out
 
 
@@ -302,9 +348,7 @@ def pad_translate(formula, alphabet):
     Returns (translated sentence, shape sentence chi, structure mapper);
     the translated sentence already conjoins chi.
     """
-    ok, why = fragment_check(formula, "Qstar-FO")
-    if not ok:
-        raise FragmentViolation(why)
+    _require_fragment(formula, "Qstar-FO")
     if PAD_LETTER in alphabet:
         raise InvariantViolation("pad letter must be outside the base alphabet")
     padded_alphabet = tuple(alphabet) + (PAD_LETTER,)
@@ -322,34 +366,16 @@ def pad_translate(formula, alphabet):
     def le_mp(x):
         return Or(Lt(Var(x), Var(mp)), Eq(Var(x), Var(mp)))
 
-    bound_vars = set(src.vars)
-
     def fn(g, rw):
         ty = type(g)
-        if ty is InRel and g.rel in bound_vars:
-            if k == 1:
-                return g
-            acc = g.args[0]
-            binders = []
-            for t in g.args[1:]:
-                q, r, s = gensym("q"), gensym("r"), gensym("s")
-                step = And(TimesAtom(acc, Var(mp), Var(q)),
-                           And(PlusAtom(Var(q), acc, Var(r)),
-                               PlusAtom(Var(r), t, Var(s))))
-                binders.append((q, r, s, step))
-                acc = Var(s)
-            out = InRel(g.rel, (acc,))
-            for q, r, s, step in reversed(binders):
-                out = ExistsFO(q, ExistsFO(r, ExistsFO(s, And(step, out))))
-            return out
-        if ty is ExistsFO:
-            return ExistsFO(g.var, And(le_mp(g.var), rw(g.body)))
-        if ty is ForallFO:
-            return ForallFO(g.var, implies(le_mp(g.var), rw(g.body)))
+        if ty is InRel and g.rel in src.vars:
+            # (t1 .. tk) is position t1..tk in base mp+1
+            return _horner(gensym, mp, g.args, lambda t: InRel(g.rel, (t,)),
+                           "qrs")
         if ty is LindFO:
             raise FragmentViolation(
                 "padding does not translate a nested generalized quantifier")
-        return None
+        return _relativize(g, rw, le_mp)
 
     new_node = LindSO(src.lang, CONCATENATED, 1, src.vars,
                       tuple(rewrite(a, fn) for a in src.args))
@@ -362,12 +388,13 @@ def pad_translate(formula, alphabet):
         Letter(PAD_LETTER, Var(vp)))))
     mp2 = gensym("mp")
 
-    def is_max(cvar):
+    def is_max(t):
         uu = gensym("u")
-        return Not(ExistsFO(uu, Lt(Var(cvar), Var(uu))))
+        return Not(ExistsFO(uu, Lt(t, Var(uu))))
 
-    size = ExistsFO(mp2, And(last_nonpad(mp2),
-                             _size_chain(gensym, mp2, k, is_max)))
+    # (mp+1)^k - 1 is the k-digit number whose digits are all mp
+    size = ExistsFO(mp2, And(last_nonpad(mp2), _horner(
+        gensym, mp2, (Var(mp2),) * k, is_max, "trc")))
     chi = And(suffix, size)
 
     def mapper(st: StringStructure) -> StringStructure:
@@ -395,35 +422,16 @@ def tally_translate_fwd(formula, registry):
     """Monadic second-order sentence over binary strings to a first-order
     arithmetic sentence over unary strings: the word becomes the low bits
     of the domain size, sets become integers read bitwise."""
-    ok, why = fragment_check(formula, "SOM(Qstar)")
-    if not ok:
-        raise FragmentViolation(why)
+    _require_fragment(formula, "SOM(Qstar)")
     for sub in walk_formulas(formula):
         if isinstance(sub, LindSO):
             _require_neutral_last(resolve_language(registry, sub.lang))
         if isinstance(sub, Letter) and sub.letter not in ("1", "0"):
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the binary alphabet")
-    src = eliminate_min_max(formula)
 
-    def fn(g, rw):
-        ty = type(g)
-        if ty is Letter:
-            atom = SizeBit(g.term)
-            return atom if g.letter == "1" else Not(atom)
-        if ty is InRel:
-            return HighBit(Var(g.rel), g.args[0])
-        if ty is ExistsFO:
-            return ExistsFO(g.var, And(LtLog(Var(g.var)), rw(g.body)))
-        if ty is ForallFO:
-            return ForallFO(g.var, implies(LtLog(Var(g.var)), rw(g.body)))
-        if ty is ExistsSO:
-            return ExistsFO(g.var, And(LtPowLog(Var(g.var)), rw(g.body)))
-        if ty is LindSO:
-            chi = functools.reduce(And, (LtPowLog(Var(v)) for v in g.vars))
-            return LindFO(g.lang, g.vars,
-                          tuple(And(chi, rw(a)) for a in g.args))
-        return None
+    def bit(g):
+        return SizeBit(g.term) if g.letter == "1" else Not(SizeBit(g.term))
 
     def mapper(st: StringStructure) -> StringStructure:
         for a in st.letters:
@@ -433,15 +441,14 @@ def tally_translate_fwd(formula, registry):
         n = int("1" + st.word, 2)
         return StringStructure(("1",), ("1",) * n)
 
-    return rewrite(src, fn), mapper
+    # a size N holds more numbers than the sets of floor(log2 N) positions
+    return _as_numbers(formula, bit, True), mapper
 
 
 def tally_translate_bwd(formula, registry):
     """First-order arithmetic sentence over unary strings to a monadic
     second-order sentence over the binary expansion of the size."""
-    ok, why = fragment_check(formula, "FO(QL)+arith")
-    if not ok:
-        raise FragmentViolation(why)
+    _require_fragment(formula, "FO(QL)+arith")
     for sub in walk_formulas(formula):
         if isinstance(sub, (BitAtom, HighBit, SizeBit, LtLog, LtPowLog)):
             raise FragmentViolation(
@@ -463,13 +470,10 @@ def tally_translate_bwd(formula, registry):
     def mem(name):
         return lambda z: InRel(name, (Var(z),))
 
-    def ones():
-        return lambda z: Letter("1", Var(z))
-
     def delta(name):
         # the code of a bound set must stay below the structure's size,
         # whose code is exactly the set of 1-positions
-        return _set_lt(gensym, mem(name), ones())
+        return _set_lt(gensym, mem(name), lambda z: Letter("1", Var(z)))
 
     def xor(a, b):
         return Not(iff(a, b))
@@ -638,33 +642,15 @@ def exp_structure(st: StringStructure) -> ConstStructure:
 def exp_translate(formula, alphabet):
     """Monadic second-order sentence over strings to a first-order
     arithmetic sentence over the exponential constant structure."""
-    ok, why = fragment_check(formula, "SOM(Qstar)")
-    if not ok:
-        raise FragmentViolation(why)
+    _require_fragment(formula, "SOM(Qstar)")
     alphabet = tuple(alphabet)
     for sub in walk_formulas(formula):
         if isinstance(sub, Letter) and sub.letter not in alphabet:
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the alphabet {alphabet}")
-    src = eliminate_min_max(formula)
-
-    def fn(g, rw):
-        ty = type(g)
-        if ty is Letter:
-            return HighBit(ConstSym(const_name_for(g.letter)), g.term)
-        if ty is InRel:
-            return HighBit(Var(g.rel), g.args[0])
-        if ty is ExistsFO:
-            return ExistsFO(g.var, And(LtLog(Var(g.var)), rw(g.body)))
-        if ty is ForallFO:
-            return ForallFO(g.var, implies(LtLog(Var(g.var)), rw(g.body)))
-        if ty is ExistsSO:
-            return ExistsFO(g.var, rw(g.body))
-        if ty is LindSO:
-            return LindFO(g.lang, g.vars, tuple(map(rw, g.args)))
-        return None
-
-    return rewrite(src, fn), exp_structure
+    # 2^n elements hold exactly the numbers of n bits: no set needs a bound
+    return _as_numbers(formula, lambda g: HighBit(
+        ConstSym(const_name_for(g.letter)), g.term), False), exp_structure
 
 
 def exp_translate_rev(formula, alphabet):

@@ -266,6 +266,22 @@ def test_tally_translation_refuses_a_false_neutral_letter(capsys, tmp_path):
     assert err == "error: Ends1: letter '0' fails the bounded neutrality check\n"
 
 
+def test_neutral_check_fits_five_letters(capsys, tmp_path):
+    # words of length 9 over five letters exceed the table cap, so the
+    # neutrality check stops at length 7 instead of refusing the language
+    (tmp_path / "HasA.dfa").write_text(
+        "states: p q\nalphabet: a b c d e\nstart: p\nfinals: q\n"
+        + "".join(f"trans: p {x} {'q' if x == 'a' else 'p'}\n"
+                  for x in "abcde")
+        + "".join(f"trans: q {x} q\n" for x in "abcde") + "neutral: e\n")
+    code, out, err = run(capsys, [
+        "translate", "--op", "arity-collapse", "--toolbox", str(tmp_path),
+        "--max-n", "2", "--formula",
+        "(Qstar HasA 1 (X Y) (in X min) (in Y max) (false) (true))"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[-1] == "verdict: equivalent"
+
+
 # a language file whose letters are not single characters
 _LONG_LETTERS = {
     ".dfa alphabet": ("lastaa.dfa", "states: p q\nalphabet: a aa\nstart: p\n"

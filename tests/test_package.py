@@ -295,3 +295,36 @@ def test_every_import_is_used():
         unused += [(module, name, line) for name, line in imported.items()
                    if name not in read and (module, name) not in wrapped]
     assert unused == []
+
+
+def test_every_private_name_is_read():
+    # a private helper left behind when its last caller goes would stay
+    # unseen: every module-level _name of the package is read somewhere in
+    # it, by name, as an attribute or through an import
+    package = os.path.dirname(wordlogic.__file__)
+    defined, read = [], set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert defined
+    assert [d for d in defined if d[1] not in read] == []

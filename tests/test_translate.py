@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from wordlogic.algebra import Dfa, LanguageSpec
@@ -41,7 +43,7 @@ from wordlogic.logic import (
     string_structures,
     structure_from_string,
 )
-from wordlogic.sexpr import parse_formula
+from wordlogic.sexpr import format_formula, parse_formula
 from wordlogic.translate import (
     arity_collapse,
     check_equivalence,
@@ -409,6 +411,11 @@ def test_tally_fwd_mapper_refuses_foreign_letters(registry):
 _EVEN = LanguageSpec("Leven", ("1", "0"), Dfa(
     ("e", "o"), ("1", "0"), ((1, 1), (0, 0)), 0, frozenset({0})),
     declared_neutral="0")
+# five letters, so the check stops short of the table cap; e is declared
+# neutral, though a word ending in e is rejected
+_ENDS_A = LanguageSpec("EndsA", tuple("abcde"), Dfa(
+    ("p", "q"), tuple("abcde"), ((1, 0, 0, 0, 0),) * 2, 0, frozenset({1})),
+    declared_neutral="e")
 _SHUFFLED = "(Qstar Lmod2 1 (X) (shuffle-bit to_interleaved 0 1 min (X)))"
 _BINARY = "(Qstar Lmod2 1 (X) (exists x (in X x x)))"
 
@@ -451,6 +458,10 @@ _REFUSALS = [
         LindFO("Leven", ("x",), (Eq(Var("x"), Var("x")),)),
         {"Leven": _EVEN}),
      NoNeutralLetter, "Leven: letter '0' fails the bounded neutrality check"),
+    ("arity-collapse-not-neutral-five-letters", lambda reg: arity_collapse(
+        LindSO("EndsA", CONCATENATED, 1, ("X",), (x_in("X"),) * 4),
+        {"EndsA": _ENDS_A}),
+     NoNeutralLetter, "EndsA: letter 'e' fails the bounded neutrality check"),
     ("exp-fragment", lambda reg: exp_translate(
         parse_formula("(exists x (plus x x x))"), AB),
      FragmentViolation, "PlusAtom is not allowed in SOM(Qstar)"),
@@ -492,6 +503,55 @@ def test_exp_translate_rev_reads_min_and_the_connectives(registry):
                             registry=registry, mapper=exp_structure,
                             mapper_desc="w -> <2^n; characteristic codes>")
     assert rep.verdict == "equivalent-on-range", rep.render()
+
+
+# (id, rewrite of a sentence to the target it prints) for the golden below
+_TARGETS = [
+    ("pad-arity-1", lambda reg: pad_translate(parse_formula(
+        "(Qstar Lmod2 1 (X) (exists x (and (in X x) (letter a x))))"),
+        AB)[0]),
+    ("pad-arity-2", lambda reg: pad_translate(parse_formula(
+        "(Qstar Maj 2 (X) (exists x (forall y (or (in X x y) (< y x)))))"),
+        AB)[0]),
+    ("pad-arity-3", lambda reg: pad_translate(parse_formula(
+        "(Qstar Lmod2 3 (X) (exists x (in X x max min)))"), AB)[0]),
+    ("tally-fwd-existsSO", lambda reg: tally_translate_fwd(parse_formula(
+        "(existsSO Y (Qstar Lmod2 1 (X) (forall x (or (in Y x) "
+        "(and (in X x) (letter 0 x))))))"), reg)[0]),
+    ("tally-fwd-two-variables", lambda reg: tally_translate_fwd(parse_formula(
+        "(Qstar Lexists 1 (X Y) (exists x (and (in X x) "
+        "(and (not (in Y x)) (letter 1 x)))))"), reg)[0]),
+    ("exp-existsSO", lambda reg: exp_translate(parse_formula(
+        "(existsSO Y (Qstar Lmod2 1 (X) (exists x (and (in X x) "
+        "(or (in Y x) (letter b x))))))"), AB)[0]),
+    ("tally-bwd", lambda reg: tally_translate_bwd(parse_formula(
+        "(forall x (Q Lexists (y) (and (< y x) (plus y y x))))"), reg)[0]),
+    ("exp-rev", lambda reg: exp_translate_rev(parse_formula(
+        "(Q Lexists (x) (or (< $c_a x) (= x $c_b)))"), AB)),
+    ("const-rewrite", lambda reg: const_rewrite(parse_formula(
+        "(forall x (or (= x $c1) (< $c2 x)))"), ("c1", "c2"))[0]),
+    ("const-unrewrite", lambda reg: const_unrewrite(parse_formula(
+        "(exists x (and (letter s1 x) (not (letter s3 x))))"),
+        ("c1", "c2"))),
+    ("qstar-to-q1", lambda reg: q_star_to_q1(parse_formula(
+        "(Qstar Lmod2 1 (X Y) (exists x (and (in X x) (not (in Y x)))))"))),
+    ("q1-to-qstar", lambda reg: q1_to_q_star(parse_formula(
+        "(Q1 Lmod2 1 (X Y) (exists x (and (in X x) (in Y x))))"))),
+    ("arity-collapse", lambda reg: arity_collapse(parse_formula(
+        "(Qstar Lmod2 1 (X Y) (exists x (and (in X x) (not (in Y x)))))"),
+        reg)),
+]
+
+
+def test_printed_targets_match_golden(registry):
+    # pins every fresh name and its order, which equivalence cannot see
+    path = os.path.join(os.path.dirname(__file__), "data", "golden",
+                        "translate_targets.txt")
+    with open(path) as fh:
+        want = fh.read()
+    got = "".join(f"{name}: {format_formula(call(registry))}\n"
+                  for name, call in _TARGETS)
+    assert got == want
 
 
 def _deep(kind):
