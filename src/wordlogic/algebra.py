@@ -77,10 +77,14 @@ class Magma:
         return tuple(dict(enumerate(row)) for row in self.table)
 
     @cached_property
-    def _layout(self) -> "_RuleLayout":
+    def _rules(self) -> list:
+        """The table as binary rules `x*y -> x y`."""
         g = range(len(self.elements))
-        return _RuleLayout([(self.table[x][y], x, y) for x in g for y in g],
-                           [(x, x) for x in g])
+        return [(self.table[x][y], x, y) for x in g for y in g]
+
+    @cached_property
+    def _layout(self) -> "_RuleLayout":
+        return _RuleLayout(self._rules, [(x, x) for x in range(self.size)])
 
 
 def check_associative(m: Magma) -> bool:
@@ -116,14 +120,21 @@ def monoid_word_eval(wp: WordProblem, word) -> int:
     """Left fold of the table over `word`, starting at the identity."""
     if not wp.associative:
         raise NotAssociative("monoid_word_eval needs an associative word problem")
-    rows = wp.magma._rows
-    acc = wp.magma.identity
-    for x in word:
+    m = wp.magma
+    return _run(m._rows, m.identity, word, lambda x: _outside(m, x))
+
+
+def _run(rows, start, word, outside):
+    """Left fold of `word` from `start`, where `rows[s][a]` is the successor
+    of s under letter a; a letter no row maps raises LetterOutOfAlphabet
+    with the message `outside(letter)`."""
+    state = start
+    for a in word:
         try:
-            acc = rows[acc][x]
+            state = rows[state][a]
         except (KeyError, TypeError):
-            raise LetterOutOfAlphabet(_outside(wp.magma, x)) from None
-    return acc
+            raise LetterOutOfAlphabet(outside(a)) from None
+    return state
 
 
 def _outside(m: Magma, x) -> str:
@@ -143,11 +154,7 @@ def groupoid_reachable(m: Magma, word) -> frozenset[int]:
         raise LetterOutOfAlphabet(_outside(m, outside.pop()))
     if not word:
         raise EmptyWord("groupoid_reachable needs a nonempty word")
-    if len(word) == 1:
-        return frozenset(word)
-    layout = m._layout
-    top = _derive_top(layout, word)
-    return frozenset(x for x, pairs in layout.slots.items() if top & pairs)
+    return frozenset(_bits(_derives(m._layout, word)))
 
 
 def groupoid_reachable_reference(m: Magma, word) -> frozenset[int]:
@@ -242,20 +249,19 @@ class Dfa:
             raise InvariantViolation("DFA final state out of range")
 
     @cached_property
-    def _columns(self) -> dict:
-        """Each letter's column in `trans`."""
-        return {a: i for i, a in enumerate(self.alphabet)}
+    def _rows(self) -> tuple:
+        """Per state, a map from each letter to the successor."""
+        return tuple(dict(zip(self.alphabet, row)) for row in self.trans)
+
+    @cached_property
+    def letter_maps(self) -> dict:
+        """Per letter, its state map: `letter_maps[a][s]` is the successor
+        of state s under a."""
+        return {a: tuple(row[a] for row in self._rows) for a in self.alphabet}
 
     def run(self, word) -> bool:
-        columns, trans = self._columns, self.trans
-        state = self.start
-        for a in word:
-            try:
-                state = trans[state][columns[a]]
-            except (KeyError, TypeError):
-                raise LetterOutOfAlphabet(
-                    f"letter {a!r} not in the DFA's alphabet") from None
-        return state in self.finals
+        return _run(self._rows, self.start, word, lambda a: (
+            f"letter {a!r} not in the DFA's alphabet")) in self.finals
 
 
 @record(frozen=True)
@@ -312,13 +318,9 @@ class Cfg:
 def cyk_member(g: Cfg, word) -> bool:
     """CNF membership by the bit-parallel interval DP (`_derive_top`)."""
     word = tuple(word)
-    n = len(word)
-    if n == 0:
+    if not word:
         return g.epsilon_in_language
-    layout = g._layout
-    if n == 1:
-        return bool(layout.lex.get(word[0], _NO_LEX)[2] >> g.start & 1)
-    return bool(_derive_top(layout, word) & layout.slots.get(g.start, 0))
+    return bool(_derives(g._layout, word) >> g.start & 1)
 
 
 def cyk_member_reference(g: Cfg, word) -> bool:
@@ -400,6 +402,21 @@ class _RuleLayout:
 _NO_LEX = (0, 0, 0)
 
 
+def _derives(layout: _RuleLayout, word) -> int:
+    """Mask of the symbols that derive all of `word` (nonempty)."""
+    if len(word) == 1:
+        return layout.lex.get(word[0], _NO_LEX)[2]
+    top = _derive_top(layout, word)
+    return sum(1 << a for a, pairs in layout.slots.items() if top & pairs)
+
+
+def _rule_product(rules):
+    """x*y over symbol masks: the mask of every a with a rule `a -> b c`
+    where b is in x and c is in y."""
+    return lambda x, y: sum({1 << a for a, b, c in rules
+                             if x >> b & 1 and y >> c & 1})
+
+
 def _derive_top(layout: _RuleLayout, word) -> int:
     """Pair slots that derive all of `word` (len >= 2), in group 0.
 
@@ -451,52 +468,27 @@ def cfg_to_groupoid(g: Cfg):
     """Powerset-of-nonterminals groupoid with a fresh adjoined identity.
 
     Returns (WordProblem, homomorphism letter -> element index). For every
-    nonempty word w: w in L(g) iff h(w) is in the word problem.
+    word w: w in L(g) iff h(w) is in the word problem.
     """
     nn = len(g.nonterminals)
     nmasks = 1 << nn
     # element 0 is the adjoined identity; element i+1 carries subset mask i
     size = nmasks + 1
-
-    def combine(x_mask: int, y_mask: int) -> int:
-        out = 0
-        for a, b, c in g.binary:
-            if (x_mask >> b) & 1 and (y_mask >> c) & 1:
-                out |= 1 << a
-        return out
-
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x == 0:
-                row.append(y)
-            elif y == 0:
-                row.append(x)
-            else:
-                row.append(combine(x - 1, y - 1) + 1)
-        table.append(tuple(row))
-
-    def mask_name(mask: int) -> str:
-        if mask == 0:
-            return "{}"
-        return "{" + ",".join(nt for i, nt in enumerate(g.nonterminals)
-                              if (mask >> i) & 1) + "}"
-
-    elements = ("I",) + tuple(mask_name(m) for m in range(nmasks))
+    product = _rule_product(g.binary)
+    table = [tuple(range(size))] + [
+        (x,) + tuple(product(x - 1, y - 1) + 1 for y in range(1, size))
+        for x in range(1, size)]
+    elements = ("I",) + tuple(
+        "{" + ",".join(nt for i, nt in enumerate(g.nonterminals)
+                       if m >> i & 1) + "}" for m in range(nmasks))
     magma = Magma(elements, tuple(table), 0, name="powerset")
-    accept = frozenset(
-        m + 1 for m in range(nmasks) if (m >> g.start) & 1
-    )
-    wp = WordProblem.of(magma, accept)
-    hom = {}
-    for t in g.terminals:
-        mask = 0
-        for a, lt in g.lexical:
-            if lt == t:
-                mask |= 1 << a
-        hom[t] = mask + 1
-    return wp, hom
+    # only the empty word evaluates to the identity: every letter, and so
+    # every product, is an element of 1 or more
+    accept = {0} if g.epsilon_in_language else set()
+    accept.update(m + 1 for m in range(nmasks) if m >> g.start & 1)
+    lex = g._layout.lex
+    return (WordProblem.of(magma, accept),
+            {t: lex.get(t, _NO_LEX)[2] + 1 for t in g.terminals})
 
 
 def regular_to_monoid(d: Dfa):
@@ -508,13 +500,9 @@ def regular_to_monoid(d: Dfa):
     """
     q = len(d.states)
     ident = tuple(range(q))
-    gens = {}
-    for ai, a in enumerate(d.alphabet):
-        gens[a] = tuple(d.trans[s][ai] for s in range(q))
-
     elems = {ident}
     frontier = [ident]
-    gen_list = list(gens.values())
+    gen_list = list(d.letter_maps.values())
     while frontier:
         nxt = []
         for f in frontier:
@@ -537,7 +525,7 @@ def regular_to_monoid(d: Dfa):
     magma = Magma(tuple(tname(f) for f in ordered), table, 0, name="transition")
     accept = frozenset(i for f, i in index.items() if f[d.start] in d.finals)
     wp = WordProblem(magma, accept)
-    hom = {a: index[tr] for a, tr in gens.items()}
+    hom = {a: index[tr] for a, tr in d.letter_maps.items()}
     return wp, hom
 
 
@@ -736,27 +724,23 @@ def _verdict_levels(spec: LanguageSpec):
     letters = spec.alphabet
     if isinstance(body, Cfg):
         yield from _mask_levels(
-            len(letters), body.epsilon_in_language, 1 << body.start,
-            [sum({1 << a for a, t in body.lexical if t == x}) for x in letters],
-            lambda x, y: sum({1 << a for a, b, c in body.binary
-                              if x >> b & 1 and y >> c & 1}))
+            body._layout, letters, body.epsilon_in_language, 1 << body.start,
+            _rule_product(body.binary))
         return
     if isinstance(body, Dfa):
-        cols = [body.alphabet.index(x) for x in letters]
-        table, start, accept = body.trans, body.start, body.finals
+        rows, start, accept = body._rows, body.start, body.finals
     else:
-        cols = [spec.letter_map[x] for x in letters]
-        table, start, accept = body.magma.table, body.magma.identity, body.accept
+        m = body.magma
+        letters = [spec.letter_map[x] for x in letters]
+        rows, start, accept = m._rows, m.identity, body.accept
         if not body.associative:
             yield from _mask_levels(
-                len(letters), start in accept, sum(1 << x for x in accept),
-                [1 << x for x in cols],
-                lambda x, y: sum({1 << table[i][j]
-                                  for i in _bits(x) for j in _bits(y)}))
+                m._layout, letters, start in accept,
+                sum(1 << x for x in accept), _rule_product(m._rules))
             return
     # one fold step per letter: the successors of state s in letter order
-    succ = [[row[i] for i in cols] for row in table]
-    final = [s in accept for s in range(len(table))]
+    succ = [[row[x] for x in letters] for row in rows]
+    final = [s in accept for s in range(len(rows))]
     row = [start]
     for length in itertools.count(1):
         yield list(map(final.__getitem__, row))
@@ -764,14 +748,17 @@ def _verdict_levels(spec: LanguageSpec):
         row = list(itertools.chain.from_iterable(map(succ.__getitem__, row)))
 
 
-def _mask_levels(k: int, empty: bool, accept: int, first: list, combine):
-    """`_verdict_levels` for a mask body: a word's mask is the OR, over
-    split points, of `combine(mask[u], mask[v])`, and the word is accepted
-    iff its mask meets `accept`."""
+def _mask_levels(layout: _RuleLayout, letters, empty: bool, accept: int,
+                 combine):
+    """`_verdict_levels` for a mask body: a letter's mask is the symbols
+    `layout` derives it from, a longer word's mask is the OR, over split
+    points, of `combine(mask[u], mask[v])`, and the word is accepted iff
+    its mask meets `accept`."""
     combine = cache(combine)  # for this call only
+    k = len(letters)
     yield [empty]
     rows = [None]
-    row = first
+    row = [layout.lex.get(x, _NO_LEX)[2] for x in letters]
     for length in itertools.count(1):
         rows.append(row)
         verdict = {m: bool(m & accept) for m in set(row)}

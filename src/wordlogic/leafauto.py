@@ -137,9 +137,7 @@ def leaffa_member(M: LeafAutomaton, leaf_spec: LanguageSpec, w: str,
     _check_leaf_alphabet(M, leaf_spec)
     body = leaf_spec.body
     if isinstance(body, Dfa):
-        maps = {x: tuple([row[i] for row in body.trans])
-                for i, x in enumerate(body.alphabet)}
-        return _fold(M, w, maps, _compose)[body.start] in body.finals
+        return _fold(M, w, body.letter_maps, _compose)[body.start] in body.finals
     if isinstance(body, WordProblem) and body.associative:
         _check_cap(M, w, cap)
         value = _fold(M, w, leaf_spec.letter_map,

@@ -151,6 +151,29 @@ def _set_lt(gensym, ma, mb):
         u, implies(Lt(Var(u), Var(z)), iff(ma(u), mb(u)))))))
 
 
+def _as_sets(formula, gensym, mem, atom, bound=None):
+    """The reverse of `_as_numbers`: numbers read as sets, with mem(term,
+    atom) a term's membership formula and atom(node) rewriting any other
+    node. Each set satisfies bound(name), if given, drawn before the body."""
+    def fn(g, rw):
+        ty = type(g)
+        if ty is Eq or ty is Lt:
+            return (_set_eq if ty is Eq else _set_lt)(
+                gensym, mem(g.left, g), mem(g.right, g))
+        if ty not in (ExistsFO, ForallFO, LindFO):
+            return atom(g)
+        chi = bound and functools.reduce(
+            And, map(bound, g.vars if ty is LindFO else (g.var,)))
+        within = functools.partial(And, chi) if bound else (lambda b: b)
+        if ty is ExistsFO:
+            return ExistsSO(g.var, within(rw(g.body)))
+        if ty is ForallFO:
+            return Not(ExistsSO(g.var, within(Not(rw(g.body)))))
+        return LindSO(g.lang, CONCATENATED, 1, g.vars,
+                      tuple(within(rw(a)) for a in g.args))
+    return rewrite(formula, fn)
+
+
 # words up to this length are checked for the declared neutral letter
 NEUTRAL_CHECK_LEN = 8
 
@@ -494,34 +517,20 @@ def tally_translate_bwd(formula, registry):
         no_overflow = Not(carry_into(lambda t: TrueF()))
         return And(bit_ok, no_overflow)
 
-    def fn(g, rw):
+    def atom(g):
         ty = type(g)
-        if ty is Eq:
-            return _set_eq(gensym, mem(vname(g.left, g)),
-                           mem(vname(g.right, g)))
-        if ty is Lt:
-            return _set_lt(gensym, mem(vname(g.left, g)),
-                           mem(vname(g.right, g)))
         if ty is Letter:
             return TrueF()
         if ty is PlusAtom:
             return set_plus(vname(g.a, g), vname(g.b, g), vname(g.c, g))
         if ty is TimesAtom:
             return SetTimes(vname(g.a, g), vname(g.b, g), vname(g.c, g))
-        if ty is ExistsFO:
-            return ExistsSO(g.var, And(delta(g.var), rw(g.body)))
-        if ty is ForallFO:
-            return Not(ExistsSO(g.var, And(delta(g.var), Not(rw(g.body)))))
-        if ty is LindFO:
-            chi = functools.reduce(And, map(delta, g.vars))
-            return LindSO(g.lang, CONCATENATED, 1, g.vars,
-                          tuple(And(chi, rw(a)) for a in g.args))
-        return None
 
     def mapper(st: StringStructure) -> StringStructure:
         return StringStructure(("1", "0"), tuple(format(st.size, "b")))
 
-    return rewrite(src, fn), mapper
+    return _as_sets(src, gensym, lambda t, g: mem(vname(t, g)), atom,
+                    delta), mapper
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +675,7 @@ def exp_translate_rev(formula, alphabet):
     letter_of = {const_name_for(a): a for a in alphabet}
     gensym = _Gensym(all_names(formula))
 
-    def mem(t):
+    def mem(t, g):
         ty = type(t)
         if ty is Min:
             return lambda z: FalseF()
@@ -678,20 +687,11 @@ def exp_translate_rev(formula, alphabet):
             return lambda z: Letter(letter_of[t.name], Var(z))
         return lambda z: InRel(t.name, (Var(z),))
 
-    def fn(g, rw):
-        ty = type(g)
-        if ty is Eq:
-            return _set_eq(gensym, mem(g.left), mem(g.right))
-        if ty is Lt:
-            return _set_lt(gensym, mem(g.left), mem(g.right))
-        if ty is LindFO:
-            return LindSO(g.lang, CONCATENATED, 1, g.vars,
-                          tuple(map(rw, g.args)))
-        if ty in (Not, And, Or, TrueF, FalseF):
-            return None
-        raise FragmentViolation(f"unsupported construct {format_formula(g)}")
+    def atom(g):
+        if type(g) not in (Not, And, Or, TrueF, FalseF):
+            raise FragmentViolation(f"unsupported construct {format_formula(g)}")
 
-    return rewrite(formula, fn)
+    return _as_sets(formula, gensym, mem, atom)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,48 @@ def test_letters_outside_the_body_are_refused(call, g4):
         call(builtin_registry(), g4)
 
 
+@st.composite
+def dfas(draw):
+    """Random total DFAs of one to four states over one to three letters."""
+    q = draw(st.integers(1, 4))
+    letters = tuple("abc"[:draw(st.integers(1, 3))])
+    state = st.integers(0, q - 1)
+    row = st.tuples(*[state] * len(letters))
+    return Dfa(tuple(f"q{i}" for i in range(q)), letters,
+               tuple(draw(st.lists(row, min_size=q, max_size=q))),
+               draw(state), frozenset(draw(st.sets(state))))
+
+
+@given(dfas(), st.data())
+def test_dfa_run_and_monoid_fold_are_plain_loops(d, data):
+    # Dfa.run and monoid_word_eval share one fold over per-state maps: each
+    # must equal the loop over its own table, and refuse a foreign letter
+    word = data.draw(st.lists(st.sampled_from(d.alphabet), max_size=64))
+    state = d.start
+    for a in word:
+        state = d.trans[state][d.alphabet.index(a)]
+    assert d.run(word) == (state in d.finals)
+    for i, a in enumerate(d.alphabet):
+        assert [d.letter_maps[a][s] for s in range(len(d.states))] == [
+            row[i] for row in d.trans]
+    wp, hom = regular_to_monoid(d)
+    elems = [hom[a] for a in word]
+    acc = wp.magma.identity
+    for x in elems:
+        acc = wp.magma.table[acc][x]
+    assert monoid_word_eval(wp, elems) == acc
+    assert (acc in wp.accept) == (state in d.finals)
+    cut = data.draw(st.integers(0, len(word)))
+    with pytest.raises(LetterOutOfAlphabet) as exc:
+        d.run(word[:cut] + ["d"] + word[cut:])
+    assert str(exc.value) == "letter 'd' not in the DFA's alphabet"
+    g = wp.magma.size
+    with pytest.raises(LetterOutOfAlphabet) as exc:
+        monoid_word_eval(wp, elems[:cut] + [g] + elems[cut:])
+    assert str(exc.value) == (
+        f"element index {g} not in magma 'transition' of {g} elements")
+
+
 _DFA_A = Dfa(("q",), ("a",), ((0,),), 0, frozenset({0}))
 _CFG_A = Cfg(("S",), ("a",), (), ((0, "a"),), 0)
 
@@ -419,6 +461,7 @@ def test_groupoid_matches_reference(rng, g, word):
        st.lists(st.text("abc", min_size=1, max_size=10), min_size=1, max_size=4))
 def test_groupoid_on_cfg_groupoids(g, words):
     wp, hom = cfg_to_groupoid(g)
+    assert word_problem_member(wp, []) == g.epsilon_in_language
     for w in words:
         elems = [hom[a] for a in w]
         reach = groupoid_reachable(wp.magma, elems)

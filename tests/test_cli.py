@@ -125,6 +125,17 @@ def test_oracle_cfg_and_dfa(capsys, data_dir):
     assert code == EXIT_OK and out == "agree\n"
 
 
+def test_oracle_cfg_groupoid_with_the_empty_word(capsys, tmp_path):
+    # the grammar groupoid accepts its identity, the value of the empty
+    # word alone, exactly when the grammar derives the empty word
+    path = tmp_path / "g.cfg"
+    path.write_text("start: S\nepsilon: true\nS -> A B\nA -> 'a'\n"
+                    "B -> 'b'\n")
+    code, out, _ = run(capsys, [
+        "oracle", "cfg-groupoid", "--grammar", str(path), "--max-len", "3"])
+    assert (code, out) == (EXIT_OK, "agree\n")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["oracle", "groupoid-reachable", "--max-len", "3"], "--algebra"),
     (["oracle", "cfg-groupoid", "--max-len", "3"], "--grammar"),

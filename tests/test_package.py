@@ -328,3 +328,25 @@ def test_every_private_name_is_read():
                 read.update(alias.name for alias in node.names)
     assert defined
     assert [d for d in defined if d[1] not in read] == []
+
+
+def test_every_private_class_member_is_read():
+    # the same for a class: every _method or cached property a class body
+    # defines is read as an attribute somewhere in the package
+    package = os.path.dirname(wordlogic.__file__)
+    defined, read = [], set()
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (os.path.basename(path), node.name, f.name)
+                    for f in node.body if isinstance(f, ast.FunctionDef)
+                    and f.name.startswith("_")
+                    and not f.name.startswith("__")]
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined
+    assert [d for d in defined if d[2] not in read] == []
