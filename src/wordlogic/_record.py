@@ -2,8 +2,8 @@
 
 `record` does for wordlogic's value classes what `dataclasses.dataclass` would,
 restricted to what they use: `frozen`, field defaults,
-`field(default_factory=..., repr=..., compare=...)` and a `__post_init__` hook,
-and field tests. It compiles each class's `__init__`, `__eq__` and `__hash__`
+`field(default_factory=...)`, a `__post_init__` hook and field tests. It
+compiles each class's `__init__`, `__eq__` and `__hash__`
 in one `exec` and shares one `__repr__` and the frozen
 `__setattr__`/`__delattr__` across classes, so importing the package loads
 neither `dataclasses` nor `inspect` and pays for no per-class signature.
@@ -21,22 +21,18 @@ MISSING = object()  # no default given
 class Field:
     """One field of a record; `record` fills in its name and its kind."""
 
-    __slots__ = ("name", "kind", "default", "default_factory", "repr",
-                 "compare")
+    __slots__ = ("name", "kind", "default", "default_factory")
 
-    def __init__(self, default=MISSING, default_factory=MISSING,
-                 repr=True, compare=True):
+    def __init__(self, default=MISSING, default_factory=MISSING):
         self.name = self.kind = None
         self.default = default
         self.default_factory = default_factory
-        self.repr = repr
-        self.compare = compare
 
 
-def field(*, default=MISSING, default_factory=MISSING, repr=True,
-          compare=True):
-    """Options of one field, written as its default in the class body."""
-    return Field(default, default_factory, repr, compare)
+def field(*, default_factory):
+    """A field whose default is a fresh default_factory(), written as its
+    default in the class body."""
+    return Field(default_factory=default_factory)
 
 
 def fields(cls):
@@ -51,8 +47,8 @@ def is_record(obj) -> bool:
 
 def _repr(self):
     cls = type(self)
-    shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                      for name in cls.__record_repr__)
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                      for f in cls.__record_fields__)
     return f"{cls.__qualname__}({shown})"
 
 
@@ -75,10 +71,7 @@ def record(cls=None, /, *, frozen=False, checks=None, scope=None):
     for name, kind in cls.__dict__.get("__annotations__", {}).items():
         spec = cls.__dict__.get(name, MISSING)
         if isinstance(spec, Field):
-            if spec.default is MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, spec.default)
+            delattr(cls, name)
         else:
             spec = Field(spec)
         spec.name, spec.kind = name, kind
@@ -106,7 +99,7 @@ def record(cls=None, /, *, frozen=False, checks=None, scope=None):
                     else f"  self.{name} = {name}")
     if hasattr(cls, "__post_init__"):
         body.append("  self.__post_init__()")
-    compared = "".join(f"self.{f.name}," for f in specs if f.compare)
+    compared = "".join(f"self.{f.name}," for f in specs)
     source = "\n".join((
         f"def __init__(self, {', '.join(params)}):",
         *(body or ["  pass"]),
@@ -127,5 +120,4 @@ def record(cls=None, /, *, frozen=False, checks=None, scope=None):
         cls.__setattr__ = _frozen_setattr
         cls.__delattr__ = _frozen_delattr
     cls.__record_fields__ = specs
-    cls.__record_repr__ = tuple(f.name for f in specs if f.repr)
     return cls

@@ -13,7 +13,7 @@ import itertools
 from functools import cache, cached_property, reduce
 from operator import and_, not_, or_, rshift
 
-from ._record import field, record
+from ._record import record
 from .errors import (
     EmptyWord,
     CapExceeded,
@@ -546,11 +546,13 @@ class LanguageSpec:
     body: object
     declared_neutral: str | None = None
     letter_map: dict | None = None
-    _member_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _member_chars: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
+        # language_member's cache of verdicts, no field: it stays out of
+        # equality and repr, and no caller sets it
+        self._member_cache = {}
+        self._member_chars = 0
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvariantViolation(f"language {self.name!r}: duplicate letters")
         for a in self.alphabet:

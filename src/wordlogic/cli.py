@@ -47,6 +47,7 @@ from .logic import (
     induced_word,
     string_structures,
     walk_formulas,
+    words,
     LindFO,
     LindSO,
 )
@@ -117,10 +118,10 @@ def cmd_eval(args):
 def cmd_enumerate(args):
     box = load_toolbox(args.toolbox)
     f = _read_formula(args, box)
-    words = define_language(f, _alphabet(args.alphabet), args.max_n,
-                            registry=box.languages,
-                            instance_cap=args.instance_cap)
-    for w in sorted(words, key=lambda w: (len(w), w)):
+    members = define_language(f, _alphabet(args.alphabet), args.max_n,
+                              registry=box.languages,
+                              instance_cap=args.instance_cap)
+    for w in sorted(members, key=lambda w: (len(w), w)):
         print(w)
     return EXIT_OK
 
@@ -161,8 +162,7 @@ def cmd_translate(args):
     elif args.op == "tally-bwd":
         out, mapper = tally_translate_bwd(f, reg)
         mapper_desc = "1^n -> bin(n)"
-        structures = [StringStructure(("1",), ("1",) * n)
-                      for n in range(1, args.max_n + 1)]
+        structures = string_structures("1", args.max_n)
     elif args.op == "const-rewrite":
         out, mapper = const_rewrite(f, consts)
         mapper_desc = "constants -> subset-letter string"
@@ -242,16 +242,10 @@ def _agree(cases, same, show, flags):
     return EXIT_OK
 
 
-def _words(alphabet, min_len, max_len):
-    """Every tuple of letters of min_len to max_len letters, shortest first."""
-    for length in range(min_len, max_len + 1):
-        yield from itertools.product(alphabet, repeat=length)
-
-
 def _oracle_groupoid(args):
     magma, _ = parse_algebra(read_text(args.algebra), args.algebra)
     return _agree(
-        _words(range(magma.size), 1, args.max_len),
+        words(range(magma.size), args.max_len, 1),
         lambda w: (groupoid_reachable(magma, w)
                    == brute_force_bracketings(magma, w)),
         lambda w: " ".join(magma.elements[i] for i in w),
@@ -266,7 +260,7 @@ def _oracle_cfg(args):
         slow = cyk_member_reference(cfg, word)
         return (word_problem_member(wp, [hom[a] for a in word]) == slow
                 and cyk_member(cfg, word) == slow)
-    return _agree(_words(alphabet, 0, args.max_len), same, "".join,
+    return _agree(words(alphabet, args.max_len, 0), same, "".join,
                   f"--max-len {args.max_len}")
 
 
@@ -274,7 +268,7 @@ def _oracle_dfa(args):
     dfa, _ = parse_dfa(read_text(args.dfa), args.dfa)
     wp, hom = regular_to_monoid(dfa)
     return _agree(
-        _words(dfa.alphabet, 0, args.max_len),
+        words(dfa.alphabet, args.max_len, 0),
         lambda w: word_problem_member(wp, [hom[a] for a in w]) == dfa.run(w),
         "".join, f"--max-len {args.max_len}")
 

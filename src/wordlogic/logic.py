@@ -12,18 +12,17 @@ existential witnesses that a plus, times or = atom fixes. In an argument
 of a LindSO node, a block of quantifiers that reads the node's relations
 through one (in R t...) leaf alone (a guarded block) becomes one set test
 per instance, against a set of t-tuples computed before the node's
-instance loop. It runs the closures only when a call meets what the
-formula needs for no node to raise;
-the direct tree walk answers every other call. `evaluate_reference` is
+instance loop. It runs the closures only when the walk's own checks pass
+for every free name, min, max, constant and quantifier node of the
+formula, and the walk answers every other call. `evaluate_reference` is
 that walk, and tests and oracles hold `evaluate` against it. Both run
 exists, forall and existsSO through one loop, `_loop`; an existsSO is the
 existential loop of exists, over relations instead of positions. What a
-quantifier ranges over is defined once and both read
-it: `_node_range` gives a quantifier node's language and instances in word
-order, `subsets` the relations an existsSO tries, and `string_structures`
-the words up to a length. Both build a node's induced word in one function,
-`_induced`, and what an atom means is defined once too, in `_slot_atom`,
-and both run it.
+quantifier ranges over is defined once and both read it: `_node_range`
+gives a quantifier node's language and instances in word order, `subsets`
+the relations an existsSO tries, and `words` the words up to a length.
+Both build a node's induced word in one function, `_induced`, and what an
+atom means is defined once too, in `_slot_atom`, and both run it.
 """
 
 from __future__ import annotations
@@ -536,15 +535,6 @@ def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     return _decode(pieces, rank)
 
 
-def set_code_value(s, n: int) -> int:
-    """Monadic relation read as an n-digit msb-first binary number."""
-    v = 0
-    for j in range(n):
-        if (j,) in s:
-            v |= 1 << (n - 1 - j)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Evaluation: pieces shared by the compiled and the reference evaluator
 
@@ -570,19 +560,24 @@ class _Ctx:
                         else _NO_LETTERS)
 
 
+def _position(ctx, env, name):
+    """The position the name holds in env."""
+    try:
+        v = env[name]
+    except KeyError:
+        raise UnboundVariable(f"unbound variable {name!r}") from None
+    if type(v) is not int:
+        raise SortMismatch(
+            f"{name!r} holds a value of type {type(v).__name__}, "
+            "not a position")
+    if not 0 <= v < ctx.n:
+        raise SortMismatch(f"position {name!r} = {v} outside [0, {ctx.n})")
+    return v
+
+
 def _term_value(ctx, env, t):
     if type(t) is Var:
-        try:
-            v = env[t.name]
-        except KeyError:
-            raise UnboundVariable(f"unbound variable {t.name!r}") from None
-        if type(v) is not int:
-            raise SortMismatch(
-                f"{t.name!r} holds a value of type {type(v).__name__}, "
-                "not a position")
-        if not 0 <= v < ctx.n:
-            raise SortMismatch(f"position {t.name!r} = {v} outside [0, {ctx.n})")
-        return v
+        return _position(ctx, env, t.name)
     if type(t) is Min:
         if ctx.n == 0:
             raise EmptyDomain("min over the empty structure")
@@ -767,11 +762,11 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 #
 # A formula compiles once into closures fn(ctx, slots) -> bool and into a
 # record of what a call must supply so that no node of it can raise: its
-# free names, split into those read as positions and those read as
-# relations, whether it reads letters, the constants it reads and its
-# quantifier nodes. evaluate runs the closures only when the structure,
-# assignment, registry and cap meet the record; the reference walk answers
-# every other call, so an error is always the reference's own.
+# free names, read as positions or as relations, whether it reads letters,
+# its min, max and constant terms and its quantifier nodes. evaluate runs
+# the closures only when the walk's own checks (_position, _relation,
+# _term_value, _node_range) pass for every one of them; the reference walk
+# answers every other call, so an error is always the reference's own.
 #
 # Every binder, every free name, min, max and every constant owns one index
 # of the list `slots`, fixed at compile time. So a binding is one list store
@@ -779,8 +774,7 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # slots, through the one definition of the atoms that the reference walk
 # runs too (_slot_atom), and an And/Or spine is one n-ary node. A quantifier
 # node's word comes from the reference's word builder too (_induced), which
-# binds each instance into the node's slots, and the record admits a node
-# by the checks that builder makes (_node_range).
+# binds each instance into the node's slots.
 #
 # First-order quantifiers compile a block at a time: the maximal nest of
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
@@ -914,9 +908,9 @@ def _slot_atom(f, idx):
         return to_concatenated
     a, b, d = idx
     if ty is SetTimes:
-        return lambda c, s: (set_code_value(s[a], c.n)
-                             * set_code_value(s[b], c.n)
-                             == set_code_value(s[d], c.n))
+        return lambda c, s: (instance_rank((s[a],), c.n, CONCATENATED)
+                             * instance_rank((s[b],), c.n, CONCATENATED)
+                             == instance_rank((s[d],), c.n, CONCATENATED))
     if ty is PlusAtom:
         return lambda c, s: s[a] + s[b] == s[d]
     return lambda c, s: s[a] * s[b] == s[d]
@@ -1004,37 +998,25 @@ class _Plan:
         self.node = None
         self.fn = self.compile(formula, {}, 0)
 
-    def slots(self, ctx, assignment):
-        """The slot list fn runs on, with the free names, min, max and the
-        constants filled in; None when the call does not meet the record."""
-        n = ctx.n
-        if not self.sound or n == 0:
-            return None
-        struct = ctx.struct
-        if self.letters and not isinstance(struct, StringStructure):
+    def slots(self, ctx, env):
+        """The slot list fn runs on, its free names, min, max and constants
+        read by the walk's own readers; None when a check of the walk fails
+        on any of them or on any quantifier node, even one a short circuit
+        would skip."""
+        if (not self.sound or ctx.n == 0
+                or self.letters and ctx.letters is _NO_LETTERS):
             return None
         slots = [None] * self.nslots
-        for t, i in self.fixed.items():
-            if type(t) is ConstSym:
-                if not isinstance(struct, ConstStructure):
-                    return None
-                try:
-                    slots[i] = struct.const(t.name)
-                except UnboundVariable:
-                    return None
-            else:
-                slots[i] = 0 if type(t) is Min else n - 1
-        for name, (i, kind) in self.free.items():
-            v = assignment.get(name)
-            ok = (type(v) is int and 0 <= v < n if kind == _FO
-                  else isinstance(v, frozenset))
-            if not ok:
-                return None
-            slots[i] = v
         try:
+            for t, i in self.fixed.items():
+                slots[i] = _term_value(ctx, env, t)
+            for name, (i, kind) in self.free.items():
+                slots[i] = (_position(ctx, env, name) if kind == _FO
+                            else _relation(env, name))
             for node in self.nodes:
                 _node_range(ctx, node)
-        except (UnknownLanguage, ArityMismatch, InstanceCapExceeded):
+        except (UnboundVariable, SortMismatch, UnknownLanguage,
+                ArityMismatch, InstanceCapExceeded):
             return None
         return slots
 
@@ -1266,8 +1248,9 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
              instance_cap=DEFAULT_INSTANCE_CAP) -> bool:
     """Tarskian truth of `formula` in `struct` under `assignment`.
 
-    Runs the compiled form of the formula when the call meets its record,
-    so that no node can raise, and the reference walk otherwise. So it
+    Runs the compiled form of the formula when the walk's own checks pass
+    for every free name, min, max, constant and quantifier node in it, and
+    the reference walk otherwise. So it
     gives evaluate_reference's verdict, or raises its error in type and
     message, except on formulas nested deeper than MAX_NESTING levels,
     which raise NestingCapExceeded: here an And/Or chain counts as one
@@ -1275,10 +1258,10 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
     """
     plan = _plan(formula)
     ctx = _Ctx(struct, registry, instance_cap)
-    assignment = assignment or {}
-    slots = plan.slots(ctx, assignment)
+    env = dict(assignment or {})  # the environment the walk reads
+    slots = plan.slots(ctx, env)
     if slots is None:
-        return _eval(ctx, dict(assignment), formula)
+        return _eval(ctx, env, formula)
     return plan.fn(ctx, slots)
 
 
@@ -1293,13 +1276,18 @@ def induced_word(struct, assignment, node, *, registry=None,
                     node.vars)[1]
 
 
-def string_structures(alphabet, max_n: int, min_n: int = 1):
-    """Every word over alphabet of min_n to max_n letters, as a structure:
-    shorter words first, words of one length in alphabet order."""
-    alphabet = tuple(alphabet)
+def words(alphabet, max_n: int, min_n: int):
+    """Every word over alphabet of min_n to max_n letters, as a tuple of
+    letters: shorter words first, words of one length in alphabet order."""
     for length in range(min_n, max_n + 1):
-        for w in itertools.product(alphabet, repeat=length):
-            yield StringStructure(alphabet, w)
+        yield from itertools.product(alphabet, repeat=length)
+
+
+def string_structures(alphabet, max_n: int, min_n: int = 1):
+    """The words of words(alphabet, max_n, min_n) as structures."""
+    alphabet = tuple(alphabet)
+    return (StringStructure(alphabet, w)
+            for w in words(alphabet, max_n, min_n))
 
 
 def define_language(sentence, alphabet, max_n: int, *, registry=None,

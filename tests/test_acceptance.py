@@ -50,7 +50,6 @@ from wordlogic.logic import (
     induced_word,
     instance_rank,
     instance_unrank,
-    set_code_value,
     string_structures,
     structure_from_string,
 )
@@ -468,14 +467,14 @@ def test_criterion_10_set_arithmetic_vs_integers(registry):
         subsets = [frozenset((j,) for j in range(n) if (m >> j) & 1)
                    for m in range(1 << n)]
         for sx in subsets:
-            xv = set_code_value(sx, n)
+            xv = sum(1 << (n - 1 - j) for (j,) in sx)
             for sy in subsets:
-                yv = set_code_value(sy, n)
+                yv = sum(1 << (n - 1 - j) for (j,) in sy)
                 env = {"x": sx, "y": sy}
                 assert evaluate(st, lt_f, env, registry=registry) == (xv < yv)
                 assert evaluate(st, eq_f, env, registry=registry) == (xv == yv)
                 for sz in subsets:
-                    zv = set_code_value(sz, n)
+                    zv = sum(1 << (n - 1 - j) for (j,) in sz)
                     env["z"] = sz
                     assert evaluate(st, plus_f, env, registry=registry) == \
                         (xv + yv == zv)

@@ -72,7 +72,6 @@ from wordlogic.logic import (
     instance_rank,
     instance_unrank,
     resolve_language,
-    set_code_value,
     string_structures,
     structure_from_string,
     subsets,
@@ -258,6 +257,24 @@ def test_subsets_follow_the_mask_definition():
             for mask in range(1 << n)]
 
 
+def _unrank_and_word_calls(monkeypatch, registry, text, n):
+    """For evaluate and then evaluate_reference on the word a^n, how many
+    calls each makes of the module globals instance_unrank and _induced."""
+    calls = {"instance_unrank": 0, "_induced": 0}
+    for name in calls:
+        def counting(*args, name=name, real=getattr(logic, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(logic, name, counting)
+    f = parse_formula(text)
+    counts = []
+    for ev in (evaluate, evaluate_reference):
+        calls.update(dict.fromkeys(calls, 0))
+        ev(S("a" * n), f, registry=registry)
+        counts.append((calls["instance_unrank"], calls["_induced"]))
+    return counts
+
+
 @pytest.mark.parametrize("text,n,bits", [
     ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4),
     ("(Qstar Lexists 2 (X) (exists x (in X x x)))", 2, 4),
@@ -266,25 +283,25 @@ def test_subsets_follow_the_mask_definition():
 def test_each_instance_is_one_unrank_call(monkeypatch, registry, text, n,
                                           bits):
     """A node's instances come from one call each of the module global
-    instance_unrank, which the benchmark's tracer wraps to count them."""
-    calls = []
-    unrank = logic.instance_unrank
+    instance_unrank, which the benchmark's tracer wraps to count them, and
+    both evaluators build the same number of words, each in _induced."""
+    (fast, fast_words), (slow, slow_words) = _unrank_and_word_calls(
+        monkeypatch, registry, text, n)
+    assert fast == slow == 1 << bits
+    assert fast_words == slow_words
 
-    def counting(*args):
-        calls.append(args)
-        return unrank(*args)
 
-    monkeypatch.setattr(logic, "instance_unrank", counting)
-    f = parse_formula(text)
-    for ev in (evaluate, evaluate_reference):
-        calls.clear()
-        ev(S("a" * n), f, registry=registry)
-        assert len(calls) == 1 << bits
+def test_a_node_the_formula_never_reaches_builds_no_word(monkeypatch,
+                                                         registry):
+    # the or decides before the node is reached, so no word is built
+    text = "(or (true) (Qstar Lexists 1 (X) (exists x (in X x))))"
+    assert _unrank_and_word_calls(monkeypatch, registry, text, 4) == [
+        (0, 0), (0, 0)]
 
 
 def test_set_codes():
     s = frozenset({(0,), (2,)})
-    assert set_code_value(s, 3) == 0b101
+    assert instance_rank((s,), 3, CONCATENATED) == 0b101
 
 
 def _only(word, alphabet=("1", "0")):
@@ -1032,7 +1049,8 @@ def test_arithmetic_atoms_match_reference(cls):
 @given(f=_formulas(), data=st.data())
 def test_evaluate_matches_reference(registry, f, data):
     """Same verdict or same error, in type and message, on n = 0..4, under
-    every value of the free y, and with y or Y left unbound."""
+    every value of the free y and values of the wrong kind, with Y a
+    relation, a value of the wrong kind or unbound, and with y unbound."""
     free_fo, _ = free_variables(f)
     for n in range(5):
         if data.draw(st.integers(0, 3)):
@@ -1042,9 +1060,13 @@ def test_evaluate_matches_reference(registry, f, data):
             struct = ConstStructure.of(n, {})  # letter atoms raise here
         env = {}
         if data.draw(st.integers(0, 3)):
-            env["Y"] = frozenset((j,) for j in range(n)
-                                 if data.draw(st.booleans()))
-        ys = range(n) if "y" in free_fo else ()
+            members = [(j,) for j in range(n) if data.draw(st.booleans())]
+            # a relation of the wrong kind, or with a member off the domain
+            kind = data.draw(st.sampled_from((frozenset, set, list, "off")))
+            env["Y"] = (frozenset(members + [(n,)]) if kind == "off"
+                        else kind(members))
+        # a position, or a value of the wrong kind
+        ys = [*range(n), -1, n, True, 1.0] if "y" in free_fo else ()
         for env in [env] + [{**env, "y": y} for y in ys]:
             fast = _outcome(evaluate, struct, f, env, registry=registry)
             slow = _outcome(evaluate_reference, struct, f, env,
@@ -1148,6 +1170,20 @@ def test_compiled_plan_runs_without_the_reference(registry, monkeypatch):
         raise AssertionError("the reference walk ran")
     monkeypatch.setattr(logic, "_eval", fail)
     assert [evaluate(st, f, registry=registry) for st, f in cases] == want
+
+
+def test_the_plan_runs_on_what_the_walk_admits(monkeypatch):
+    # the walk reads a relation held as a set, so the plan runs on it too
+    f = parse_formula("(exists y (and (< x y) (in X y)))")
+    env = {"x": 1, "X": {(2,)}}
+    assert evaluate_reference(S("abab"), f, env)
+
+    def fail(*args):
+        raise AssertionError("the reference walk ran")
+    monkeypatch.setattr(logic, "_eval", fail)
+    assert evaluate(S("abab"), f, env)
+    # the record reads the environment the walk builds, from any pairs
+    assert evaluate(S("abab"), f, list(env.items()))
 
 
 # ---------------------------------------------------------------------------

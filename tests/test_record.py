@@ -27,8 +27,8 @@ RECORDS = {c for m in MODULES for c in vars(m).values()
            if is_record(c) and c.__module__ == m.__name__}
 # what `record` puts on a class, and what every class has anyway
 GENERATED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
-             "__delattr__", "__record_fields__", "__record_repr__",
-             "__dict__", "__weakref__", "__annotations__"}
+             "__delattr__", "__record_fields__", "__dict__", "__weakref__",
+             "__annotations__"}
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -41,7 +41,7 @@ def twin(cls):
     """The dataclass that `@dataclass(frozen=...)` makes of cls."""
     specs = []
     for f in fields(cls):
-        options = {"repr": f.repr, "compare": f.compare}
+        options = {}
         if f.default is not MISSING:
             options["default"] = f.default
         if f.default_factory is not MISSING:
