@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property, reduce
-from operator import and_, not_, or_, rshift
+from operator import and_, lshift, not_, or_, rshift
 
 from ._record import record
 from .errors import (
@@ -362,16 +362,35 @@ class _RuleLayout:
     the top slot is a spare that takes carries. `slots[a]` holds the pairs
     of a's rules; `lex` maps a letter to the left-operand slots,
     right-operand slots and symbol set it derives.
+
+    A pair is long when both operands head binary rules, so both can
+    derive words of two or more letters; otherwise it is short, and one
+    operand derives single letters only. The `long` long pairs take the
+    lowest slots, and `lanes = width // long` copies of them fit in one
+    group; with one lane (or no long pair) `_derive_top` runs no lanes.
     """
 
     def __init__(self, rules, lexical):
-        pair_slot, left, right, self.slots = {}, {}, {}, {}
+        heads = {a for a, b, c in rules}
+        pairs = dict.fromkeys((b, c) for a, b, c in rules)
+        longs = [p for p in pairs if p[0] in heads and p[1] in heads]
+        order = dict.fromkeys(longs + [*pairs])
+        pair_slot = {p: s for s, p in enumerate(order)}
+        left, right, self.slots = {}, {}, {}
         for a, b, c in rules:
-            s = pair_slot.setdefault((b, c), len(pair_slot))
+            s = pair_slot[b, c]
             left[b] = left.get(b, 0) | 1 << s
             right[c] = right.get(c, 0) | 1 << s
             self.slots[a] = self.slots.get(a, 0) | 1 << s
         self.width = len(pair_slot) + 1
+        self.long = len(longs)
+        self.lanes = self.width // self.long if longs else 1
+        # times a group's long slots: a copy of them in every lane
+        self.spread = sum(1 << t * self.long for t in range(self.lanes))
+        # the first span `_derive_top` decides in lanes (0: none); a run's
+        # edge splits must not overlap, so wide layouts start later
+        self.lanes_from = (max(_LANES_FROM, 2 * self.lanes)
+                           if self.lanes > 1 else 0)
         # (pair slots, left slots, right slots) of every lhs that occurs
         # as an operand
         self._children = [(pairs, left.get(a, 0), right.get(a, 0))
@@ -400,6 +419,9 @@ class _RuleLayout:
 
 
 _NO_LEX = (0, 0, 0)
+# The shortest span `_derive_top` decides in lanes: below it the lanes'
+# bookkeeping costs more than the ops they save
+_LANES_FROM = 40
 
 
 def _derives(layout: _RuleLayout, word) -> int:
@@ -417,18 +439,36 @@ def _rule_product(rules):
                              if x >> b & 1 and y >> c & 1})
 
 
+def _splits(lb, rc, offsets, first, stop, span, acc=0):
+    """acc OR the pair slots that derive a span of `span` letters by a
+    split whose left part has first .. stop-1 letters."""
+    return reduce(or_, map(and_, lb[first:stop],
+                           map(rshift, rc[span - first:span - stop:-1],
+                               offsets[first:stop])), acc)
+
+
 def _derive_top(layout: _RuleLayout, word) -> int:
     """Pair slots that derive all of `word` (len >= 2), in group 0.
 
     lb[m] / rc[m] set bit i*width + slot(p) when the left / right operand
     of pair p derives word[i:i+m]. Span l ORs, over every split l1, lb[l1]
-    with rc[l - l1] moved l1 groups down: about n^2/2 big-integer ops in
-    all, whatever the number of rules.
+    with rc[l - l1] moved l1 groups down: l - 1 big-integer ops.
+
+    From span `layout.lanes_from` on, spans come in runs of `lanes`, and
+    one op per split decides the long pairs of a whole run l .. l+lanes-1:
+    lbr[m] holds lb[m]'s long slots in every lane and rcs[m] holds those
+    of rc[m + t] in lane t, so lane t of lbr[l1] & rcs[l - l1] >> l1 groups
+    is split l1 of span l + t. That covers the left parts of lanes .. l-2
+    letters, whose operands are final. Span l + t adds its other splits,
+    left parts of 1 .. lanes-1 and l-1 .. l+t-1 letters, on the full
+    vectors; these are the only splits a short pair can use. A word of n
+    letters costs about n^2/(2*lanes) ops, plus about 1.5*lanes per span.
     """
     n = len(word)
     w = layout.width
     top = w - 1
     rep, low, children = layout.masks(n)
+    begin = layout.lanes_from or n + 1
     lex = layout.lex
     lb1 = rc1 = 0
     for t in reversed(word):
@@ -444,8 +484,25 @@ def _derive_top(layout: _RuleLayout, word) -> int:
         # and that node is an operand: once those spans are empty, stop.
         if l > 2 * last:
             return 0
-        acc = reduce(or_, map(and_, lb[1:l],
-                              map(rshift, rc[l - 1:0:-1], offsets[1:l])))
+        if l < begin:
+            acc = reduce(or_, map(and_, lb[1:l],
+                                  map(rshift, rc[l - 1:0:-1], offsets[1:l])))
+        else:
+            if l == begin:
+                lanes, k, spread = layout.lanes, layout.long, layout.spread
+                longs = ((1 << k) - 1) * rep
+                lower = longs * (spread >> k)  # every lane but the last
+                lbr = [(x & longs) * spread for x in lb]
+                rcs = [x & longs for x in rc[:l - lanes + 1]]
+                for t in range(1, lanes):
+                    rcs = list(map(or_, rcs, map(
+                        lshift, map(and_, rc[t:], itertools.repeat(longs)),
+                        itertools.repeat(t * k))))
+            lane = (l - begin) % lanes
+            if not lane:
+                run = _splits(lbr, rcs, offsets, lanes, l - 1, l)
+            acc = _splits(lb, rc, offsets, 1, lanes, l, _splits(
+                lb, rc, offsets, l - lane - 1, l, l, run >> lane * k & longs))
         if l == n:
             return acc
         lbl = rcl = 0
@@ -460,6 +517,12 @@ def _derive_top(layout: _RuleLayout, word) -> int:
                 rcl |= d & rcm
         lb.append(lbl)
         rc.append(rcl)
+        if l >= begin:
+            # lanes move down one lane, and rc[l] enters the last one
+            lbr.append((lbl & longs) * spread)
+            rcs.append(rcs[-1] >> k & lower | (rcl & longs) << k * (lanes - 1))
+            # the edge splits read neither of these again
+            lb[l - lanes] = rc[l - lanes + 1] = None
         if lbl | rcl:
             last = l
 

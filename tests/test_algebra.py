@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordlogic import algebra
 from wordlogic.algebra import (
     BRACKETING_CAP,
     MEMBER_CACHE_CHARS,
     TABLE_CAP,
+    _LANES_FROM,
     Cfg,
     Dfa,
     LanguageSpec,
@@ -385,9 +387,10 @@ def cnf_grammars(draw, max_nonterminals=5, terminals="abc"):
                tuple(binary), tuple(lexical), draw(nt), draw(st.booleans()))
 
 
-def _sample_word(g, rng, max_len):
-    """A word of L(g) from a random derivation that prefers binary rules
-    while the word stays within max_len letters, or None."""
+def _sample_word(g, rng, max_len, grow=0.8):
+    """A word of L(g) from a random derivation that takes a binary rule
+    with probability `grow` while the word stays within max_len letters,
+    or None."""
     binary, lexical = {}, {}
     for a, b, c in g.binary:
         binary.setdefault(a, []).append((b, c))
@@ -397,7 +400,7 @@ def _sample_word(g, rng, max_len):
     while todo:
         a = todo.pop()
         if a in binary and len(out) + len(todo) + 2 <= max_len and (
-                a not in lexical or rng.random() < 0.8):
+                a not in lexical or rng.random() < grow):
             b, c = rng.choice(binary[a])
             todo += [c, b]
         elif a in lexical:
@@ -523,6 +526,168 @@ def test_groupoid_long_words_on_a_group():
     rng = random.Random(6)
     word = [rng.randrange(5) for _ in range(300)]
     assert groupoid_reachable(z5, word) == frozenset({sum(word) % 5})
+
+
+# Words past `_LANES_FROM` letters: from that span on, `_derive_top`
+# decides the long operand pairs of `lanes` spans per big-integer op.
+
+def test_lane_layouts(data_dir, g4):
+    # (width, lanes): a pair is long when both operands head binary rules
+    assert [(lay.width, lay.lanes) for lay in (
+        majority_grammar()._layout, _load_cfg(data_dir, "parens.cfg")._layout,
+        _load_cfg(data_dir, "anbn.cfg")._layout, g4._layout)] == \
+        [(6, 3), (5, 5), (4, 1), (17, 1)]
+
+
+@st.composite
+def lane_grammars(draw, layout):
+    """CNF grammars over "abc" with a `_derive_top` layout of one kind:
+    "one lane" (every operand pair long), "lanes" (one or two long pairs
+    among short ones) or "short" (no long pair). Heads N0.. each head a
+    binary rule, the other symbols none; every rule has a head operand and
+    every symbol a letter, so `_sample_word` with grow=1 fills max_len."""
+    nh = draw(st.integers(2 if layout == "one lane" else 1, 3))
+    ns = nh + draw(st.integers(1, 2))
+    head = st.integers(0, nh - 1)
+    pre = st.integers(nh, ns - 1)
+    long_pair = st.tuples(head, head)
+    short_pair = st.one_of(st.tuples(head, pre), st.tuples(pre, head))
+    if layout == "one lane":
+        pairs = draw(st.lists(long_pair, min_size=2, max_size=5, unique=True))
+    elif layout == "lanes":
+        pairs = (draw(st.lists(long_pair, min_size=1, max_size=2))
+                 + draw(st.lists(short_pair, min_size=1, max_size=4)))
+    else:
+        pairs = draw(st.lists(short_pair, min_size=1, max_size=5))
+    binary = [(draw(head), b, c) for b, c in pairs]
+    binary += [(a, *pairs[a % len(pairs)]) for a in range(nh)]
+    letter = st.sampled_from("abc")
+    lexical = [(a, draw(letter)) for a in range(ns)] + draw(
+        st.lists(st.tuples(st.integers(0, ns - 1), letter), max_size=2))
+    return Cfg(tuple(f"N{i}" for i in range(ns)), ("a", "b", "c"),
+               tuple(binary), tuple(lexical), draw(head))
+
+
+@pytest.mark.parametrize("layout", ["one lane", "lanes", "short"])
+@settings(max_examples=10)  # a reference check on 120 letters takes ~20 ms
+@given(data=st.data())
+def test_cyk_matches_reference_in_lanes(layout, data):
+    g = data.draw(lane_grammars(layout))
+    assert (g._layout.lanes > 1) == (layout == "lanes")
+    rng = data.draw(st.randoms(use_true_random=False))
+    n = data.draw(st.integers(_LANES_FROM + 8, 120))
+    w = _sample_word(g, rng, n, grow=1)
+    assert len(w) == n
+    i = rng.randrange(n)
+    for v in (w, w[:i] + rng.choice("abc") + w[i + 1:], w[:i] + w[i + 1:],
+              w[:i] + rng.choice("abc") + w[i:]):
+        assert cyk_member(g, v) == cyk_member_reference(g, v), v
+
+
+@settings(max_examples=20)
+@given(st.randoms(use_true_random=False), st.integers(1, 3),
+       st.integers(_LANES_FROM + 4, 72))
+def test_groupoid_matches_reference_in_lanes(rng, g, n):
+    # every element x is the product e*x of the identity e, so a magma has
+    # no short pair: one element gives 2 lanes, more give 1
+    m = _random_magma(rng, g)
+    assert m._layout.lanes == (2 if g == 1 else 1)
+    word = [rng.randrange(g) for _ in range(n)]
+    assert groupoid_reachable(m, word) == groupoid_reachable_reference(m, word)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_every_split_length_decides(p):
+    # S -> X Y, where X derives a^p alone and Y derives b+, splits every
+    # span at exactly p letters, and S -> Y X at p letters from the end;
+    # as p grows so do the lanes (2 to 5), so each kind of split, edge or
+    # lane, is the only one that accepts some word
+    rules = [("A", "a"), ("Y", "b"), ("Y", ("Y", "Y"))]
+    x = "A"
+    for k in range(2, p + 1):
+        rules.append((f"X{k}", ("A", x)))
+        x = f"X{k}"
+    nts = ("S", "A", "Y") + tuple(f"X{k}" for k in range(2, p + 1))
+    prefix = Cfg.from_rules(nts, "ab", rules + [("S", (x, "Y"))], "S")
+    suffix = Cfg.from_rules(nts, "ab", rules + [("S", ("Y", x))], "S")
+    for n in range(_LANES_FROM - 2, _LANES_FROM + 12):
+        for a in (p - 1, p, p + 1):
+            v = "a" * a + "b" * (n - a)
+            assert cyk_member(prefix, v) == (a == p), v
+            assert cyk_member(suffix, v[::-1]) == (a == p), v[::-1]
+
+
+def test_wide_layout_starts_its_lanes_late():
+    # S -> S S | N_i S | b over 45 letters N_i -> a: one long pair in a
+    # group of 47 slots, so 47 lanes, whose runs start at span 94
+    rules = [("S", "b"), ("S", ("S", "S"))]
+    for i in range(45):
+        rules += [(f"N{i}", "a"), ("S", (f"N{i}", "S"))]
+    g = Cfg.from_rules(("S",) + tuple(f"N{i}" for i in range(45)), "ab",
+                       rules, "S")
+    assert (g._layout.lanes, g._layout.lanes_from) == (47, 94)
+    rng = random.Random(5)
+    for n in (60, 93, 94, 95, 141, 142, 200):
+        w = "".join(rng.choice("ab") for _ in range(n))
+        for v in (w[:-1] + "a", w[:-1] + "b"):
+            assert cyk_member(g, v) == v.endswith("b"), v
+
+
+def test_majority_around_the_first_lane_span():
+    cfg = majority_grammar()
+    lanes = cfg._layout.lanes
+    rng = random.Random(27)
+    for n in range(_LANES_FROM - 2, _LANES_FROM + 3 * lanes + 2):
+        for excess in (-1, 0, 1, 2):
+            ones = (n + excess) // 2
+            w = ["1"] * ones + ["0"] * (n - ones)
+            rng.shuffle(w)
+            assert cyk_member(cfg, w) == (2 * w.count("1") > len(w)), (n, excess)
+
+
+def test_parens_nested_and_concatenated(data_dir):
+    parens = _load_cfg(data_dir, "parens.cfg")
+    flat = "()" * 60
+    for w in ("(" * 60 + ")" * 60, flat, "(" + flat + ")",
+              "(" * 50 + flat + ")" * 50, "((()))" * 20 + "(" * 55 + ")" * 55,
+              "(" + "()" * 30 + ")" + "(()(()))" * 15):
+        assert len(w) >= 100 and _parens_ok(w)
+        for v in (w, w[1:], w[:-1], w[:60] + w[61:], ")" + w[1:-1] + "(",
+                  w + ")", w[:99] + "(" + w[99:]):
+            assert cyk_member(parens, v) == _parens_ok(v), v
+
+
+def test_anbn_around_the_lanes(data_dir):
+    anbn = _load_cfg(data_dir, "anbn.cfg")
+
+    def anbn_ok(v):
+        k = len(v) // 2
+        return k > 0 and v == "a" * k + "b" * k
+
+    for k in range(30, 61):
+        w = "a" * k + "b" * k
+        edits = [w]
+        for i in (0, k - 1, k, 2 * k - 1):  # both ends and the border
+            edits += [w[:i] + "ba"[w[i] == "b"] + w[i + 1:], w[:i] + w[i + 1:],
+                      w[:i] + "a" + w[i:]]
+        for v in edits:
+            assert cyk_member(anbn, v) == anbn_ok(v), (k, v)
+
+
+def test_early_stop_inside_the_lanes(monkeypatch):
+    # In 1^25 0^100 no operand derives more than 49 letters: 1^25 0^24 is
+    # the longest part with more 1s than 0s, and no 0 is followed by a 1.
+    # So the DP stops before span 99, in the lanes and short of 125.
+    spans = []
+
+    def splits(lb, rc, offsets, first, stop, span, acc=0):
+        spans.append(span)
+        return real(lb, rc, offsets, first, stop, span, acc)
+
+    real = algebra._splits
+    monkeypatch.setattr(algebra, "_splits", splits)
+    assert not cyk_member(majority_grammar(), "1" * 25 + "0" * 100)
+    assert (min(spans), max(spans)) == (_LANES_FROM, 98)
 
 
 # ---------------------------------------------------------------------------
