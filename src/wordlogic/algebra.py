@@ -387,8 +387,9 @@ class _RuleLayout:
         self.lanes = self.width // self.long if longs else 1
         # times a group's long slots: a copy of them in every lane
         self.spread = sum(1 << t * self.long for t in range(self.lanes))
-        # the first span `_derive_top` decides in lanes (0: none); a run's
-        # edge splits must not overlap, so wide layouts start later
+        # the first span `_derive_top` decides in lanes (0: none); after
+        # span l it drops lb[l - lanes], and the edge splits read lb[1] ..
+        # lb[lanes - 1] to the end, so lanes start at span 2*lanes or later
         self.lanes_from = (max(_LANES_FROM, 2 * self.lanes)
                            if self.lanes > 1 else 0)
         # (pair slots, left slots, right slots) of every lhs that occurs
@@ -419,8 +420,10 @@ class _RuleLayout:
 
 
 _NO_LEX = (0, 0, 0)
-# The shortest span `_derive_top` decides in lanes: below it the lanes'
-# bookkeeping costs more than the ops they save
+# The shortest span `_derive_top` decides in lanes (a wide layout starts
+# later). Setting up the lanes costs about `lanes` ops per shorter span,
+# which the first lane spans do not win back: started at span 2*lanes,
+# Maj words of 6-32 letters run up to 1.5x slower
 _LANES_FROM = 40
 
 
@@ -485,8 +488,7 @@ def _derive_top(layout: _RuleLayout, word) -> int:
         if l > 2 * last:
             return 0
         if l < begin:
-            acc = reduce(or_, map(and_, lb[1:l],
-                                  map(rshift, rc[l - 1:0:-1], offsets[1:l])))
+            acc = _splits(lb, rc, offsets, 1, l, l)
         else:
             if l == begin:
                 lanes, k, spread = layout.lanes, layout.long, layout.spread

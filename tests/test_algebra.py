@@ -686,8 +686,11 @@ def test_early_stop_inside_the_lanes(monkeypatch):
 
     real = algebra._splits
     monkeypatch.setattr(algebra, "_splits", splits)
-    assert not cyk_member(majority_grammar(), "1" * 25 + "0" * 100)
-    assert (min(spans), max(spans)) == (_LANES_FROM, 98)
+    cfg = majority_grammar()
+    assert cfg._layout.lanes_from == _LANES_FROM
+    assert not cyk_member(cfg, "1" * 25 + "0" * 100)
+    in_lanes = [s for s in spans if s >= _LANES_FROM]
+    assert (min(in_lanes), max(in_lanes)) == (_LANES_FROM, 98)
 
 
 # ---------------------------------------------------------------------------
