@@ -78,14 +78,6 @@ def _alphabet(text: str):
     return tuple(text)
 
 
-def _add_common(p, instance_cap=True):
-    p.add_argument("--toolbox", action="append", default=[],
-                   help="file or directory of language/automaton definitions")
-    if instance_cap:
-        p.add_argument("--instance-cap", type=int,
-                       default=DEFAULT_INSTANCE_CAP)
-
-
 def _nonempty(cases, flags):
     """cases, refused with EmptyRange when the range flags leave none: a
     check over nothing would report agreement it never tested."""
@@ -93,6 +85,16 @@ def _nonempty(cases, flags):
     for first in cases:
         return itertools.chain((first,), cases)
     raise EmptyRange(f"nothing to check under {flags}")
+
+
+def _check(f, g, structures, args, **options):
+    """(report, exit status) of check_equivalence(f, g) on structures, a
+    range that --max-n must leave nonempty, under --instance-cap."""
+    structures = _nonempty(structures, f"--max-n {args.max_n}")
+    report = check_equivalence(f, g, structures,
+                               instance_cap=args.instance_cap, **options)
+    return report, (EXIT_OK if report.verdict == "equivalent-on-range"
+                    else EXIT_COUNTEREXAMPLE)
 
 
 def _read_formula(args, box):
@@ -182,14 +184,12 @@ def cmd_translate(args):
     if structures is None:
         structures = string_structures(alphabet, args.max_n, min_n)
     # check before printing, so a failed check leaves no half report
-    structures = _nonempty(structures, f"--max-n {args.max_n}")
-    report = check_equivalence(f, out, structures, registry=reg,
-                               mapper=mapper, mapper_desc=mapper_desc,
-                               instance_cap=args.instance_cap, notes=notes)
+    report, status = _check(f, out, structures, args, registry=reg,
+                            mapper=mapper, mapper_desc=mapper_desc,
+                            notes=notes)
     print(target)
     print(report.render())
-    return EXIT_OK if report.verdict == "equivalent-on-range" \
-        else EXIT_COUNTEREXAMPLE
+    return status
 
 
 def cmd_leaffa(args):
@@ -220,14 +220,11 @@ def cmd_equiv(args):
     box = load_toolbox(args.toolbox)
     f = parse_formula(args.formula, box.languages)
     g = parse_formula(args.formula2, box.languages)
-    structures = _nonempty(string_structures(_alphabet(args.alphabet),
-                                             args.max_n),
-                           f"--max-n {args.max_n}")
-    report = check_equivalence(f, g, structures, registry=box.languages,
-                               instance_cap=args.instance_cap)
+    report, status = _check(
+        f, g, string_structures(_alphabet(args.alphabet), args.max_n), args,
+        registry=box.languages)
     print(report.verdict_line())
-    return EXIT_OK if report.verdict == "equivalent-on-range" \
-        else EXIT_COUNTEREXAMPLE
+    return status
 
 
 def _agree(cases, same, show, flags):
@@ -331,38 +328,39 @@ def build_parser():
         description="generalized-quantifier logic over words: evaluation, "
                     "enumeration, translation, and oracle checks")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the flags shared by several subcommands, each declared once
+    box = argparse.ArgumentParser(add_help=False)
+    box.add_argument(
+        "--toolbox", action="append", default=[],
+        help="file or directory of language/automaton definitions")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--instance-cap", type=int, default=DEFAULT_INSTANCE_CAP)
+    formula = argparse.ArgumentParser(add_help=False)
+    formula.add_argument("--formula")
+    formula.add_argument("--formula-file")
 
-    p = sub.add_parser("eval", help="evaluate a sentence on one structure")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[box, cap, formula],
+                       help="evaluate a sentence on one structure")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--structure", required=True)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("enumerate",
+    p = sub.add_parser("enumerate", parents=[box, cap, formula],
                        help="list all satisfying strings up to a length")
-    _add_common(p)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("translate",
+    p = sub.add_parser("translate", parents=[box, cap, formula],
                        help="apply a formula translation and validate it")
-    _add_common(p)
     p.add_argument("--op", required=True, choices=_TRANSLATE_OPS)
     p.add_argument("--alphabet")
     p.add_argument("--constants")
     p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--formula")
-    p.add_argument("--formula-file")
     p.set_defaults(fn=cmd_translate)
 
-    p = sub.add_parser("leaffa",
+    p = sub.add_parser("leaffa", parents=[box],
                        help="leaf-automaton membership against a language")
-    _add_common(p, instance_cap=False)
     p.add_argument("--automaton", required=True,
                    help="toolbox name or file path")
     p.add_argument("--language", required=True)
@@ -375,18 +373,16 @@ def build_parser():
     p.add_argument("--algebra", required=True)
     p.set_defaults(fn=cmd_algebra_check)
 
-    p = sub.add_parser("equiv",
+    p = sub.add_parser("equiv", parents=[box, cap],
                        help="exhaustively compare two sentences")
-    _add_common(p)
     p.add_argument("--alphabet", required=True)
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--formula", required=True)
     p.add_argument("--formula2", required=True)
     p.set_defaults(fn=cmd_equiv)
 
-    p = sub.add_parser("oracle",
+    p = sub.add_parser("oracle", parents=[box, cap],
                        help="compare a fast path against its brute-force twin")
-    _add_common(p)
     p.add_argument("what", choices=tuple(_ORACLES))
     p.add_argument("--algebra")
     p.add_argument("--grammar")

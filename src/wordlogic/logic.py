@@ -1474,22 +1474,33 @@ def all_names(f) -> set:
     return names
 
 
+class Gensym:
+    """Fresh names: gensym(base) is _<base><k> for the next k of a count
+    shared by every base, skipping the names in used and those it drew."""
+
+    def __init__(self, used):
+        self.used = set(used)
+        self.n = 0
+
+    def __call__(self, base):
+        while True:
+            name = f"_{base}{self.n}"
+            self.n += 1
+            if name not in self.used:
+                self.used.add(name)
+                return name
+
+
 def eliminate_min_max(f):
     """Replace min/max terms by quantified variables pinned by order atoms.
 
     Used by translations whose target domain moves the endpoints. Every
-    min or max term draws a fresh name, _min<k> or _max<k> for the next k
-    whose name and pin name <name>u the formula does not use, and equal
-    endpoints of one atom all take the first name drawn for them.
+    min or max term draws a fresh name, _min<k> or _max<k>, whose name and
+    pin name <name>u the formula does not use, and equal endpoints of one
+    atom all take the first name drawn for them.
     """
     used = all_names(f)
-    counter = itertools.count()
-
-    def fresh(which):
-        while True:
-            v = f"_{which}{next(counter)}"
-            if v not in used and v + "u" not in used:
-                return v
+    fresh = Gensym(used | {v[:-1] for v in used if v.endswith("u")})
 
     def fn(node, rw):
         old = terms(node)

@@ -39,6 +39,7 @@ from .logic import (
     ExistsSO,
     FalseF,
     ForallFO,
+    Gensym,
     HighBit,
     InRel,
     Letter,
@@ -67,6 +68,7 @@ from .logic import (
     free_variables,
     iff,
     implies,
+    instance_rank,
     rebuild,
     relation_names,
     resolve_language,
@@ -80,20 +82,6 @@ from .sexpr import format_formula, format_term
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-class _Gensym:
-    def __init__(self, used):
-        self.used = set(used)
-        self.n = 0
-
-    def __call__(self, base):
-        while True:
-            name = f"_{base}{self.n}"
-            self.n += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
-
 
 def _require_fragment(formula, name):
     ok, why = fragment_check(formula, name)
@@ -298,7 +286,7 @@ def arity_collapse(formula, registry):
     k = len(formula.vars)
     m = formula.arity
     tag_bits = max(1, math.ceil(math.log2(k))) if k > 1 else 1
-    gensym = _Gensym(all_names(formula))
+    gensym = Gensym(all_names(formula))
     rel = gensym("R")
     z0, z1 = gensym("z"), gensym("z")
 
@@ -377,7 +365,7 @@ def pad_translate(formula, alphabet):
     padded_alphabet = tuple(alphabet) + (PAD_LETTER,)
     k = formula.arity
     src = eliminate_min_max(formula)
-    gensym = _Gensym(all_names(src))
+    gensym = Gensym(all_names(src))
     mp = gensym("mp")
 
     def last_nonpad(v):
@@ -482,7 +470,7 @@ def tally_translate_bwd(formula, registry):
             raise FragmentViolation(
                 f"letter {sub.letter!r} outside the unary alphabet")
     src = eliminate_min_max(formula)
-    gensym = _Gensym(all_names(src))
+    gensym = Gensym(all_names(src))
 
     def vname(t, g):
         if type(t) is not Var:
@@ -582,7 +570,7 @@ def const_rewrite(formula, const_names):
         for t in terms(sub):
             if type(t) is ConstSym and t.name not in index:
                 raise NonConstantSignature(f"unknown constant {t.name!r}")
-    gensym = _Gensym(all_names(formula))
+    gensym = Gensym(all_names(formula))
 
     def holds_at(cname, y):
         i = index[cname]
@@ -641,11 +629,11 @@ def exp_structure(st: StringStructure) -> ConstStructure:
     if n > EXP_CAP:
         raise ExponentCapExceeded(
             f"universe 2^{n} exceeds the exponent cap {EXP_CAP}", required=n)
-    consts = {}
-    for a in st.alphabet:
-        consts[const_name_for(a)] = sum(
-            1 << (n - 1 - j) for j, x in enumerate(st.letters) if x == a)
-    return ConstStructure.of(1 << n, consts)
+    return ConstStructure.of(1 << n, {
+        const_name_for(a): instance_rank(
+            ({(j,) for j, x in enumerate(st.letters) if x == a},),
+            n, CONCATENATED)
+        for a in st.alphabet})
 
 
 def exp_translate(formula, alphabet):
@@ -673,7 +661,7 @@ def exp_translate_rev(formula, alphabet):
             "generalized quantifier, without arithmetic")
     alphabet = tuple(alphabet)
     letter_of = {const_name_for(a): a for a in alphabet}
-    gensym = _Gensym(all_names(formula))
+    gensym = Gensym(all_names(formula))
 
     def mem(t, g):
         ty = type(t)

@@ -1,3 +1,4 @@
+import argparse
 import os
 
 import pytest
@@ -362,6 +363,63 @@ def test_leaffa_takes_no_instance_cap(capsys, data_dir):
               "--instance-cap", "5"])
     assert exc.value.code == EXIT_USAGE
     assert "--instance-cap" in capsys.readouterr().err
+
+
+_BOX = {"toolbox": (("--toolbox",), [], False, None)}
+_CAP = {"instance_cap": (("--instance-cap",), 16777216, False, None)}
+_FORMULA = {"formula": (("--formula",), None, False, None),
+            "formula_file": (("--formula-file",), None, False, None)}
+_OPS = ("qstar-to-q1", "q1-to-qstar", "arity-collapse", "pad", "tally-fwd",
+        "tally-bwd", "const-rewrite", "const-unrewrite", "exp", "exp-rev")
+# subcommand -> dest -> (option strings, default, required, choices)
+_PARSER = {
+    "eval": {**_BOX, **_CAP, **_FORMULA,
+             "alphabet": (("--alphabet",), None, True, None),
+             "structure": (("--structure",), None, True, None)},
+    "enumerate": {**_BOX, **_CAP, **_FORMULA,
+                  "alphabet": (("--alphabet",), None, True, None),
+                  "max_n": (("--max-n",), 4, False, None)},
+    "translate": {**_BOX, **_CAP, **_FORMULA,
+                  "op": (("--op",), None, True, _OPS),
+                  "alphabet": (("--alphabet",), None, False, None),
+                  "constants": (("--constants",), None, False, None),
+                  "max_n": (("--max-n",), 3, False, None)},
+    "leaffa": {**_BOX,
+               "automaton": (("--automaton",), None, True, None),
+               "language": (("--language",), None, True, None),
+               "structure": (("--structure",), "", False, None),
+               "leaf_cap": (("--leaf-cap",), 65536, False, None)},
+    "algebra-check": {"algebra": (("--algebra",), None, True, None)},
+    "equiv": {**_BOX, **_CAP,
+              "alphabet": (("--alphabet",), None, True, None),
+              "max_n": (("--max-n",), 3, False, None),
+              "formula": (("--formula",), None, True, None),
+              "formula2": (("--formula2",), None, True, None)},
+    "oracle": {**_BOX, **_CAP,
+               "what": ((), None, True, ("groupoid-reachable", "cfg-groupoid",
+                                         "dfa-monoid", "lind-eval")),
+               "algebra": (("--algebra",), None, False, None),
+               "grammar": (("--grammar",), None, False, None),
+               "dfa": (("--dfa",), None, False, None),
+               "formula": (("--formula",), None, False, None),
+               "alphabet": (("--alphabet",), "a,b", False, None),
+               "max_len": (("--max-len",), 6, False, None),
+               "max_n": (("--max-n",), 3, False, None),
+               "count": (("--count",), 20, False, None),
+               "seed": (("--seed",), 0, False, None)},
+}
+
+
+def test_parser_options_snapshot():
+    # every subcommand's flags and defaults, in no particular order
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {a.dest: (tuple(a.option_strings), a.default, a.required,
+                           a.choices and tuple(a.choices))
+                  for a in p._actions
+                  if not isinstance(a, argparse._HelpAction)}
+           for name, p in sub.choices.items()}
+    assert got == _PARSER
 
 
 def test_eval_long_conjunction(capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -37,6 +38,7 @@ from wordlogic.logic import (
     SetTimes,
     TrueF,
     Var,
+    all_names,
     evaluate,
     instance_rank,
     instance_unrank,
@@ -361,6 +363,57 @@ def test_exp_translate_rev_equivalent(registry):
                             mapper=exp_structure,
                             mapper_desc="w -> <2^n; characteristic codes>")
     assert rep.verdict == "equivalent-on-range", rep.render()
+
+
+# op -> (rewrite to (target, mapper), the range `translate --op` checks)
+_CHECKED = {
+    "pad": (lambda f, reg: pad_translate(f, AB)[::2],
+            lambda: string_structures(AB, 3)),
+    "tally-fwd": (tally_translate_fwd,
+                  lambda: string_structures(("1", "0"), 3)),
+    "tally-bwd": (tally_translate_bwd, lambda: string_structures("1", 3)),
+    "arity-collapse": (lambda f, reg: (arity_collapse(f, reg), None),
+                       lambda: string_structures(AB, 3, min_n=2)),
+    "const-rewrite": (lambda f, reg: const_rewrite(f, ("c1",)),
+                      lambda: const_structures(("c1",), 3)),
+    # checked as its forward twin exp is
+    "exp-rev": (lambda f, reg: (exp_translate_rev(f, AB), exp_structure),
+                lambda: string_structures(AB, 3)),
+}
+
+
+# (op, a source holding the first name op draws, the name drawn instead)
+_CAPTURES = [
+    ("pad", "(Qstar Lexists 2 (X) (forall _mp0 (or (in X _mp0 _mp0) "
+            "(letter a _mp0))))", "_mp1"),
+    ("tally-fwd", "(Qstar Lexists 1 (X) (exists _min0 (and (in X _min0) "
+                  "(< min _min0))))", "_min1"),
+    # _min0u is the pin name of _min0
+    ("tally-fwd", "(Qstar Lexists 1 (X) (exists _min0u (and (in X _min0u) "
+                  "(< min _min0u))))", "_min1"),
+    ("tally-bwd", "(exists _z0 (exists y (plus _z0 _z0 y)))", "_z1"),
+    ("arity-collapse", "(Qstar Lmod2 1 (X) (existsSO _R0 (exists x "
+                       "(and (in X x) (in _R0 x)))))", "_R1"),
+    ("const-rewrite", "(exists _y0 (< $c1 _y0))", "_y1"),
+    # _z0 is drawn, then _u1 is skipped
+    ("exp-rev", "(Q Lexists (_u1) (< $c_a _u1))", "_u2"),
+]
+
+
+@pytest.mark.parametrize("op, source, fresh", _CAPTURES, ids=[
+    op + " " + re.search(r"_\w+", source).group()
+    for op, source, _ in _CAPTURES])
+def test_fresh_names_skip_the_source_names(registry, op, source, fresh):
+    # the source binds the first name the rewrite would draw, around the
+    # atoms it rewrites: reusing that name would capture them
+    rewrite, structures = _CHECKED[op]
+    f = parse_formula(source, registry)
+    g, mapper = rewrite(f, registry)
+    pair = (g, f) if op == "exp-rev" else (f, g)
+    rep = check_equivalence(*pair, structures(), registry=registry,
+                            mapper=mapper)
+    assert rep.verdict == "equivalent-on-range", rep.render()
+    assert fresh in all_names(g) and fresh not in all_names(f)
 
 
 def test_exp_translate_rev_fragment_guard():
