@@ -1,10 +1,9 @@
 """Record classes: `__init__`, `==`, `hash` and `repr` from annotations.
 
 `record` does for wordlogic's value classes what `dataclasses.dataclass` would,
-restricted to what they use: `frozen`, field defaults,
-`field(default_factory=...)`, a `__post_init__` hook and field tests. It
-compiles each class's `__init__`, `__eq__` and `__hash__`
-in one `exec` and shares one `__repr__` and the frozen
+restricted to what they use: `frozen`, field defaults, a `__post_init__`
+hook and field tests. It compiles each class's `__init__`, `__eq__` and
+`__hash__` in one `exec` and shares one `__repr__` and the frozen
 `__setattr__`/`__delattr__` across classes, so importing the package loads
 neither `dataclasses` nor `inspect` and pays for no per-class signature.
 Equality, hash values and repr text are those `dataclass` gives the same class.
@@ -19,20 +18,12 @@ MISSING = object()  # no default given
 
 
 class Field:
-    """One field of a record; `record` fills in its name and its kind."""
+    """One field of a record: its name, its annotation and its default."""
 
-    __slots__ = ("name", "kind", "default", "default_factory")
+    __slots__ = ("name", "kind", "default")
 
-    def __init__(self, default=MISSING, default_factory=MISSING):
-        self.name = self.kind = None
-        self.default = default
-        self.default_factory = default_factory
-
-
-def field(*, default_factory):
-    """A field whose default is a fresh default_factory(), written as its
-    default in the class body."""
-    return Field(default_factory=default_factory)
+    def __init__(self, name, kind, default):
+        self.name, self.kind, self.default = name, kind, default
 
 
 def fields(cls):
@@ -67,27 +58,14 @@ def record(cls=None, /, *, frozen=False, checks=None, scope=None):
     holds `refuse` and the names the tests read."""
     if cls is None:
         return lambda c: record(c, frozen=frozen, checks=checks, scope=scope)
-    specs = []
-    for name, kind in cls.__dict__.get("__annotations__", {}).items():
-        spec = cls.__dict__.get(name, MISSING)
-        if isinstance(spec, Field):
-            delattr(cls, name)
-        else:
-            spec = Field(spec)
-        spec.name, spec.kind = name, kind
-        specs.append(spec)
-    specs = tuple(specs)
-
-    # globals of the generated functions; a default factory goes by its field
-    scope = dict(scope or {}, _setattr=object.__setattr__, MISSING=MISSING)
+    kinds = vars(cls).get("__annotations__", {})
+    specs = tuple(Field(name, kind, vars(cls).get(name, MISSING))
+                  for name, kind in kinds.items())
+    scope = dict(scope or {}, _setattr=object.__setattr__)  # generated globals
     params, body, defaults = [], [], []
     for f in specs:
         name = f.name
-        if f.default_factory is not MISSING:
-            scope["_factory_" + name] = f.default_factory
-            body.append(f"  if {name} is MISSING: {name} = _factory_{name}()")
-            defaults.append(MISSING)
-        elif f.default is not MISSING:
+        if f.default is not MISSING:
             defaults.append(f.default)
         elif defaults:
             raise TypeError(f"non-default field {name!r} follows a default")

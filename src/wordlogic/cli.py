@@ -142,18 +142,22 @@ def cmd_translate(args):
     alphabet = _alphabet(args.alphabet or
                          ("1,0" if args.op == "tally-fwd" else "a,b"))
     consts = tuple(args.constants.split(",")) if args.constants else ()
-    mapper = None
-    mapper_desc = "identity"
-    notes = ()
-    min_n = 1
-    structures = None
+    # reverse directions are validated by their forward twins
+    if args.op == "exp-rev":
+        print(format_formula(exp_translate_rev(f, alphabet)))
+        return EXIT_OK
+    if args.op == "const-unrewrite":
+        print(format_formula(const_unrewrite(f, consts)))
+        return EXIT_OK
+    structures = string_structures(alphabet, args.max_n)
+    mapper, mapper_desc, notes = None, "identity", ()
     if args.op == "qstar-to-q1":
         out = q_star_to_q1(f)
     elif args.op == "q1-to-qstar":
         out = q1_to_q_star(f)
     elif args.op == "arity-collapse":
         out = arity_collapse(f, reg)
-        min_n = 2
+        structures = string_structures(alphabet, args.max_n, 2)
         notes = ("domain size 1 outside validated range",)
     elif args.op == "pad":
         out, _, mapper = pad_translate(f, alphabet)
@@ -169,20 +173,10 @@ def cmd_translate(args):
         out, mapper = const_rewrite(f, consts)
         mapper_desc = "constants -> subset-letter string"
         structures = const_structures(consts, args.max_n)
-    elif args.op == "const-unrewrite":
-        out = const_unrewrite(f, consts)
     elif args.op == "exp":
         out, mapper = exp_translate(f, alphabet)
         mapper_desc = "string -> constant structure on 2^n points"
-    elif args.op == "exp-rev":
-        out = exp_translate_rev(f, alphabet)
     target = format_formula(out)
-    if args.op in ("exp-rev", "const-unrewrite"):
-        # reverse directions are validated by their forward twins
-        print(target)
-        return EXIT_OK
-    if structures is None:
-        structures = string_structures(alphabet, args.max_n, min_n)
     # check before printing, so a failed check leaves no half report
     report, status = _check(f, out, structures, args, registry=reg,
                             mapper=mapper, mapper_desc=mapper_desc,
@@ -250,14 +244,14 @@ def _oracle_groupoid(args):
 
 
 def _oracle_cfg(args):
-    cfg, alphabet, _ = parse_cfg(read_text(args.grammar), args.grammar)
+    cfg, _ = parse_cfg(read_text(args.grammar), args.grammar)
     wp, hom = cfg_to_groupoid(cfg)
 
     def same(word):
         slow = cyk_member_reference(cfg, word)
         return (word_problem_member(wp, [hom[a] for a in word]) == slow
                 and cyk_member(cfg, word) == slow)
-    return _agree(words(alphabet, args.max_len, 0), same, "".join,
+    return _agree(words(cfg.terminals, args.max_len, 0), same, "".join,
                   f"--max-len {args.max_len}")
 
 

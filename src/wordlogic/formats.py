@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from ._record import field, record
+from ._record import record
 from .algebra import Cfg, Dfa, LanguageSpec, Magma, WordProblem, resolve_language
 from .builtins import builtin_registry
 from .errors import FormatError, InvariantViolation
@@ -204,11 +204,11 @@ def parse_dfa(text: str, path=None):
 # CFG files
 
 def parse_cfg(text: str, path=None):
-    """Returns (Cfg, alphabet, declared_neutral or None).
+    """Returns (Cfg, declared_neutral or None).
 
     Productions: `A -> B C` (binary) or `A -> 'x'` (lexical, quoted letter).
-    The terminal alphabet order comes from an optional `alphabet:` line,
-    otherwise first-use order.
+    The order of the terminal alphabet, `Cfg.terminals`, comes from an
+    optional `alphabet:` line, otherwise first-use order.
     """
     rules = []
     nts = {}  # nonterminals, and below terminals, in first-use order
@@ -244,7 +244,7 @@ def parse_cfg(text: str, path=None):
             raise f.error(f"terminal {letter!r} missing from alphabet")
     cfg = Cfg.from_rules(tuple(nts), terminals, rules, start,
                          epsilon_in_language=f.get("epsilon", False))
-    return cfg, terminals, f.neutral(terminals)
+    return cfg, f.neutral(terminals)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +296,10 @@ def parse_signature(text: str, path=None):
 
 @record
 class Toolbox:
-    languages: dict = field(default_factory=dict)
-    leaf_automata: dict = field(default_factory=dict)
-    algebras: dict = field(default_factory=dict)
-    signatures: dict = field(default_factory=dict)
+    languages: dict
+    leaf_automata: dict
+    algebras: dict
+    signatures: dict
 
     def language(self, name: str) -> LanguageSpec:
         return resolve_language(self.languages, name)
@@ -307,7 +307,7 @@ class Toolbox:
 
 def load_toolbox(paths=()) -> Toolbox:
     """Scan the given files/directories; built-ins always pre-registered."""
-    box = Toolbox(languages=builtin_registry())
+    box = Toolbox(builtin_registry(), {}, {}, {})
     files = []
     for p in paths:
         if os.path.isdir(p):
@@ -330,9 +330,10 @@ def load_toolbox(paths=()) -> Toolbox:
                  LanguageSpec(name, dfa.alphabet, dfa,
                               declared_neutral=neutral))
         elif ext == ".cfg":
-            cfg, alphabet, neutral = parse_cfg(text, path)
+            cfg, neutral = parse_cfg(text, path)
             _add(box.languages, "language name", name,
-                 LanguageSpec(name, alphabet, cfg, declared_neutral=neutral))
+                 LanguageSpec(name, cfg.terminals, cfg,
+                              declared_neutral=neutral))
         elif ext == ".leaf":
             _add(box.leaf_automata, "leaf automaton", name,
                  parse_leaf_automaton(text, path))

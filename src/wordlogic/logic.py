@@ -357,6 +357,12 @@ def implies(a, b):
     return Or(Not(a), b)
 
 
+def endpoint(t, u, last):
+    """t is the last position when last, else the first: no position u
+    lies after (before) t."""
+    return Not(ExistsFO(u, Lt(t, Var(u)) if last else Lt(Var(u), t)))
+
+
 # ---------------------------------------------------------------------------
 # Structures
 
@@ -1464,13 +1470,14 @@ def free_variables(f):
 
 
 def all_names(f) -> set:
-    """Every variable name occurring anywhere in the formula: the free
-    names and the names every node holds."""
-    names = set().union(*free_variables(f))
+    """Every variable name occurring anywhere in the formula: the names
+    every node holds and those of its Var terms."""
+    names = set()
     for sub in walk_formulas(f):
         for table in (_POSITIONS, _RELATIONS):
             if type(sub) in table:
                 names.update(table[type(sub)](sub))
+        names.update(t.name for t in terms(sub) if type(t) is Var)
     return names
 
 
@@ -1516,10 +1523,7 @@ def eliminate_min_max(f):
             return None
         out = with_terms(node, [new.get(t, t) for t in old])
         for v, which in reversed(wrappers):
-            if which == "max":
-                pin = Not(ExistsFO(v + "u", Lt(Var(v), Var(v + "u"))))
-            else:
-                pin = Not(ExistsFO(v + "u", Lt(Var(v + "u"), Var(v))))
+            pin = endpoint(Var(v), v + "u", which == "max")
             out = ExistsFO(v, And(pin, out))
         return out
 

@@ -63,6 +63,7 @@ from .logic import (
     all_names,
     children,
     eliminate_min_max,
+    endpoint,
     evaluate,
     fragment_check,
     free_variables,
@@ -295,7 +296,7 @@ def arity_collapse(formula, registry):
                      for b in range(tag_bits))
 
     u = gensym("u")
-    is_zero = Not(ExistsFO(u, Lt(Var(u), Var(z0))))
+    is_zero = endpoint(Var(z0), u, False)
     is_one = And(Lt(Var(z0), Var(z1)),
                  Not(ExistsFO(u, And(Lt(Var(z0), Var(u)),
                                      Lt(Var(u), Var(z1))))))
@@ -398,14 +399,10 @@ def pad_translate(formula, alphabet):
         And(Letter(PAD_LETTER, Var(up)), Lt(Var(up), Var(vp))),
         Letter(PAD_LETTER, Var(vp)))))
     mp2 = gensym("mp")
-
-    def is_max(t):
-        uu = gensym("u")
-        return Not(ExistsFO(uu, Lt(t, Var(uu))))
-
     # (mp+1)^k - 1 is the k-digit number whose digits are all mp
     size = ExistsFO(mp2, And(last_nonpad(mp2), _horner(
-        gensym, mp2, (Var(mp2),) * k, is_max, "trc")))
+        gensym, mp2, (Var(mp2),) * k,
+        lambda t: endpoint(t, gensym("u"), True), "trc")))
     chi = And(suffix, size)
 
     def mapper(st: StringStructure) -> StringStructure:

@@ -109,15 +109,15 @@ def test_parse_dfa_errors(text, msg):
 
 
 def test_parse_cfg_file(data_dir):
-    cfg, alphabet, neutral = parse_cfg(read(data_dir, "anbn.cfg"))
-    assert alphabet == ("a", "b")
+    cfg, neutral = parse_cfg(read(data_dir, "anbn.cfg"))
+    assert cfg.terminals == ("a", "b")
     assert neutral is None
     assert cyk_member(cfg, "aabb") and not cyk_member(cfg, "abab")
     assert not cyk_member(cfg, "")
 
 
 def test_parse_cfg_epsilon_flag():
-    cfg, _, _ = parse_cfg("start: S\nepsilon: true\nS -> 'a'")
+    cfg, _ = parse_cfg("start: S\nepsilon: true\nS -> 'a'")
     assert cyk_member(cfg, "") and cyk_member(cfg, "a")
 
 
@@ -406,11 +406,11 @@ def test_data_files_parse_to_known_objects(data_dir, g4):
     anbn = Cfg.from_rules(("S", "A", "T", "B"), ("a", "b"), [
         ("S", ("A", "T")), ("S", ("A", "B")), ("T", ("S", "B")),
         ("A", "a"), ("B", "b")], "S")
-    assert parse(parse_cfg, "anbn.cfg") == (anbn, ("a", "b"), None)
+    assert parse(parse_cfg, "anbn.cfg") == (anbn, None)
     parens = Cfg.from_rules(("S", "L", "T", "R"), ("(", ")"), [
         ("S", ("L", "T")), ("S", ("L", "R")), ("S", ("S", "S")),
         ("T", ("S", "R")), ("L", "("), ("R", ")")], "S")
-    assert parse(parse_cfg, "parens.cfg") == (parens, ("(", ")"), None)
+    assert parse(parse_cfg, "parens.cfg") == (parens, None)
     assert parse(parse_leaf_automaton, "spawn.leaf") == LeafAutomaton(
         ("p", "q"), ("a",), (((0, 1),), ((1,),)), 0, ("0", "1"), ("0", "1"))
     assert parse(parse_signature, "sig2.sig") == ("c1", "c2")
@@ -468,8 +468,8 @@ def test_hash_is_data_after_the_line_start():
                              "finals: q\nneutral: #\n  # comment\n"
                              "trans: q 1 q\ntrans: q 0 q\ntrans: q # q")
     assert dfa.alphabet == ("1", "0", "#") and neutral == "#"
-    cfg, alphabet, _ = parse_cfg("start: H\nH -> '#'")
-    assert alphabet == ("#",) and cyk_member(cfg, "#")
+    cfg, _ = parse_cfg("start: H\nH -> '#'")
+    assert cfg.terminals == ("#",) and cyk_member(cfg, "#")
     # what used to be a trailing comment is now data
     assert parse_signature("constants: c1 # c2") == ("c1", "#", "c2")
 

@@ -551,6 +551,53 @@ def test_free_variables():
     assert fo == {"z"} and so == set()
 
 
+def _all_names_by_definition(f):
+    """The free names of f and the value of every name field of every node."""
+    names = set().union(*free_variables(f))
+    for g in logic.walk_formulas(f):
+        for fl in fields(type(g)):
+            if fl.kind in ("PosName", "RelName"):
+                names.add(getattr(g, fl.name))
+            elif fl.kind in ("PosNames", "RelNames"):
+                names.update(getattr(g, fl.name))
+    return names
+
+
+# relations that only set-times or shuffle-bit reads, and endpoint terms
+_NAME_ROWS = [
+    (SetTimes("X", "Y", "Z"), {"X", "Y", "Z"}),
+    (ExistsSO("X", SetTimes("X", "Y", "X")), {"X", "Y"}),
+    (ShuffleBit("to_interleaved", 0, 2, Var("p"), ("A", "B")),
+     {"p", "A", "B"}),
+    (LindSO("Lmod2", CONCATENATED, 1, ("X",), (
+        ShuffleBit("to_concatenated", 1, 2, MIN, ("X", "W")),)), {"X", "W"}),
+    (ForallFO("x", Lt(Var("x"), MAX)), {"x"}),
+]
+
+
+@pytest.mark.parametrize("f,names", _NAME_ROWS,
+                         ids=[format_formula(f) for f, _ in _NAME_ROWS])
+def test_all_names_of_fixed_formulas(f, names):
+    assert logic.all_names(f) == _all_names_by_definition(f) == names
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(("fo", "lindfo", "lindso")))
+def test_all_names_matches_its_definition(seed, kind):
+    rng = random.Random(seed)
+    if kind == "fo":
+        f = random_fo_formula(rng, ("x", "y"), ("X", "Y"), AB, depth=3)
+    elif kind == "lindfo":
+        f = random_lindfo(rng, "Lmod2", rng.randint(1, 2), AB,
+                          k=rng.randint(1, 2), depth=3)
+    else:
+        f = random_lindso(rng, "Lmod2", rng.randint(1, 2),
+                          rng.choice((INTERLEAVED, CONCATENATED)), AB,
+                          k=rng.randint(1, 2), depth=3)
+    assert logic.all_names(f) == _all_names_by_definition(f)
+
+
 def test_eliminate_min_max():
     f = And(Lt(MIN, Var("x")), ExistsFO("y", Eq(Var("y"), MAX)))
     g = eliminate_min_max(f)

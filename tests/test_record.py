@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordlogic import algebra, formats, leafauto, logic, translate
-from wordlogic._record import MISSING, fields, is_record
+from wordlogic._record import MISSING, fields, is_record, record
 from wordlogic.builtins import builtin_registry
 from wordlogic.generate import random_fo_formula, random_lindso
 from wordlogic.sexpr import parse_formula
@@ -41,11 +41,7 @@ def twin(cls):
     """The dataclass that `@dataclass(frozen=...)` makes of cls."""
     specs = []
     for f in fields(cls):
-        options = {}
-        if f.default is not MISSING:
-            options["default"] = f.default
-        if f.default_factory is not MISSING:
-            options["default_factory"] = f.default_factory
+        options = {} if f.default is MISSING else {"default": f.default}
         specs.append((f.name, object, dataclasses.field(**options)))
     namespace = {k: v for k, v in vars(cls).items() if k not in GENERATED}
     return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace,
@@ -79,7 +75,7 @@ def _samples():
     """At least one instance of every record class, from the builtins, the
     data files, the formula corpus and a translation check."""
     roots = [builtin_registry(), formats.load_toolbox([DATA]),
-             formats.Toolbox(),
+             formats.Toolbox({}, {}, {}, {}),
              logic.structure_from_string("ab", "abba"),
              logic.structure_from_string("ab", ""),
              logic.ConstStructure.of(3, {"c1": 0, "c2": 2})]
@@ -108,8 +104,7 @@ def test_constructor_signature_matches_the_dataclass(cls):
     theirs = inspect.signature(twin(cls)).parameters
     assert list(ours) == list(theirs)
     for f in fields(cls):
-        if f.default_factory is MISSING:
-            assert ours[f.name].default == theirs[f.name].default
+        assert ours[f.name].default == theirs[f.name].default
 
 
 def _check(records):
@@ -165,16 +160,16 @@ def test_random_formulas_match_their_twins(seed, other, so):
                       _random_formula(other, so)], []))
 
 
-def test_default_factory_values_are_not_shared():
-    for cls, args in ((formats.Toolbox, ()),
-                      (algebra.LanguageSpec, ("L", "ab", algebra.Dfa(
-                          ("q",), ("a", "b"), ((0, 0),), 0, frozenset())))):
-        for make in (cls, twin(cls)):
-            a, b = make(*args), make(*args)
-            for f in fields(cls):
-                if f.default_factory is not MISSING:
-                    assert getattr(a, f.name) == f.default_factory()
-                    assert getattr(a, f.name) is not getattr(b, f.name)
+def test_a_field_without_a_default_may_not_follow_one_with_one():
+    class Bad:
+        a: int = 0
+        b: int
+
+    with pytest.raises(TypeError) as ei:
+        record(Bad)
+    assert str(ei.value) == "non-default field 'b' follows a default"
+    with pytest.raises(TypeError):  # as dataclass refuses it
+        dataclasses.dataclass(Bad)
 
 
 def test_uncompared_and_cached_values_stay_out_of_equality():
