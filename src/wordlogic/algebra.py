@@ -366,8 +366,8 @@ class _RuleLayout:
     A pair is long when both operands head binary rules, so both can
     derive words of two or more letters; otherwise it is short, and one
     operand derives single letters only. The `long` long pairs take the
-    lowest slots, and `lanes = width // long` copies of them fit in one
-    group; with one lane (or no long pair) `_derive_top` runs no lanes.
+    lowest slots, `lanes = width // max(long, 1)` copies of them (empty
+    if long = 0) fit in a group, and with one lane `_derive_top` runs none.
     """
 
     def __init__(self, rules, lexical):
@@ -384,7 +384,7 @@ class _RuleLayout:
             self.slots[a] = self.slots.get(a, 0) | 1 << s
         self.width = len(pair_slot) + 1
         self.long = len(longs)
-        self.lanes = self.width // self.long if longs else 1
+        self.lanes = self.width // max(self.long, 1)
         # times a group's long slots: a copy of them in every lane
         self.spread = sum(1 << t * self.long for t in range(self.lanes))
         # the first span `_derive_top` decides in lanes (0: none); after
@@ -464,7 +464,8 @@ def _derive_top(layout: _RuleLayout, word) -> int:
     is split l1 of span l + t. That covers the left parts of lanes .. l-2
     letters, whose operands are final. Span l + t adds its other splits,
     left parts of 1 .. lanes-1 and l-1 .. l+t-1 letters, on the full
-    vectors; these are the only splits a short pair can use. A word of n
+    vectors; these are the only splits a short pair can use, and with no
+    long pair (anbn) the only ones that find anything. A word of n
     letters costs about n^2/(2*lanes) ops, plus about 1.5*lanes per span.
     """
     n = len(word)

@@ -637,16 +637,21 @@ def _instance_bits(ctx, node: LindSO) -> int:
 
 
 def subsets(n: int):
-    """Every monadic relation over n positions, lazily: the relation of
-    mask r holds position j when bit j of r is set, for r = 0 .. 2^n - 1."""
-    pieces = _subset_pieces(n)
-    return (_decode(pieces, mask)[0] for mask in range(1 << n))
+    """Every monadic relation over n positions, lazily, in instance order:
+    for r = 0 .. 2^n - 1, instance_unrank(r, n, 1, CONCATENATED)[0], read
+    from the same byte tables (position j is bit n-1-j of r)."""
+    limit, pieces, _ = _code_layout(n, 1, CONCATENATED, 1)
+    return (_decode(pieces, r)[0] for r in range(limit))
 
 
-@functools.lru_cache(maxsize=16)
-def _subset_pieces(n: int) -> list:
-    """The byte tables of subsets(n), kept, as a call reads every entry."""
-    return [_pieces([(j,) for j in range(n)])]
+def quantifier_language(registry, name: str, nargs: int):
+    """The registered language `name` (registry may be None) of a quantifier
+    node with nargs argument formulas, which is one per letter but the last."""
+    spec = resolve_language(registry, name)
+    if nargs != spec.size - 1:
+        raise ArityMismatch(
+            f"{name} takes {spec.size - 1} argument formulas, got {nargs}")
+    return spec
 
 
 def _node_range(ctx, node):
@@ -655,11 +660,7 @@ def _node_range(ctx, node):
     instances are the value tuples its vars range over, lazily, in the
     order of its induced word: position tuples lexicographically, or
     relation tuples by instance rank."""
-    spec = resolve_language(ctx.registry, node.lang)
-    if len(node.args) != spec.size - 1:
-        raise ArityMismatch(
-            f"{node.lang} takes {spec.size - 1} arguments, got {len(node.args)}"
-        )
+    spec = quantifier_language(ctx.registry, node.lang, len(node.args))
     n, k = ctx.n, len(node.vars)
     if n == 0:
         raise EmptyDomain("generalized quantifier over the empty structure")

@@ -34,7 +34,8 @@ from .logic import (ATOM, CONCATENATED, INTERLEAVED, KINDS, MAX, MAX_NESTING,
                     MIN, And, BitAtom, ConstSym, Eq, ExistsFO, ExistsSO, FalseF,
                     ForallFO, HighBit, InRel, Letter, LindFO, LindSO, Lt,
                     LtLog, LtPowLog, Max, Min, Not, Or, PlusAtom, SetTimes,
-                    ShuffleBit, SizeBit, TimesAtom, TrueF, Var, check_nesting)
+                    ShuffleBit, SizeBit, TimesAtom, TrueF, Var, check_nesting,
+                    quantifier_language)
 
 # ---------------------------------------------------------------------------
 # Syntax table
@@ -175,19 +176,6 @@ def _names(item, noun):
     return tuple([_atom(x, noun) for x in item])
 
 
-def _check_lang(registry, head, name, nargs):
-    if registry is None:
-        return
-    if name not in registry:
-        raise UnknownLanguage(
-            f"{head[1]}:{head[2]}: language {name!r} not registered")
-    spec = registry[name]
-    if nargs != spec.size - 1:
-        raise ArityMismatch(
-            f"{head[1]}:{head[2]}: {name} takes {spec.size - 1} "
-            f"argument formulas, got {nargs}")
-
-
 def _build(form, registry):
     """The formula node of a form that _read returned."""
     if type(form) is tuple:
@@ -231,12 +219,16 @@ def _build(form, registry):
                 _fail(head, f"{op} {noun} must be an integer")
         else:  # a list of names
             values.append(_names(item, noun))
-    if cls is LindFO or cls is LindSO:
-        _check_lang(registry, head, values[0], len(values[-1]))
     if op in _ORDERING:
         values.insert(1, _ORDERING[op])
     try:
+        if registry is not None and (cls is LindFO or cls is LindSO):
+            quantifier_language(registry, values[0], len(values[-1]))
         return cls(*values)
+    except UnknownLanguage as e:
+        raise UnknownLanguage(f"{head[1]}:{head[2]}: {e}") from None
+    except ArityMismatch as e:
+        raise ArityMismatch(f"{head[1]}:{head[2]}: {e}") from None
     except InvariantViolation as e:
         raise InvariantViolation(f"{head[1]}:{head[2]}: {e}") from None
 

@@ -406,8 +406,9 @@ def pad_translate(formula, alphabet):
     chi = And(suffix, size)
 
     def mapper(st: StringStructure) -> StringStructure:
+        n = st.size
         return StringStructure(padded_alphabet,
-                               tuple(pad_string(st.word, k, PAD_LETTER)))
+                               st.letters + (PAD_LETTER,) * (n ** k - n))
 
     return And(phi_star, chi), chi, mapper
 
@@ -592,13 +593,17 @@ def const_rewrite(formula, const_names):
 def const_unrewrite(formula, const_names):
     """Inverse direction: subset-letter atoms back to constant equalities."""
     index = _const_index(const_names)
+    limit = 1 << len(index)
 
     def fn(g, rw):
         if type(g) is Letter:
-            if not (g.letter.startswith("s") and g.letter[1:].isdigit()):
+            # must equal subset_letter(mask), as int() also reads '01'
+            digits = g.letter[1:]
+            mask = (int(digits) if digits.isdecimal()
+                    and len(digits) <= len(str(limit)) else limit)
+            if mask >= limit or g.letter != subset_letter(mask):
                 raise NonConstantSignature(
-                    f"letter {g.letter!r} is not a subset letter")
-            mask = int(g.letter[1:])
+                    f"letter {g.letter!r} is not a subset letter s0 .. s{limit - 1}")
             atoms = [Eq(ConstSym(c), g.term) if (mask >> i) & 1
                      else Not(Eq(ConstSym(c), g.term))
                      for c, i in index.items()]

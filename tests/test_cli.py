@@ -626,6 +626,23 @@ def test_translate_const_names_are_checked(capsys, consts, message):
         (EXIT_USAGE, "", f"error: {message}\n")
 
 
+def test_const_unrewrite_refuses_a_letter_that_is_no_subset_letter(capsys):
+    code, out, err = run(capsys, [
+        "translate", "--op", "const-unrewrite", "--constants", "c",
+        "--formula", "(letter s² x)"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_pad_maps_multi_character_letters(capsys):
+    code, out, err = run(capsys, [
+        "translate", "--op", "pad", "--alphabet", "ab,cd", "--max-n", "2",
+        "--formula", "(Qstar Lmod2 2 (X) (exists x (and (in X x x) "
+        "(letter ab x))))"])
+    assert (code, err) == (EXIT_OK, "")
+    assert out.endswith("verdict: equivalent\n")
+
+
 _EMPTY_RANGES = [
     (["equiv", "--alphabet", "a,b", "--max-n", "0", "--formula", "(true)",
       "--formula2", "(false)"], "--max-n 0"),

@@ -251,10 +251,12 @@ def test_instance_unrank_inverts_instance_rank(n, m, k, ordering, data):
 
 
 def test_subsets_follow_the_mask_definition():
+    # the relations in instance order: position j at bit n-1-j of the rank
+    assert list(subsets(2)) == [frozenset(), frozenset({(1,)}),
+                                frozenset({(0,)}), frozenset({(0,), (1,)})]
     for n in range(11):
         assert list(subsets(n)) == [
-            frozenset((j,) for j in range(n) if mask >> j & 1)
-            for mask in range(1 << n)]
+            instance_unrank(r, n, 1, CONCATENATED)[0] for r in range(2**n)]
 
 
 def _unrank_and_word_calls(monkeypatch, registry, text, n):

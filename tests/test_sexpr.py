@@ -29,6 +29,8 @@ from wordlogic.logic import (
     Or,
     ShuffleBit,
     Var,
+    evaluate,
+    structure_from_string,
 )
 from wordlogic import sexpr
 from wordlogic.sexpr import format_formula, parse_formula
@@ -100,6 +102,17 @@ def test_language_arity_checked():
     with pytest.raises(ArityMismatch) as ei:
         parse_formula("(Q Lexists (x) (true) (false))", builtin_registry())
     assert "got 2" in str(ei.value)
+
+
+def test_parser_and_evaluator_give_one_arity_mismatch_text():
+    text = "(Qstar Maj 1 (X) (true) (true))"
+    with pytest.raises(ArityMismatch) as parsed:
+        parse_formula(text, builtin_registry())
+    with pytest.raises(ArityMismatch) as evaluated:
+        evaluate(structure_from_string("ab", "ab"), parse_formula(text),
+                 registry=builtin_registry())
+    assert str(parsed.value) == "1:2: " + str(evaluated.value)
+    assert str(evaluated.value) == "Maj takes 1 argument formulas, got 2"
 
 
 def test_no_registry_skips_language_checks():

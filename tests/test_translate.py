@@ -2,6 +2,7 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordlogic.algebra import Dfa, LanguageSpec
 from wordlogic.errors import (
@@ -44,6 +45,7 @@ from wordlogic.logic import (
     instance_unrank,
     string_structures,
     structure_from_string,
+    walk_formulas,
 )
 from wordlogic.sexpr import format_formula, parse_formula
 from wordlogic.translate import (
@@ -60,6 +62,8 @@ from wordlogic.translate import (
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
+    subset_alphabet,
+    subset_letter,
     tally_member,
     tally_translate_bwd,
     tally_translate_fwd,
@@ -313,6 +317,27 @@ def test_const_unrewrite_rejects_foreign_letters():
         const_unrewrite(Letter("a", Var("x")), ("c1",))
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 3), st.one_of(
+    st.text(min_size=1, max_size=5), st.text(max_size=4).map("s".__add__),
+    st.integers(0, 20).map(subset_letter)))
+def test_const_unrewrite_reads_exactly_the_subset_letters(s, letter):
+    names = tuple(f"c{i}" for i in range(s))
+    for m in range(1 << s):
+        g = const_unrewrite(Letter(subset_letter(m), Var("x")), names)
+        assert not any(type(h) is Letter for h in walk_formulas(g))
+    try:
+        f = Letter(letter, Var("x"))
+    except InvariantViolation:  # no name the reader reads
+        return
+    try:
+        const_unrewrite(f, names)
+    except NonConstantSignature:
+        assert letter not in subset_alphabet(s)
+    else:
+        assert letter in subset_alphabet(s)
+
+
 # ---------------------------------------------------------------------------
 # Exponential universe
 
@@ -536,6 +561,22 @@ _REFUSALS = [
     ("const-unrewrite-repeated-name", lambda reg: const_unrewrite(
         parse_formula("(exists x (letter s1 x))"), ("c", "d", "c")),
      InvariantViolation, "duplicate constant name 'c'"),
+    # a subset letter of s constants is s0 .. s(2^s - 1), printed as such
+    ("const-unrewrite-superscript-digit", lambda reg: const_unrewrite(
+        parse_formula("(letter s² x)"), ("c",)),
+     NonConstantSignature, "letter 's²' is not a subset letter s0 .. s1"),
+    ("const-unrewrite-past-the-constants", lambda reg: const_unrewrite(
+        parse_formula("(letter s5 x)"), ("c",)),
+     NonConstantSignature, "letter 's5' is not a subset letter s0 .. s1"),
+    ("const-unrewrite-leading-zero", lambda reg: const_unrewrite(
+        parse_formula("(letter s01 x)"), ("c", "d")),
+     NonConstantSignature, "letter 's01' is not a subset letter s0 .. s3"),
+    ("const-unrewrite-no-constants", lambda reg: const_unrewrite(
+        parse_formula("(letter s1 x)"), ()),
+     NonConstantSignature, "letter 's1' is not a subset letter s0 .. s0"),
+    ("const-unrewrite-other-prefix", lambda reg: const_unrewrite(
+        parse_formula("(letter t1 x)"), ("c",)),
+     NonConstantSignature, "letter 't1' is not a subset letter s0 .. s1"),
 ]
 
 
