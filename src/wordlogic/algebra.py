@@ -368,6 +368,8 @@ class _RuleLayout:
     operand derives single letters only. The `long` long pairs take the
     lowest slots, `lanes = width // max(long, 1)` copies of them (empty
     if long = 0) fit in a group, and with one lane `_derive_top` runs none.
+    A run of lanes reads the left parts of `run_from` .. l-2 letters of
+    span l, which is none when long = 0.
     """
 
     def __init__(self, rules, lexical):
@@ -392,6 +394,9 @@ class _RuleLayout:
         # lb[lanes - 1] to the end, so lanes start at span 2*lanes or later
         self.lanes_from = (max(_LANES_FROM, 2 * self.lanes)
                            if self.lanes > 1 else 0)
+        # the edge splits read left parts of 1 .. lanes-1 letters, and the
+        # run the rest, where only a long pair finds anything
+        self.run_from = self.lanes if self.long else _NO_RUN
         # (pair slots, left slots, right slots) of every lhs that occurs
         # as an operand
         self._children = [(pairs, left.get(a, 0), right.get(a, 0))
@@ -420,6 +425,7 @@ class _RuleLayout:
 
 
 _NO_LEX = (0, 0, 0)
+_NO_RUN = 1 << 62  # a left part longer than any word: a run reads none
 # The shortest span `_derive_top` decides in lanes (a wide layout starts
 # later). Setting up the lanes costs about `lanes` ops per shorter span,
 # which the first lane spans do not win back: started at span 2*lanes,
@@ -465,8 +471,9 @@ def _derive_top(layout: _RuleLayout, word) -> int:
     letters, whose operands are final. Span l + t adds its other splits,
     left parts of 1 .. lanes-1 and l-1 .. l+t-1 letters, on the full
     vectors; these are the only splits a short pair can use, and with no
-    long pair (anbn) the only ones that find anything. A word of n
-    letters costs about n^2/(2*lanes) ops, plus about 1.5*lanes per span.
+    long pair (anbn) the only ones that find anything, so there the run
+    reads no split (`layout.run_from`). A word of n letters costs about
+    n^2/(2*lanes) ops, plus about 1.5*lanes per span.
     """
     n = len(word)
     w = layout.width
@@ -503,7 +510,7 @@ def _derive_top(layout: _RuleLayout, word) -> int:
                         itertools.repeat(t * k))))
             lane = (l - begin) % lanes
             if not lane:
-                run = _splits(lbr, rcs, offsets, lanes, l - 1, l)
+                run = _splits(lbr, rcs, offsets, layout.run_from, l - 1, l)
             acc = _splits(lb, rc, offsets, 1, lanes, l, _splits(
                 lb, rc, offsets, l - lane - 1, l, l, run >> lane * k & longs))
         if l == n:
@@ -658,6 +665,34 @@ class LanguageSpec:
     @property
     def size(self) -> int:
         return len(self.alphabet)
+
+    @cached_property
+    def prefix_fold(self):
+        """(per letter its state map, start state, decided states) of the
+        left fold that decides the body, or None for a grammar, a
+        non-associative word problem, or a fold with no decided state. A
+        state is decided when every state it reaches has its finality, so
+        a word whose prefix enters one has that prefix's verdict."""
+        body = self.body
+        if isinstance(body, Dfa):
+            maps, start, finals = body.letter_maps, body.start, body.finals
+            states = range(len(body.states))
+        elif isinstance(body, WordProblem) and body.associative:
+            m = body.magma  # right multiplication by the letter's element
+            maps = {a: tuple(row[x] for row in m.table)
+                    for a, x in self.letter_map.items()}
+            start, finals, states = m.identity, body.accept, range(m.size)
+        else:
+            return None
+        # the greatest set of states whose successors are in it and share
+        # their finality
+        decided, keep = None, frozenset(states)
+        while keep != decided:
+            decided = keep
+            keep = frozenset(s for s in decided if all(
+                step[s] in decided and (step[s] in finals) == (s in finals)
+                for step in maps.values()))
+        return (maps, start, decided) if decided else None
 
 
 def resolve_language(registry, name: str) -> LanguageSpec:

@@ -22,7 +22,12 @@ quantifier ranges over is defined once and both read it: `_node_range`
 gives a quantifier node's language and instances in word order, `subsets`
 the relations an existsSO tries, and `words` the words up to a length.
 Both build a node's induced word in one function, `_induced`, and what an
-atom means is defined once too, in `_slot_atom`, and both run it.
+atom means is defined once too, in `_slot_atom`, and both run it. The
+compiled evaluator stops the word at the first letter that enters a
+decided state of the language's fold (`LanguageSpec.prefix_fold`), from
+which every continuation has the prefix's verdict, so it enumerates only
+the instances up to that letter; the walk and `induced_word` build the
+whole word.
 """
 
 from __future__ import annotations
@@ -674,25 +679,37 @@ def _node_range(ctx, node):
                      repeat(k), repeat(node.ordering), repeat(node.arity))
 
 
-def _induced(c, s, node, args, slots):
+def _induced(c, s, node, args, slots, stop=False):
     """(language, induced word) of a quantifier node, in both evaluators:
     per instance, bound into s at slots, the letter of the first argument
     closure that holds, else the alphabet's last letter. The compiled
     evaluator passes its slot list and slots, the reference walk a copy of
-    its environment and the node's names."""
+    its environment and the node's names. With stop, and a language whose
+    fold has decided states (`LanguageSpec.prefix_fold`), the word ends at
+    the first letter that enters one (it is empty if the start state is
+    one), and so has the whole word's verdict."""
     spec, instances = _node_range(c, node)
     rules = tuple(zip(args, spec.alphabet))
     last = spec.alphabet[-1]
+    fold = spec.prefix_fold if stop else None
+    if fold:
+        maps, state, decided = fold
+        if state in decided:
+            return spec, ""
     out = []
     for values in instances:
         for i, v in zip(slots, values):
             s[i] = v
         for arg, letter in rules:
             if arg(c, s):
-                out.append(letter)
                 break
         else:
-            out.append(last)
+            letter = last
+        out.append(letter)
+        if fold:
+            state = maps[letter][state]
+            if state in decided:
+                break
     return spec, "".join(out)
 
 
@@ -781,7 +798,8 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # slots, through the one definition of the atoms that the reference walk
 # runs too (_slot_atom), and an And/Or spine is one n-ary node. A quantifier
 # node's word comes from the reference's word builder too (_induced), which
-# binds each instance into the node's slots.
+# binds each instance into the node's slots and stops at the word's decided
+# prefix.
 #
 # First-order quantifiers compile a block at a time: the maximal nest of
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
@@ -1229,7 +1247,7 @@ class _Plan:
         def quantifier(c, s):
             for fill in fills:
                 fill(c, s)
-            return language_member(*_induced(c, s, f, args, slots))
+            return language_member(*_induced(c, s, f, args, slots, True))
         return quantifier
 
     def atom(self, f, scope):
@@ -1261,7 +1279,11 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
     gives evaluate_reference's verdict, or raises its error in type and
     message, except on formulas nested deeper than MAX_NESTING levels,
     which raise NestingCapExceeded: here an And/Or chain counts as one
-    level, there each And/Or counts.
+    level, there each And/Or counts. The compiled form decides a
+    quantifier node by the prefix of its word up to the first letter
+    that enters a decided state of the language's fold, which has the
+    whole word's verdict; it runs only where nothing in it can raise, so
+    the instances it skips hide no error.
     """
     plan = _plan(formula)
     ctx = _Ctx(struct, registry, instance_cap)
@@ -1274,7 +1296,8 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
 
 def induced_word(struct, assignment, node, *, registry=None,
                  instance_cap=DEFAULT_INSTANCE_CAP) -> str:
-    """The exact word a generalized quantifier node tests for membership."""
+    """The exact word a generalized quantifier node tests for membership:
+    every instance's letter, also past a prefix that decides it."""
     check_nesting(node)
     ctx = _Ctx(struct, registry, instance_cap)
     if type(node) not in (LindFO, LindSO):

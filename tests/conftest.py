@@ -3,7 +3,13 @@ import os
 import pytest
 from hypothesis import settings
 
-from wordlogic.algebra import Magma, WordProblem, LanguageSpec, pad_language
+from wordlogic.algebra import (
+    Dfa,
+    LanguageSpec,
+    Magma,
+    WordProblem,
+    pad_language,
+)
 from wordlogic.builtins import Z2, builtin_registry
 
 # Reproducible property tests: the same examples on every run, no timing
@@ -43,3 +49,23 @@ def registry():
                        declared_neutral="0", letter_map={"1": 1, "0": 0})
     reg["LmodOdd"] = odd
     return reg
+
+
+@pytest.fixture(scope="session")
+def stopping():
+    """Languages whose decided states are not one sink entered after the
+    start, as Lexists' and Lforall's are: Lcycle, 0*1(0+1)*, whose two
+    accepting states map to each other on every letter; Lzero over
+    (1, z, 0), the monoid {e, a, a^2 = z} with zero z and 1 -> a, z -> z,
+    0 -> e, accepting the words with at most one 1 and no z; and Lall,
+    (1+0)*, which starts in its decided state."""
+    cycle = Dfa(("q0", "q1", "q2"), ("1", "0"), ((1, 0), (2, 2), (1, 1)), 0,
+                frozenset({1, 2}))
+    zero = Magma(("e", "a", "z"), ((0, 1, 2), (1, 2, 2), (2, 2, 2)), 0,
+                 name="Zero")
+    return {"Lcycle": LanguageSpec("Lcycle", ("1", "0"), cycle),
+            "Lzero": LanguageSpec("Lzero", ("1", "z", "0"),
+                                  WordProblem.of(zero, {0, 1}),
+                                  letter_map={"1": 1, "z": 2, "0": 0}),
+            "Lall": LanguageSpec("Lall", ("1", "0"), Dfa(
+                ("q",), ("1", "0"), ((0, 0),), 0, frozenset({0})))}

@@ -34,7 +34,12 @@ from wordlogic.algebra import (
     regular_to_monoid,
     word_problem_member,
 )
-from wordlogic.builtins import Z2, builtin_registry, majority_grammar
+from wordlogic.builtins import (
+    Z2,
+    builtin_registry,
+    majority_grammar,
+    mod_counting_language,
+)
 from wordlogic.errors import (
     CapExceeded,
     EmptyWord,
@@ -674,6 +679,28 @@ def test_anbn_around_the_lanes(data_dir):
             assert cyk_member(anbn, v) == anbn_ok(v), (k, v)
 
 
+def test_a_layout_with_no_long_pair_runs_only_edge_splits(data_dir,
+                                                          monkeypatch):
+    # anbn has no long pair, so a lane run finds nothing and reads no split:
+    # in the lanes each _splits call reads at most `lanes` splits, where a
+    # run over the middle ones would read l - 1 - lanes
+    anbn = _load_cfg(data_dir, "anbn.cfg")
+    layout = anbn._layout
+    reads = []
+
+    def splits(lb, rc, offsets, first, stop, span, acc=0):
+        if span >= layout.lanes_from:
+            reads.append(len(lb[first:stop]))
+        return real(lb, rc, offsets, first, stop, span, acc)
+
+    real = algebra._splits
+    monkeypatch.setattr(algebra, "_splits", splits)
+    k = 3 * layout.lanes_from
+    for v in ("a" * k + "b" * k, "a" * k + "b" * (k + 1)):
+        assert cyk_member(anbn, v) == cyk_member_reference(anbn, v)
+    assert (min(reads), max(reads)) == (0, layout.lanes)
+
+
 def test_early_stop_inside_the_lanes(monkeypatch):
     # In 1^25 0^100 no operand derives more than 49 letters: 1^25 0^24 is
     # the longest part with more 1s than 0s, and no 0 is followed by a 1.
@@ -713,10 +740,13 @@ _MAGMAS = {flag: [m for g in (1, 2, 3) for m in _identity_magmas(g)
                   if check_associative(m) == flag] for flag in (True, False)}
 
 
-def _random_word_problem(rng):
+def _random_word_problem(rng, associative=None):
     """A word problem over a random magma of up to three elements,
-    associative or not, whose letters map to elements in a random order."""
-    m = rng.choice(_MAGMAS[rng.random() < 0.5])
+    associative or not (either, if None), whose letters map to elements in
+    a random order."""
+    if associative is None:
+        associative = rng.random() < 0.5
+    m = rng.choice(_MAGMAS[associative])
     letters = tuple("xyz"[:m.size])
     accept = {x for x in range(m.size) if rng.random() < 0.5}
     return LanguageSpec("wp", letters, WordProblem.of(m, accept),
@@ -858,3 +888,77 @@ def test_member_cache_is_bounded_by_characters(monkeypatch):
     # a repeated short word is answered from the cache
     assert language_member(spec, "aba") and language_member(spec, "aba")
     assert runs[40:] == ["aba"]
+
+
+# ---------------------------------------------------------------------------
+# Decided states: every word read from one gets the empty word's verdict
+
+
+def _decided_by_words(step, final, states, letters):
+    """The states from which every word of up to len(states) letters leads
+    to a state of the same finality; a word that short reaches every state
+    reachable at all."""
+    return {s for s in states
+            if all(final(functools.reduce(step, w, s)) == final(s)
+                   for n in range(len(states) + 1)
+                   for w in itertools.product(letters, repeat=n))}
+
+
+def _decided_names(spec):
+    fold = spec.prefix_fold
+    if fold is None:
+        return None
+    body = spec.body
+    names = body.states if isinstance(body, Dfa) else body.magma.elements
+    return {names[s] for s in fold[2]}
+
+
+def test_decided_states_of_the_builtins(data_dir, registry, stopping, g4):
+    # grammars and non-associative word problems have no fold
+    langs = {**registry, **stopping, "Lmod3": mod_counting_language(3),
+             "ends_a": load_toolbox([data_dir]).languages["ends_a"],
+             "G4": LanguageSpec("G4", "eabc", WordProblem.of(g4, {0}))}
+    assert {name: _decided_names(spec) for name, spec in langs.items()} == {
+        "Lexists": {"q1"}, "Lforall": {"dead"}, "Lmod2": None, "Lmod3": None,
+        "LmodOdd": None, "ends_a": None, "Maj": None, "MajPad": None,
+        "G4": None,
+        # neither of Lcycle's decided states is a sink
+        "Lcycle": {"q1", "q2"}, "Lzero": {"z"}, "Lall": {"q"}}
+
+
+@st.composite
+def _binary_dfas(draw):
+    """Random total DFAs of one to five states over (1, 0)."""
+    q = draw(st.integers(1, 5))
+    state = st.integers(0, q - 1)
+    rows = st.lists(st.tuples(state, state), min_size=q, max_size=q)
+    return Dfa(tuple(f"q{i}" for i in range(q)), ("1", "0"),
+               tuple(draw(rows)), draw(state), frozenset(draw(st.sets(state))))
+
+
+@given(st.one_of(
+    _binary_dfas().map(lambda d: LanguageSpec("L", ("1", "0"), d)),
+    _rngs.map(lambda rng: _random_word_problem(rng, associative=True))))
+def test_decided_states_are_those_every_word_agrees_on(spec):
+    body = spec.body
+    if isinstance(body, Dfa):
+        def step(q, a):
+            return body.trans[q][body.alphabet.index(a)]
+        start, finals, states = body.start, body.finals, len(body.states)
+    else:
+        m = body.magma
+
+        def step(x, a):
+            return m.table[x][spec.letter_map[a]]
+        start, finals, states = m.identity, body.accept, m.size
+    decided = _decided_by_words(step, finals.__contains__, range(states),
+                                spec.alphabet)
+    fold = spec.prefix_fold
+    if not decided:
+        assert fold is None
+        return
+    maps, fold_start, fold_decided = fold
+    assert (fold_start, fold_decided) == (start, decided)
+    assert maps == {a: tuple(step(s, a) for s in range(states))
+                    for a in spec.alphabet}
+

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wordlogic import logic, sexpr
 from wordlogic._record import fields, is_record
-from wordlogic.algebra import Dfa, LanguageSpec
+from wordlogic.algebra import Dfa, LanguageSpec, language_member
 from wordlogic.errors import (
     ArityMismatch,
     EmptyDomain,
@@ -27,6 +27,7 @@ from wordlogic.errors import (
     UnknownLetter,
     WordlogicError,
 )
+from wordlogic.formats import load_toolbox
 from wordlogic.generate import random_fo_formula, random_lindfo, random_lindso
 from wordlogic.logic import (
     CONCATENATED,
@@ -277,19 +278,32 @@ def _unrank_and_word_calls(monkeypatch, registry, text, n):
     return counts
 
 
-@pytest.mark.parametrize("text,n,bits", [
-    ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4),
-    ("(Qstar Lexists 2 (X) (exists x (in X x x)))", 2, 4),
-    ("(Q1 Lexists 1 (X Y) (exists x (and (in X x) (not (in Y x)))))", 3, 6),
-])
+_UNRANK_ROWS = [
+    # Lmod2 has no decided state: evaluate builds the whole word
+    ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4, 16),
+    # the words 01... and 001..., decided by their first 1
+    ("(Qstar Lexists 2 (X) (exists x (in X x x)))", 2, 4, 2),
+    ("(Q1 Lexists 1 (X Y) (exists x (and (in X x) (not (in Y x)))))", 3, 6,
+     3),
+    # the word 0^16 never enters Lexists' decided state
+    ("(Qstar Lexists 1 (X) (exists x (and (in X x) (letter b x))))", 4, 4,
+     16),
+]
+
+
+@pytest.mark.parametrize("text,n,bits,prefix", [
+    pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[2]}")
+    for row in _UNRANK_ROWS])
 def test_each_instance_is_one_unrank_call(monkeypatch, registry, text, n,
-                                          bits):
+                                          bits, prefix):
     """A node's instances come from one call each of the module global
     instance_unrank, which the benchmark's tracer wraps to count them, and
-    both evaluators build the same number of words, each in _induced."""
+    both evaluators build the same number of words, each in _induced.
+    evaluate stops at the prefix that decides the word, the reference walk
+    at none."""
     (fast, fast_words), (slow, slow_words) = _unrank_and_word_calls(
         monkeypatch, registry, text, n)
-    assert fast == slow == 1 << bits
+    assert (fast, slow) == (prefix, 1 << bits)
     assert fast_words == slow_words
 
 
@@ -392,14 +406,104 @@ def test_every_word_is_built_by_induced(registry, monkeypatch, run, want):
     calls = []
     real = logic._induced
 
-    def recording(c, s, node, args, slots):
+    def recording(c, s, node, args, slots, stop=False):
         calls.append(node)
-        return real(c, s, node, args, slots)
+        return real(c, s, node, args, slots, stop)
     monkeypatch.setattr(logic, "_induced", recording)
     node = LindFO("Lexists", ("x",), (Not(Lt(Var("x"), Var("y"))),))
     f = ForallFO("y", node)
     assert run(S("aba"), f, registry=registry)
     assert calls == [node] * want
+
+
+# evaluate stops a node's word at the first letter that enters a decided
+# state of its language's fold; the reference walk and induced_word do not
+_STOP_LANGS = ("Lexists", "Lforall", "Lcycle", "Lzero", "Lall", "Lmod2",
+               "ends_a")
+
+
+@pytest.fixture(scope="module")
+def stop_registry(registry, stopping, data_dir):
+    return {**registry, **stopping,
+            "ends_a": load_toolbox([data_dir]).languages["ends_a"]}
+
+
+def _stop_node(rng, reg, n, fo=(), so=(), nest=False, budget=1 << 12):
+    """A random LindFO or LindSO node, k = 1-2, of at most budget
+    instances over n elements, whose arguments also read the outer
+    variables fo and so; with nest, it has at most 64 instances, and one
+    argument holds a node of its own that reads this node's variables."""
+    lang = rng.choice(_STOP_LANGS)
+    level = "yx"[nest]
+    shapes = [(kind, k) for kind in (LindFO, LindSO) for k in (1, 2)
+              if (n ** k if kind is LindFO else 1 << n * k)
+              <= (64 if nest else budget)]
+    kind, k = rng.choice(shapes)
+    if kind is LindFO:
+        names = tuple(f"{level}{i}" for i in range(k))
+        fo, count = fo + names, n ** k
+    else:
+        names = tuple(f"{level.upper()}{i}" for i in range(k))
+        so, count = so + names, 1 << n * k
+    args = [random_fo_formula(rng, fo, so, AB, depth=2)
+            for _ in range(reg[lang].size - 1)]
+    if nest:
+        i = rng.randrange(len(args))
+        junction = rng.choice((And, Or))
+        args[i] = junction(args[i], _stop_node(rng, reg, n, fo, so,
+                                               budget=budget // count))
+    if kind is LindFO:
+        return kind(lang, names, tuple(args))
+    return kind(lang, rng.choice((INTERLEAVED, CONCATENATED)), 1, names,
+                tuple(args))
+
+
+def _first_decided(spec, word):
+    """The least i such that word[:i] leads to a decided state of spec's
+    fold, or None if no prefix does."""
+    fold = spec.prefix_fold
+    if fold is not None:
+        maps, state, decided = fold
+        for i, letter in enumerate(word):
+            if state in decided:
+                return i
+            state = maps[letter][state]
+        if state in decided:
+            return len(word)
+    return None
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       nest=st.booleans())
+def test_evaluate_stops_each_word_at_its_decided_prefix(stop_registry, seed,
+                                                        n, nest):
+    rng = random.Random(seed)
+    reg = stop_registry
+    f = _stop_node(rng, reg, n, nest=nest)
+    struct = S("".join(rng.choice(AB) for _ in range(n)))
+    whole = {n ** k for k in (1, 2)} | {1 << n * k for k in (1, 2)}
+    seen = []
+    real = logic.language_member
+
+    def member(spec, word):
+        # each word evaluate builds, the nested nodes' too, ends at its
+        # first decided state, or never enters one and is whole
+        i = _first_decided(spec, word)
+        assert i == len(word) or i is None and len(word) in whole
+        seen.append((spec, word))
+        return real(spec, word)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(logic, "language_member", member)
+        verdict = evaluate(struct, f, registry=reg)
+    full = induced_word(struct, {}, f, registry=reg)
+    spec = reg[f.lang]
+    # the node's own word, the last one built, is the whole word up to its
+    # first decided state, and has the whole word's verdict
+    assert seen[-1] == (spec, full[:_first_decided(spec, full)])
+    assert verdict == evaluate_reference(struct, f, registry=reg) == \
+        language_member(spec, full)
 
 
 def test_lindfo_exists(registry):
