@@ -1,5 +1,6 @@
-"""Line-oriented text formats for algebras, automata, grammars, and the
-Toolbox that aggregates named objects for the CLI.
+"""Line-oriented text formats for algebras, automata, grammars and leaf
+automata, and the Toolbox of named languages and leaf automata that the
+CLI reads.
 
 One canonical format per object kind. All loaders validate structural
 invariants at load time and report errors with file and line numbers.
@@ -47,7 +48,6 @@ _KEYS = {
               "neutral": str}, {}),
     ".leaf": ({"states": _words, "input": _words, "leaf": _words,
                "start": str}, {"beta": str.split, "delta": str}),
-    ".sig": ({"constants": _words}, {}),
 }
 
 
@@ -281,33 +281,22 @@ def parse_leaf_automaton(text: str, path=None) -> LeafAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Signature files
-
-def parse_signature(text: str, path=None):
-    """Constant signature: a `constants: c1 c2` line."""
-    f = _Fields(text, path, ".sig")
-    consts = f["constants"]
-    _Names(f, consts, "constant")
-    return consts
-
-
-# ---------------------------------------------------------------------------
 # Toolbox
 
 @record
 class Toolbox:
     languages: dict
     leaf_automata: dict
-    algebras: dict
-    signatures: dict
 
     def language(self, name: str) -> LanguageSpec:
         return resolve_language(self.languages, name)
 
 
 def load_toolbox(paths=()) -> Toolbox:
-    """Scan the given files/directories; built-ins always pre-registered."""
-    box = Toolbox(builtin_registry(), {}, {}, {})
+    """Scan the given files/directories; built-ins always pre-registered.
+    An `.alg` file is parsed whole but makes a language only with an
+    `accept:` line."""
+    box = Toolbox(builtin_registry(), {})
     files = []
     for p in paths:
         if os.path.isdir(p):
@@ -319,8 +308,7 @@ def load_toolbox(paths=()) -> Toolbox:
         name, ext = os.path.splitext(os.path.basename(path))
         text = read_text(path)
         if ext == ".alg":
-            magma, accept = _add(box.algebras, "algebra", name,
-                                 parse_algebra(text, path))
+            magma, accept = parse_algebra(text, path)
             if accept is not None:
                 _add(box.languages, "language name", name,
                      algebra_language(magma, accept, name=name))
@@ -337,9 +325,6 @@ def load_toolbox(paths=()) -> Toolbox:
         elif ext == ".leaf":
             _add(box.leaf_automata, "leaf automaton", name,
                  parse_leaf_automaton(text, path))
-        elif ext == ".sig":
-            _add(box.signatures, "signature", name,
-                 parse_signature(text, path))
         else:
             raise FormatError(f"unrecognized extension {ext!r}", path=path)
     return box
@@ -350,4 +335,3 @@ def _add(table: dict, what: str, name: str, value):
     if name in table:
         raise InvariantViolation(f"duplicate {what} {name!r}")
     table[name] = value
-    return value

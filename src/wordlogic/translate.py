@@ -331,10 +331,6 @@ def arity_collapse(formula, registry):
 PAD_LETTER = "#"
 
 
-def pad_string(w: str, k: int, pad: str) -> str:
-    return w + pad * (len(w) ** k - len(w))
-
-
 def _horner(gensym, mp, digits, tail, bases):
     """Exists-chain reading the terms digits, most significant first, as a
     number in base mp+1; tail sees the term holding it. Each step names

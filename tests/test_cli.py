@@ -234,6 +234,34 @@ def test_file_not_utf8_is_usage_error(capsys, tmp_path, flag):
     assert "Traceback" not in err
 
 
+# a toolbox language of the words holding a 1, and an eval that reads it
+_ONES_DFA = ("states: q0 q1\nalphabet: 1 0\nstart: q0\nfinals: q1\n"
+             "trans: q0 1 q1\ntrans: q0 0 q0\ntrans: q1 1 q1\n"
+             "trans: q1 0 q1\n")
+_ONES_EVAL = ["eval", "--alphabet", "a,b", "--structure", "ab",
+              "--formula", "(Q ones (x) (letter b x))"]
+
+
+def test_a_sig_file_given_as_toolbox_is_refused(capsys, tmp_path):
+    # a constant signature defines no language, so no toolbox format
+    # reads it
+    sig = tmp_path / "c.sig"
+    sig.write_text("constants: c1 c2\n")
+    code, out, err = run(capsys, _ONES_EVAL + ["--toolbox", str(sig)])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {sig}: unrecognized extension '.sig'\n"
+
+
+def test_a_sig_file_in_a_toolbox_directory_is_skipped(capsys, tmp_path):
+    (tmp_path / "ones.dfa").write_text(_ONES_DFA)
+    argv = _ONES_EVAL + ["--toolbox", str(tmp_path)]
+    without = run(capsys, argv)
+    assert without == (EXIT_OK, "true\n", "")
+    # not even read: a duplicate constant would be a format error
+    (tmp_path / "c.sig").write_text("constants: c c\n")
+    assert run(capsys, argv) == without
+
+
 def test_translate_with_toolbox_language(capsys, tmp_path):
     # collapse against a language loaded from a toolbox directory
     (tmp_path / "ones.dfa").write_text(
@@ -330,11 +358,8 @@ def test_algebra_check_accepts_element_names_of_any_length(capsys, tmp_path):
 
 def test_repeated_main_calls_share_no_state(capsys, tmp_path):
     # main reuses one parser: no call may see another's options
-    (tmp_path / "ones.dfa").write_text(
-        "states: q0 q1\nalphabet: 1 0\nstart: q0\nfinals: q1\n"
-        "trans: q0 1 q1\ntrans: q0 0 q0\ntrans: q1 1 q1\ntrans: q1 0 q1\n")
-    ones = ["eval", "--alphabet", "a,b", "--structure", "ab",
-            "--formula", "(Q ones (x) (letter b x))"]
+    (tmp_path / "ones.dfa").write_text(_ONES_DFA)
+    ones = _ONES_EVAL
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0

@@ -29,7 +29,6 @@ from wordlogic.formats import (
     parse_cfg,
     parse_dfa,
     parse_leaf_automaton,
-    parse_signature,
 )
 from wordlogic.leafauto import LeafAutomaton, leaf_string
 
@@ -160,24 +159,15 @@ def test_parse_leaf_automaton_errors(text, msg):
     assert msg in str(ei.value)
 
 
-def test_parse_signature(data_dir):
-    assert parse_signature(read(data_dir, "sig2.sig")) == ("c1", "c2")
-    with pytest.raises(FormatError):
-        parse_signature("constants: c c", "x.sig")
-    with pytest.raises(FormatError):
-        parse_signature("", "x.sig")
-
-
 def test_load_toolbox(data_dir):
     box = load_toolbox([data_dir])
     # builtins present
     assert "Maj" in box.languages and "Lexists" in box.languages
     # files registered under their stem names
-    assert "g4" in box.algebras
+    assert "g4" in box.languages
     assert language_member(box.language("ends_a"), "ba")
     assert language_member(box.language("anbn"), "ab")
     assert "spawn" in box.leaf_automata
-    assert box.signatures["sig2"] == ("c1", "c2")
     with pytest.raises(UnknownLanguage):
         box.language("nope")
 
@@ -196,9 +186,8 @@ def test_load_toolbox_duplicate_names(tmp_path, data_dir):
 
 
 @pytest.mark.parametrize("ext,first,second,msg", [
-    ("alg", "g4.alg", "elements: e\nidentity: e\ntable:\ne\n",
-     "duplicate algebra 'g'"),
-    ("sig", "sig2.sig", "constants: c\n", "duplicate signature 'g'"),
+    ("alg", "g4.alg", "elements: e\nidentity: e\ntable:\ne\naccept: e\n",
+     "duplicate language name 'g'"),
 ])
 def test_load_toolbox_refuses_a_stem_in_two_directories(
         tmp_path, data_dir, ext, first, second, msg):
@@ -221,7 +210,7 @@ _TRANS = "trans: q a r\ntrans: q b q\ntrans: r a r\ntrans: r b q\n"
 _LEAF = "states: p q\ninput: a\nleaf: 0 1\nstart: p\n"
 _BETA_DELTA = "beta: p 0\nbeta: q 1\ndelta: p a -> p q\ndelta: q a -> q\n"
 _PARSERS = {"alg": parse_algebra, "dfa": parse_dfa, "cfg": parse_cfg,
-            "leaf": parse_leaf_automaton, "sig": parse_signature}
+            "leaf": parse_leaf_automaton}
 
 LOADER_ERRORS = [
     ("alg", "elements e a",
@@ -348,12 +337,6 @@ LOADER_ERRORS = [
      "x.leaf: duplicate leaf symbol names", None),
     ("leaf", "states: p q\ninput: a\nleaf: 0 1\nstart: z\n" + _BETA_DELTA,
      "x.leaf: unknown start state 'z'", None),
-    ("sig", "constants c1",
-     "x.sig:1: expected 'key: value', got 'constants c1'", 1),
-    ("sig", "constants: c1\nconst: c2", "x.sig:2: unknown key 'const'", 2),
-    ("sig", "", "x.sig: missing 'constants:' line", None),
-    ("sig", "# only a comment\n", "x.sig: missing 'constants:' line", None),
-    ("sig", "constants: c c", "x.sig: duplicate constant names", None),
 ]
 
 
@@ -394,6 +377,21 @@ def test_load_toolbox_file_errors(tmp_path):
         assert (ei.value.path, ei.value.line) == (str(bad), None)
 
 
+def test_load_toolbox_reads_an_alg_file_without_accept(tmp_path):
+    # such a magma is no language, so it registers nothing; it is still
+    # parsed, so a malformed one is an error at its line
+    alg = tmp_path / "z2.alg"
+    alg.write_text(_ALG)
+    assert load_toolbox([str(tmp_path)]).languages.keys() == \
+        builtin_registry().keys()
+    alg.write_text(_ALG.replace("a e\n", "a x\n"))
+    with pytest.raises(FormatError) as ei:
+        load_toolbox([str(tmp_path)])
+    assert type(ei.value) is FormatError
+    assert (str(ei.value), ei.value.line) == \
+        (f"{alg}:5: unknown element 'x'", 5)
+
+
 def test_data_files_parse_to_known_objects(data_dir, g4):
     def parse(parser, name):
         return parser(read(data_dir, name), os.path.join(data_dir, name))
@@ -413,7 +411,6 @@ def test_data_files_parse_to_known_objects(data_dir, g4):
     assert parse(parse_cfg, "parens.cfg") == (parens, None)
     assert parse(parse_leaf_automaton, "spawn.leaf") == LeafAutomaton(
         ("p", "q"), ("a",), (((0, 1),), ((1,),)), 0, ("0", "1"), ("0", "1"))
-    assert parse(parse_signature, "sig2.sig") == ("c1", "c2")
 
 
 # `#` starts a comment only as the first non-blank character of a line, so a
@@ -470,8 +467,6 @@ def test_hash_is_data_after_the_line_start():
     assert dfa.alphabet == ("1", "0", "#") and neutral == "#"
     cfg, _ = parse_cfg("start: H\nH -> '#'")
     assert cfg.terminals == ("#",) and cyk_member(cfg, "#")
-    # what used to be a trailing comment is now data
-    assert parse_signature("constants: c1 # c2") == ("c1", "#", "c2")
 
 
 def test_readme_lists_every_format_key():
@@ -535,8 +530,7 @@ def fuzz_dir(tmp_path_factory):
 @given(_mutants())
 def test_loaders_fail_only_with_typed_errors(fuzz_dir, mutant):
     ext, text = mutant
-    for parse in (parse_algebra, parse_dfa, parse_cfg, parse_leaf_automaton,
-                  parse_signature):
+    for parse in (parse_algebra, parse_dfa, parse_cfg, parse_leaf_automaton):
         try:
             parse(text, "m" + ext)
         except WordlogicError:

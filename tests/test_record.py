@@ -75,7 +75,7 @@ def _samples():
     """At least one instance of every record class, from the builtins, the
     data files, the formula corpus and a translation check."""
     roots = [builtin_registry(), formats.load_toolbox([DATA]),
-             formats.Toolbox({}, {}, {}, {}),
+             formats.Toolbox({}, {}),
              logic.structure_from_string("ab", "abba"),
              logic.structure_from_string("ab", ""),
              logic.ConstStructure.of(3, {"c1": 0, "c2": 2})]

@@ -58,7 +58,6 @@ from wordlogic.translate import (
     exp_structure,
     exp_translate,
     exp_translate_rev,
-    pad_string,
     pad_translate,
     q1_to_q_star,
     q_star_to_q1,
@@ -169,10 +168,15 @@ def test_arity_collapse_needs_outer_node(registry):
 # ---------------------------------------------------------------------------
 # Padding
 
-def test_pad_string():
-    assert pad_string("ab", 2, "#") == "ab##"
-    assert pad_string("abc", 2, "#") == "abc" + "#" * 6
-    assert pad_string("a", 3, "#") == "a"
+def test_pad_mapper_pads_to_n_to_the_k():
+    # a word of n letters becomes n^k letters, the last n^k - n of them #
+    for word, k, padded in [("ab", 2, "ab##"), ("abc", 2, "abc" + "#" * 6),
+                            ("a", 3, "a")]:
+        f = LindSO("Lmod2", CONCATENATED, k, ("X",),
+                   (ExistsFO("x", InRel("X", (Var("x"),) * k)),))
+        _, _, mapper = pad_translate(f, ("a", "b", "c"))
+        st = mapper(structure_from_string(("a", "b", "c"), word))
+        assert (st.alphabet, st.word) == (("a", "b", "c", "#"), padded)
 
 
 def test_pad_translate_equivalent(registry):
