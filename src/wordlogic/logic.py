@@ -26,8 +26,13 @@ atom means is defined once too, in `_slot_atom`, and both run it. The
 compiled evaluator stops the word at the first letter that enters a
 decided state of the language's fold (`LanguageSpec.prefix_fold`), from
 which every continuation has the prefix's verdict, so it enumerates only
-the instances up to that letter; the walk and `induced_word` build the
-whole word.
+the instances up to that letter. Over a language with no decided state
+it enumerates none when every argument of a LindSO node reads the node's
+relations only through (in R t...), not, and, or, exists and forall:
+each argument then also compiles into a mask closure, whose integer has
+bit r set where the argument holds at the instance of rank r, and the
+word is spelled from those masks at C level. The walk and `induced_word`
+build the whole word, one instance at a time.
 """
 
 from __future__ import annotations
@@ -546,6 +551,62 @@ def instance_unrank(rank: int, n: int, k: int, ordering: str, m: int = 1):
     return _decode(pieces, rank)
 
 
+# A mask over the instances of a code: bit r says something of rank r.
+# The cache keeps every mask of one code of DEFAULT_INSTANCE_CAP instances,
+# 24 of at most 2 MiB; layouts of one code width share them.
+@functools.lru_cache(maxsize=24)
+def _code_mask(width: int, b: int) -> int:
+    """The mask over the 2^width ranks of a code whose bit r is bit b of r:
+    2^b zeros and then 2^b ones, repeated, written a byte at a time."""
+    if b < 3:
+        unit = (b"\xaa", b"\xcc", b"\xf0")[b]
+    else:
+        unit = bytes(1 << b - 3) + b"\xff" * (1 << b - 3)
+    size = 1 << width
+    reps = max(size >> 3, 1) // len(unit)
+    return int.from_bytes(unit * reps, "little") & ((1 << size) - 1)
+
+
+class _Masks(dict):
+    """One relation variable of a code read at every rank at once: maps a
+    tuple to the mask of the ranks that put it in the relation, 0 for a
+    tuple the code has no bit for. Entries are made on first use."""
+
+    __slots__ = ("bits", "width")
+
+    def __init__(self, bits, width):
+        self.bits = bits  # the layout's bit index of each tuple
+        self.width = width
+
+    def __missing__(self, t) -> int:
+        b = self.bits.get(t)
+        mask = self[t] = 0 if b is None else _code_mask(self.width, b)
+        return mask
+
+
+def _spell(masks, whole, alphabet) -> str:
+    """The word, one letter per bit of the full mask whole, whose letter at
+    rank r is alphabet[i] for the first mask i with bit r set, else the
+    alphabet's last letter. Each letter's exclusive mask,
+    masks[i] & ~(masks[0] | ... | masks[i-1]), adds digit i + 1 at its
+    ranks to one byte per rank, and the bytes are read as letters, all at
+    C level; so at most 255 masks, and none is read once every rank has a
+    letter."""
+    limit = whole.bit_length()
+    seen = digits = 0
+    for d, mask in enumerate(masks, 1):
+        ranks = format(mask & ~seen, f"0{limit}b").encode()
+        digits += int.from_bytes(
+            ranks.translate(bytes.maketrans(b"01", bytes((0, d)))), "big")
+        seen |= mask
+        if seen == whole:
+            break
+    letters = dict(enumerate(alphabet[:-1], 1))
+    letters[0] = alphabet[-1]
+    return digits.to_bytes(limit, "little").decode("latin-1").translate(
+        letters)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation: pieces shared by the compiled and the reference evaluator
 
@@ -679,23 +740,43 @@ def _node_range(ctx, node):
                      repeat(k), repeat(node.ordering), repeat(node.arity))
 
 
-def _induced(c, s, node, args, slots, stop=False):
+def _induced(c, s, node, args, slots, fast=None):
     """(language, induced word) of a quantifier node, in both evaluators:
     per instance, bound into s at slots, the letter of the first argument
     closure that holds, else the alphabet's last letter. The compiled
-    evaluator passes its slot list and slots, the reference walk a copy of
-    its environment and the node's names. With stop, and a language whose
-    fold has decided states (`LanguageSpec.prefix_fold`), the word ends at
-    the first letter that enters one (it is empty if the start state is
-    one), and so has the whole word's verdict."""
+    evaluator passes its slot list and slots, and as fast the node's
+    guarded-block fills, its arguments' mask closures (or None) and the
+    slot of its full mask; the reference walk passes a copy of its
+    environment and the node's names.
+
+    With masks and a language with no decided state, no instance is
+    enumerated and no fill runs: s holds each relation of the node as
+    _Masks, and the word is spelled from the masks its arguments give at
+    every instance at once. Else, with fast, the fills run before the
+    instance loop, and with a language whose fold has decided states
+    (`LanguageSpec.prefix_fold`) the word ends at the first letter that
+    enters one (it is empty if the start state is one), and so has the
+    whole word's verdict."""
     spec, instances = _node_range(c, node)
-    rules = tuple(zip(args, spec.alphabet))
-    last = spec.alphabet[-1]
-    fold = spec.prefix_fold if stop else None
+    fills, masks, full = fast or ((), None, None)
+    fold = spec.prefix_fold if fast else None
+    if masks is not None and fold is None:
+        limit, _, bits = _code_layout(c.n, len(slots), node.ordering,
+                                      node.arity)
+        width = limit.bit_length() - 1
+        for i, tuples in zip(slots, bits):
+            s[i] = _Masks(tuples, width)
+        whole = s[full] = (1 << limit) - 1
+        return spec, _spell((mask(c, s) for mask in masks), whole,
+                            spec.alphabet)
     if fold:
         maps, state, decided = fold
         if state in decided:
             return spec, ""
+    for fill in fills:
+        fill(c, s)
+    rules = tuple(zip(args, spec.alphabet))
+    last = spec.alphabet[-1]
     out = []
     for values in instances:
         for i, v in zip(slots, values):
@@ -799,7 +880,8 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # runs too (_slot_atom), and an And/Or spine is one n-ary node. A quantifier
 # node's word comes from the reference's word builder too (_induced), which
 # binds each instance into the node's slots and stops at the word's decided
-# prefix.
+# prefix, or, for a language with no decided state, spells the word from
+# the node's mask closures.
 #
 # First-order quantifiers compile a block at a time: the maximal nest of
 # exists and and nodes (an exists block) or of forall and or nodes (a forall
@@ -817,6 +899,16 @@ def evaluate_reference(struct, formula, assignment=None, *, registry=None,
 # t-tuples where it holds (exists) or fails (forall); see _Plan.block.
 # An existsSO compiles alone, into the loop of an unsolved exists that
 # ranges over subsets instead of positions; see _loop.
+#
+# An argument of a LindSO node N compiles in the same walk into a mask
+# closure too (_Plan.argument), which gives an integer whose bit r says
+# whether the argument holds at N's instance of rank r. N's relations are
+# then held in their slots as _Masks, so (in R t...) is the mask of its
+# tuple's code bit, not, and, or are ^ full, & and |, and a block's loops
+# or and and the n masks of their body (_loop with full), solved
+# witnesses included. A part that reads none of N's relations runs once,
+# as full or 0; one that reads them any other way leaves N with no mask
+# closures, and N always builds its word by the instance loop.
 
 # Compiled levels (And/Or spines count once). Deeper formulas are refused,
 # so compiling and running stay within Python's default recursion limit.
@@ -866,6 +958,26 @@ def _junction(parts, ty):
                 return decisive
         return not decisive
     return junction
+
+
+def _fold_masks(conj, whole, masks):
+    """& (conj) or | of the masks, an iterator, over the full mask whole:
+    it stops at the first result that no later mask can change."""
+    acc, stop = (whole, 0) if conj else (0, whole)
+    for mask in masks:
+        acc = acc & mask if conj else acc | mask
+        if acc == stop:
+            break
+    return acc
+
+
+def _mask_junction(parts, ty, full):
+    """And or Or over mask closures, with the full mask in slot full; None
+    when some part has no mask closure."""
+    if None in parts:
+        return None
+    conj = ty is And
+    return lambda c, s: _fold_masks(conj, s[full], (p(c, s) for p in parts))
 
 
 def _msb_digit(v, p, n):
@@ -941,11 +1053,33 @@ def _slot_atom(f, idx):
     return lambda c, s: s[a] * s[b] == s[d]
 
 
-def _loop(ty, i, body, solve):
+def _mask_atom(idx):
+    """(in R t...) over the slots idx of _slot_atom, R a relation of the
+    LindSO node whose masks are made, held in its slot as _Masks: the mask
+    of the instances whose R holds the terms' tuple."""
+    r, *args = idx
+    if len(args) == 1:
+        (a,) = args
+        return lambda c, s: s[r][(s[a],)]
+    return lambda c, s: s[r][tuple([s[i] for i in args])]
+
+
+def _loop(ty, i, body, solve, full=None):
     """Closure of a quantifier of type ty binding i, a slot of the compiled
     evaluator or a name of the reference walk's environment: a forall or
     exists over the positions, or an existsSO over the relations subsets
-    gives; an existential with a solver tries only the solved value."""
+    gives; an existential with a solver tries only the solved value. With
+    full, the slot of a LindSO node's full mask, body and the closure give
+    masks over the node's instances: a forall ands the n masks and an
+    exists ors them (see _fold_masks), and a solved exists gives the
+    solved value's mask or 0."""
+    if full is not None and solve is None:
+        def values(c, s):
+            for v in range(c.n):
+                s[i] = v
+                yield body(c, s)
+        conj = ty is ForallFO
+        return lambda c, s: _fold_masks(conj, s[full], values(c, s))
     if ty is ForallFO:
         def forall(c, s):
             for v in range(c.n):
@@ -1019,7 +1153,8 @@ class _Plan:
         self.nodes = []
         self.reads = []  # every slot a name was resolved to, in order
         # the innermost LindSO whose argument is being compiled: its first
-        # slot, its relation slots, its arity and its fills
+        # slot, its relation slots, its arity, its fills and the slot of
+        # its full mask
         self.node = None
         self.fn = self.compile(formula, {}, 0)
 
@@ -1085,7 +1220,7 @@ class _Plan:
             body = self.compile(f.body, scope, depth + 1)
             return lambda c, s: not body(c, s)
         if ty is ExistsFO or ty is ForallFO:
-            return self.block(f, scope, depth)
+            return self.block(f, scope, depth, False)[0]
         if ty is ExistsSO:
             i = self.new_slot()
             body = self.compile(f.body, {**scope, f.var: (i, _SO)}, depth + 1)
@@ -1094,14 +1229,16 @@ class _Plan:
             return self.lindstrom(f, scope, depth)
         return self.atom(f, scope)
 
-    def block(self, f, scope, depth):
-        """Closure of the block entered at the quantifier f.
+    def block(self, f, scope, depth, masks):
+        """(closure, mask closure or None) of the block entered at the
+        quantifier f; with masks, f is in an argument of the innermost
+        LindSO N, and the mask closure is the block's over N's instances.
 
         One walk down the nest gives each quantifier its slot and builds
-        its loop, and compiles each leaf, noting whether the leaf reads a
-        slot bound by the innermost LindSO N or between N and f. If exactly
-        one leaf does and guard accepts it, the block becomes a set test
-        instead, and N's closure fills its slot.
+        its loop, and its mask loop, and compiles each leaf, noting whether
+        the leaf reads a slot bound by N or between N and f. If exactly one
+        leaf does and guard accepts it, the closure is a set test instead,
+        and N's closure fills its slot.
         """
         ty = type(f)
         spine = And if ty is ExistsFO else Or
@@ -1109,6 +1246,7 @@ class _Plan:
         node = self.node
         forbidden = None if node is None else {
             i for i, _ in scope.values() if i >= node[0]}
+        full = node[4] if masks else None
         binders = {}  # var -> (slot, solver)
         names = []  # the var of each quantifier
         leaves = []  # per leaf: (node, closure, block names above it,
@@ -1123,30 +1261,34 @@ class _Plan:
                 i, start = self.new_slot(), len(leaves)
                 names.append(g.var)
                 above.append(g.var)
-                body = walk(g.body, {**scope, g.var: (i, _FO)}, depth + 1)
+                body, mask = walk(g.body, {**scope, g.var: (i, _FO)},
+                                  depth + 1)
                 above.pop()
                 solve = None
                 if ty is ExistsFO:
                     solve = self.witness(g.var, scope, leaves[start:],
                                          len(above))
                 binders[g.var] = (i, solve)
-                return _loop(ty, i, body, solve)
+                return (_loop(ty, i, body, solve),
+                        mask and _loop(ty, i, mask, solve, full))
             if type(g) is spine:
-                return _junction([walk(h, scope, depth + 1)
-                                  for h in _spine(g, spine)], spine)
+                fns, mks = zip(*[walk(h, scope, depth + 1)
+                                 for h in _spine(g, spine)])
+                return _junction(fns, spine), _mask_junction(mks, spine, full)
             mark = len(self.reads)
-            fn = self.compile(g, scope, depth)
+            fn, mask = (self.argument(g, scope, depth) if masks
+                        else (self.compile(g, scope, depth), None))
             leaves.append((g, fn, tuple(above), forbidden is not None
                            and not forbidden.isdisjoint(self.reads[mark:])))
-            return fn
+            return fn, mask
 
-        loops = walk(f, scope, depth)
+        loops, mask = walk(f, scope, depth)
         hits = [leaf for leaf in leaves if leaf[3]]
         guard = None
         if len(hits) == 1 and len(binders) == len(names):
             guard = self.guard(hits[0], scope, node, binders)
         if guard is None:
-            return loops
+            return loops, mask
         positive, r, drop, reads = guard
         at = iter(leaves)
 
@@ -1167,7 +1309,7 @@ class _Plan:
         k = self.new_slot()
         node[3].append(_fill(k, rest(f), tuple(drop.values()), reads,
                              ty is ExistsFO))
-        return _set_test(ty, positive, r, k)
+        return _set_test(ty, positive, r, k), mask
 
     def guard(self, leaf, scope, node, binders):
         """(positive, relation slot, slots of the leaf's distinct terms by
@@ -1182,7 +1324,7 @@ class _Plan:
         one quantifier.
         """
         g, _, above, _ = leaf
-        _, relations, arity, _ = node
+        _, relations, arity, _, _ = node
         positive = type(g) is not Not
         atom = g if positive else g.body
         if type(atom) is not InRel:
@@ -1229,6 +1371,12 @@ class _Plan:
         return None
 
     def lindstrom(self, f, scope, depth):
+        """Closure of the quantifier node f, which builds its word with
+        _induced. A LindSO node compiles each argument with argument, so
+        it also has mask closures when every argument has one, and it has
+        at most 255 arguments; _induced spells the word from them when the
+        language has no decided state, and runs the node's fills and the
+        instance loop otherwise."""
         self.nodes.append(f)
         kind = _SO if type(f) is LindSO else _FO
         inner = dict(scope)
@@ -1236,25 +1384,67 @@ class _Plan:
         for name in f.vars:
             slots.append(self.new_slot())
             inner[name] = (slots[-1], kind)
-        outer, fills = self.node, []
+        outer, fills, masks, full = self.node, [], None, None
         if type(f) is LindSO:
-            self.node = (slots[0], frozenset(slots), f.arity, fills)
-        args = []
-        for a in f.args:
-            args.append(self.compile(a, inner, depth + 1))
+            full = self.new_slot()
+            self.node = (slots[0], frozenset(slots), f.arity, fills, full)
+            args, masks = zip(*[self.argument(a, inner, depth + 1)
+                                for a in f.args])
+            # a letter's digit in _spell is one byte
+            if None in masks or len(masks) > 255:
+                masks = None
+        else:
+            args = [self.compile(a, inner, depth + 1) for a in f.args]
         self.node = outer
+        fast = (fills, masks, full)
 
         def quantifier(c, s):
-            for fill in fills:
-                fill(c, s)
-            return language_member(*_induced(c, s, f, args, slots, True))
+            return language_member(*_induced(c, s, f, args, slots, fast))
         return quantifier
 
-    def atom(self, f, scope):
+    def argument(self, f, scope, depth):
+        """(closure, mask closure or None) of f in an argument of the
+        innermost LindSO N. The mask closure gives the mask of N's
+        instances at which f holds, with N's relations held as _Masks. A
+        part of f that reads none of N's relations is run once, as the full
+        mask or 0; one that reads them through anything but (in R t...),
+        not, and, or, exists and forall (such as a nested existsSO or
+        quantifier node, set-times or shuffle-bit) leaves f with no mask
+        closure."""
+        if depth > MAX_NESTING:
+            raise NestingCapExceeded(
+                f"formula nests deeper than {MAX_NESTING} levels")
+        _, relations, _, _, full = self.node
+        mark = len(self.reads)
+        ty = type(f)
+        if ty is And or ty is Or:
+            fns, masks = zip(*[self.argument(g, scope, depth + 1)
+                               for g in _spine(f, ty)])
+            fn, mask = _junction(fns, ty), _mask_junction(masks, ty, full)
+        elif ty is Not:
+            body, inverse = self.argument(f.body, scope, depth + 1)
+            fn = lambda c, s: not body(c, s)
+            mask = inverse and (lambda c, s: inverse(c, s) ^ s[full])
+        elif ty is ExistsFO or ty is ForallFO:
+            fn, mask = self.block(f, scope, depth, True)
+        elif ty is InRel:
+            idx = self.operands(f, scope)
+            fn, mask = _slot_atom(f, idx), _mask_atom(idx)
+        else:
+            fn, mask = self.compile(f, scope, depth), None
+        if relations.isdisjoint(self.reads[mark:]):
+            mask = lambda c, s: s[full] if fn(c, s) else 0
+        return fn, mask
+
+    def operands(self, f, scope):
+        """The slots of the atom f's relations and then of its terms."""
         idx = [self.resolve(name, scope, _SO) for name in relation_names(f)]
         idx += [self.term(t, scope) for t in terms(f)]
         self.letters = self.letters or type(f) is Letter
-        return _slot_atom(f, idx)
+        return idx
+
+    def atom(self, f, scope):
+        return _slot_atom(f, self.operands(f, scope))
 
 
 def _plan(formula) -> _Plan:
@@ -1282,8 +1472,12 @@ def evaluate(struct, formula, assignment=None, *, registry=None,
     level, there each And/Or counts. The compiled form decides a
     quantifier node by the prefix of its word up to the first letter
     that enters a decided state of the language's fold, which has the
-    whole word's verdict; it runs only where nothing in it can raise, so
-    the instances it skips hide no error.
+    whole word's verdict. A LindSO node whose language has no decided
+    state, and whose arguments read its relations only through
+    (in R t...), not, and, or, exists and forall, has its whole word
+    spelled from masks over all its instances at once, with none
+    enumerated. The compiled form runs only where nothing in it can
+    raise, so the instances it skips hide no error.
     """
     plan = _plan(formula)
     ctx = _Ctx(struct, registry, instance_cap)

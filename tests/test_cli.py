@@ -137,6 +137,20 @@ def test_oracle_cfg_groupoid_with_the_empty_word(capsys, tmp_path):
     assert (code, out) == (EXIT_OK, "agree\n")
 
 
+@pytest.mark.parametrize("formula", [
+    "(Q1 Lmod2 1 (X Y) (exists x (and (in X x) (not (in Y x)))))",
+    "(Qstar g4 1 (X) (exists x (and (in X x) (letter a x))) "
+    "(forall x (or (in X x) (letter b x))) (in X min))",
+], ids=["interleaved-k2-Lmod2", "g4"])
+def test_oracle_lind_eval_agrees_on_words_spelled_from_masks(
+        capsys, data_dir, formula):
+    # neither language has a decided state, so evaluate spells each word
+    # from masks, and the oracle holds it to the reference's word
+    assert run(capsys, [
+        "oracle", "lind-eval", "--toolbox", data_dir, "--formula", formula,
+        "--max-n", "4"]) == (EXIT_OK, "agree\n", "")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["oracle", "groupoid-reachable", "--max-len", "3"], "--algebra"),
     (["oracle", "cfg-groupoid", "--max-len", "3"], "--grammar"),

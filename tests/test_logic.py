@@ -260,9 +260,10 @@ def test_subsets_follow_the_mask_definition():
             instance_unrank(r, n, 1, CONCATENATED)[0] for r in range(2**n)]
 
 
-def _unrank_and_word_calls(monkeypatch, registry, text, n):
-    """For evaluate and then evaluate_reference on the word a^n, how many
-    calls each makes of the module globals instance_unrank and _induced."""
+def _unrank_and_word_calls(monkeypatch, registry, text, word,
+                           evaluators=(evaluate, evaluate_reference)):
+    """For each evaluator in turn on word, how many calls it makes of the
+    module globals instance_unrank and _induced."""
     calls = {"instance_unrank": 0, "_induced": 0}
     for name in calls:
         def counting(*args, name=name, real=getattr(logic, name)):
@@ -271,16 +272,17 @@ def _unrank_and_word_calls(monkeypatch, registry, text, n):
         monkeypatch.setattr(logic, name, counting)
     f = parse_formula(text)
     counts = []
-    for ev in (evaluate, evaluate_reference):
+    for ev in evaluators:
         calls.update(dict.fromkeys(calls, 0))
-        ev(S("a" * n), f, registry=registry)
+        ev(S(word), f, registry=registry)
         counts.append((calls["instance_unrank"], calls["_induced"]))
     return counts
 
 
 _UNRANK_ROWS = [
-    # Lmod2 has no decided state: evaluate builds the whole word
-    ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4, 16),
+    # Lmod2 has no decided state: evaluate spells the whole word from the
+    # argument's masks over every instance at once, and unranks none
+    ("(Qstar Lmod2 1 (X) (exists x (in X x)))", 4, 4, 0),
     # the words 01... and 001..., decided by their first 1
     ("(Qstar Lexists 2 (X) (exists x (in X x x)))", 2, 4, 2),
     ("(Q1 Lexists 1 (X Y) (exists x (and (in X x) (not (in Y x)))))", 3, 6,
@@ -300,9 +302,9 @@ def test_each_instance_is_one_unrank_call(monkeypatch, registry, text, n,
     instance_unrank, which the benchmark's tracer wraps to count them, and
     both evaluators build the same number of words, each in _induced.
     evaluate stops at the prefix that decides the word, the reference walk
-    at none."""
+    at none; a word evaluate spells from masks takes no call."""
     (fast, fast_words), (slow, slow_words) = _unrank_and_word_calls(
-        monkeypatch, registry, text, n)
+        monkeypatch, registry, text, "a" * n)
     assert (fast, slow) == (prefix, 1 << bits)
     assert fast_words == slow_words
 
@@ -311,7 +313,7 @@ def test_a_node_the_formula_never_reaches_builds_no_word(monkeypatch,
                                                          registry):
     # the or decides before the node is reached, so no word is built
     text = "(or (true) (Qstar Lexists 1 (X) (exists x (in X x))))"
-    assert _unrank_and_word_calls(monkeypatch, registry, text, 4) == [
+    assert _unrank_and_word_calls(monkeypatch, registry, text, "aaaa") == [
         (0, 0), (0, 0)]
 
 
@@ -1465,8 +1467,9 @@ def _long_word_templates():
 
 @pytest.mark.parametrize("template", _long_word_templates())
 def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
-    # the block's letter atom runs n times per evaluation, in the fill,
-    # and not once per instance
+    # the block's letter atom runs n times per evaluation, not once per
+    # instance: in the fill of a node that steps (Lexists), and in the
+    # mask loop of a node whose word is spelled from masks (Lmod2)
     calls = []
     real = logic._slot_atom
 
@@ -1481,8 +1484,11 @@ def test_long_word_templates_are_set_tests(registry, monkeypatch, template):
         return letter
     monkeypatch.setattr(logic, "_slot_atom", counting)
     struct = S("abbab")
-    for quantifier in ("Qstar", "Q1"):
-        f = parse_formula(f"({quantifier} Lmod2 1 (X) {template})", registry)
+    for quantifier, lang in itertools.product(("Qstar", "Q1"),
+                                              ("Lmod2", "Lexists")):
+        f = parse_formula(f"({quantifier} {lang} 1 (X) {template})",
+                          registry)
+        assert _set_tests(f) == 1
         # the reference builds letter closures too: run it before counting
         want = evaluate_reference(struct, f, registry=registry)
         calls.clear()
@@ -1511,6 +1517,147 @@ def test_existsso_compiles_through_loop(monkeypatch, text, want):
     for struct in string_structures(AB, 4, min_n=0):
         assert _outcome(evaluate, struct, f) == \
             _outcome(evaluate_reference, struct, f), struct.word
+
+
+# ---------------------------------------------------------------------------
+# Words spelled from masks, every instance at once, against the reference
+
+# no language here has a decided state, so evaluate spells a node's word
+# from its arguments' masks whenever they have them; ends_a is the one that
+# does not commute
+_MASK_LANGS = ("Lmod2", "LmodOdd", "Maj", "g4", "ends_a")
+
+
+@pytest.fixture(scope="module")
+def mask_registry(registry, data_dir):
+    box = load_toolbox([data_dir]).languages
+    return {**registry, "g4": box["g4"], "ends_a": box["ends_a"]}
+
+
+def _mask_argument(rng, lang, ordering, m, k, fallback):
+    """(an argument formula over the relations X0 and X1 of arity m, the
+    first k of them bound by its node, whether its node can have masks);
+    only with fallback may it read them in a way that has none."""
+    rel = rng.choice(("X0", "X1")[:k])
+    shape = rng.randrange(7 if fallback else 6)
+    if shape == 0:
+        return random_lindso(rng, lang, 1, ordering, AB, k).args[0], True
+    if shape == 1:  # one of the guarded-block shapes, over X0 and X1
+        f, _ = _block_case(rng, lang, ordering, m, k)
+        body = (f if type(f) is LindSO else f.body.right).args[0]
+        return logic.rewrite(body, lambda g, rw: InRel(
+            {"X": "X0", "Y": "X1"}[g.rel], g.args)
+            if type(g) is InRel else None), True
+    if shape == 2:  # fixed terms
+        return InRel(rel, tuple(rng.choice((MIN, MAX, ConstSym("c")))
+                                for _ in range(m))), True
+    if shape == 3:  # a nested node that reads the node's relation, or not
+        reads = fallback and rng.random() < 0.5
+        inner = InRel("Z", (Var("x"),))
+        if reads:
+            inner = And(inner, InRel(rel, (Var("x"),) * m))
+        return LindSO("Lmod2", ordering, 1, ("Z",),
+                      (ExistsFO("x", inner),)), not reads
+    if shape == 6:
+        return SetTimes(rel, rel, rel), False
+    a, masked_a = _mask_argument(rng, lang, ordering, m, k, fallback)
+    b, masked_b = _mask_argument(rng, lang, ordering, m, k, fallback)
+    return rng.choice((And, Or))(Not(a), b), masked_a and masked_b
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 2),
+       k=st.integers(1, 2), lang=st.sampled_from(_MASK_LANGS),
+       ordering=st.sampled_from((INTERLEAVED, CONCATENATED)))
+def test_words_spelled_from_masks_match_reference(mask_registry, seed, m, k,
+                                                  lang, ordering):
+    """evaluate and evaluate_reference agree, and a node evaluate decides
+    from masks unranks no instance and has induced_word's word, on string
+    and constant structures of 1-4 elements. Nodes over 2^8 instances are
+    refused by both evaluators alike."""
+    rng = random.Random(seed)
+    reg = mask_registry
+    fallback = rng.random() < 0.3
+    args = [_mask_argument(rng, lang, ordering, m, k, fallback)
+            for _ in range(reg[lang].size - 1)]
+    node = LindSO(lang, ordering, m, ("X0", "X1")[:k],
+                  tuple(a for a, _ in args))
+    masked = all(masked for _, masked in args)
+    for n in range(1, 5):
+        word = "".join(rng.choice(AB) for _ in range(n))
+        for struct in (S(word), ConstStructure.of(n, {"c": rng.randrange(n)})):
+            env = {"u": rng.randrange(n)}
+            seen, unranked = [], []
+            real_member, real_unrank = logic.language_member, instance_unrank
+
+            def member(spec, spelled):
+                seen.append((spec, spelled))
+                return real_member(spec, spelled)
+
+            def unrank(*args):
+                unranked.append(args)
+                return real_unrank(*args)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(logic, "language_member", member)
+                mp.setattr(logic, "instance_unrank", unrank)
+                verdict = _outcome(evaluate, struct, node, env, registry=reg,
+                                   instance_cap=1 << 8)
+            assert verdict == _outcome(
+                evaluate_reference, struct, node, env, registry=reg,
+                instance_cap=1 << 8), (struct, node)
+            if type(verdict) is bool:
+                assert seen[-1] == (reg[lang], induced_word(
+                    struct, env, node, registry=reg, instance_cap=1 << 8))
+                # the walk answers a call the plan's record refuses
+                ctx = logic._Ctx(struct, reg, 1 << 8)
+                if masked and logic._plan(node).slots(ctx, env) is not None:
+                    assert not unranked, (struct, node)
+
+
+_FLOOR = "(Qstar {} 1 (X) (exists x (and (in X x) (letter a x))))"
+_PAIR_FLOOR = "(Qstar Lmod2 1 (X Y) (exists x (and (in X x) (in Y x))))"
+
+
+def _calls_and_verdict(monkeypatch, registry, text, word):
+    """evaluate's calls of instance_unrank and _induced on word, and its
+    verdict."""
+    (calls,) = _unrank_and_word_calls(monkeypatch, registry, text, word,
+                                      [evaluate])
+    f = parse_formula(text, registry)
+    return calls, evaluate(S(word), f, registry=registry)
+
+
+@pytest.mark.parametrize("word", ["ab" * 10, "a" * 20, "bba"])
+def test_floor_sentence_is_spelled_from_masks(monkeypatch, registry, word):
+    # X meets the a-positions A at 2^n - 2^(n-|A|) of its 2^n values, and
+    # Lmod2 accepts an even count
+    n, a = len(word), word.count("a")
+    even = (2 ** n - 2 ** (n - a)) % 2 == 0
+    assert _calls_and_verdict(monkeypatch, registry, _FLOOR.format("Lmod2"),
+                              word) == ((0, 1), even)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_pair_floor_sentence_is_spelled_from_masks(monkeypatch, registry, n):
+    # X and Y meet at 4^n - 3^n of their 4^n values
+    assert _calls_and_verdict(monkeypatch, registry, _PAIR_FLOOR, "b" * n) == (
+        (0, 1), (4 ** n - 3 ** n) % 2 == 0)
+
+
+def test_a_language_with_decided_states_still_steps(monkeypatch, registry):
+    # the empty set, then {19} (a b), then {18} (an a), which decides
+    assert _calls_and_verdict(monkeypatch, registry, _FLOOR.format("Lexists"),
+                              "ab" * 10) == ((3, 1), True)
+
+
+def test_a_node_that_reads_its_set_through_existsso_steps(monkeypatch,
+                                                         registry):
+    text = ("(Qstar Lmod2 1 (X) (existsSO Y (exists x (and (in X x) "
+            "(in Y x)))))")
+    want = evaluate_reference(S("aba"), parse_formula(text, registry),
+                              registry=registry)
+    assert _calls_and_verdict(monkeypatch, registry, text, "aba") == (
+        (8, 1), want)
 
 
 # ---------------------------------------------------------------------------
